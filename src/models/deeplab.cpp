@@ -39,6 +39,13 @@ ASPP::ASPP(std::string name, const Options& opts, Rng& rng)
   project_->Emplace<BatchNorm2d>(this->name() + ".project.bn",
                                  opts_.branch_c);
   project_->Emplace<ReLU>(this->name() + ".project.relu");
+
+  for (auto& b : branches_) AddChild(*b);
+  AddChild(*project_);
+  branch_outs_.resize(branches_.size());
+  for (const Tensor& t : branch_outs_) concat_ptrs_.push_back(&t);
+  branch_channels_.assign(branches_.size(), opts_.branch_c);
+  branch_grads_.resize(branches_.size());
 }
 
 TensorShape ASPP::OutputShape(const TensorShape& input) const {
@@ -48,24 +55,19 @@ TensorShape ASPP::OutputShape(const TensorShape& input) const {
 }
 
 Tensor ASPP::Forward(const Tensor& input, bool train) {
-  std::vector<Tensor> outs;
-  outs.reserve(branches_.size());
-  for (auto& branch : branches_) {
-    outs.push_back(branch->Forward(input, train));
+  for (std::size_t i = 0; i < branches_.size(); ++i) {
+    branch_outs_[i] = branches_[i]->Forward(input, train);
   }
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& t : outs) ptrs.push_back(&t);
-  const Tensor cat = ConcatChannels(ptrs);
+  const Tensor cat = ConcatChannels(concat_ptrs_);
   return project_->Forward(cat, train);
 }
 
 Tensor ASPP::Backward(const Tensor& grad_output) {
   const Tensor g_cat = project_->Backward(grad_output);
-  const std::vector<std::int64_t> channels(branches_.size(), opts_.branch_c);
-  auto parts = SplitChannels(g_cat, channels);
+  SplitChannelsInto(g_cat, branch_channels_, branch_grads_);
   Tensor g_in;
   for (std::size_t i = 0; i < branches_.size(); ++i) {
-    Tensor g = branches_[i]->Backward(parts[i]);
+    Tensor g = branches_[i]->Backward(branch_grads_[i]);
     if (i == 0) {
       g_in = std::move(g);
     } else {
@@ -73,26 +75,6 @@ Tensor ASPP::Backward(const Tensor& grad_output) {
     }
   }
   return g_in;
-}
-
-std::vector<Param*> ASPP::Params() {
-  std::vector<Param*> params;
-  for (auto& b : branches_) AppendParams(params, *b);
-  AppendParams(params, *project_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> ASPP::StateTensors() {
-  std::vector<StateTensor> state;
-  for (auto& b : branches_) AppendStateTensors(state, *b);
-  AppendStateTensors(state, *project_);
-  return state;
-}
-
-void ASPP::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  for (auto& b : branches_) b->SetPrecisionRecursive(p);
-  project_->SetPrecisionRecursive(p);
 }
 
 // ------------------------------------------------------ DeepLabV3Plus ---
@@ -200,6 +182,14 @@ DeepLabV3Plus::DeepLabV3Plus(const Config& config, Rng& rng)
       Conv2d::Options{.in_c = head_c, .out_c = config_.num_classes,
                       .kernel = 1, .pad = 0},
       rng);
+
+  AddChild(*encoder_);
+  AddChild(*aspp_);
+  AddChild(*skip_reduce_);
+  AddChild(*up1_);
+  AddChild(*refine_);
+  for (auto& up : upsample_tail_) AddChild(*up);
+  AddChild(*classifier_);
 }
 
 std::int64_t DeepLabV3Plus::SpatialDivisor() const { return 8; }
@@ -241,77 +231,22 @@ Tensor DeepLabV3Plus::Backward(const Tensor& grad_output) {
   encoder_->SetGradReadyListener(grad_ready_listener());
   Tensor g;
   if (config_.full_res_decoder) {
-    g = classifier_->Backward(grad_output);
-    NotifyGradsReady(*classifier_);
+    g = BackwardChild(*classifier_, grad_output);
     for (std::size_t i = upsample_tail_.size(); i-- > 0;) {
-      g = upsample_tail_[i]->Backward(g);
-      NotifyGradsReady(*upsample_tail_[i]);
+      g = BackwardChild(*upsample_tail_[i], g);
     }
   } else {
-    g = upsample_tail_[0]->Backward(grad_output);
-    NotifyGradsReady(*upsample_tail_[0]);
-    g = classifier_->Backward(g);
-    NotifyGradsReady(*classifier_);
+    g = BackwardChild(*upsample_tail_[0], grad_output);
+    g = BackwardChild(*classifier_, g);
   }
-  g = refine_->Backward(g);
-  NotifyGradsReady(*refine_);
-  const std::vector<std::int64_t> channels{
-      config_.decoder_channels[0], config_.decoder_skip_channels};
-  auto parts = SplitChannels(g, channels);
-  encoder_->AddLowLevelGradient(skip_reduce_->Backward(parts[1]));
-  NotifyGradsReady(*skip_reduce_);
-  g = up1_->Backward(parts[0]);
-  NotifyGradsReady(*up1_);
-  g = aspp_->Backward(g);
-  NotifyGradsReady(*aspp_);
+  g = BackwardChild(*refine_, g);
+  const std::array<std::int64_t, 2> channels{config_.decoder_channels[0],
+                                             config_.decoder_skip_channels};
+  SplitChannelsInto(g, channels, skip_split_);
+  encoder_->AddLowLevelGradient(BackwardChild(*skip_reduce_, skip_split_[1]));
+  g = BackwardChild(*up1_, skip_split_[0]);
+  g = BackwardChild(*aspp_, g);
   return encoder_->Backward(g);
-}
-
-std::vector<Param*> DeepLabV3Plus::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *encoder_);
-  AppendParams(params, *aspp_);
-  AppendParams(params, *skip_reduce_);
-  AppendParams(params, *up1_);
-  AppendParams(params, *refine_);
-  for (auto& up : upsample_tail_) AppendParams(params, *up);
-  AppendParams(params, *classifier_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> DeepLabV3Plus::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *encoder_);
-  AppendStateTensors(state, *aspp_);
-  AppendStateTensors(state, *skip_reduce_);
-  AppendStateTensors(state, *up1_);
-  AppendStateTensors(state, *refine_);
-  for (auto& up : upsample_tail_) AppendStateTensors(state, *up);
-  AppendStateTensors(state, *classifier_);
-  return state;
-}
-
-void DeepLabV3Plus::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  encoder_->SetPrecisionAll(p);
-  aspp_->SetPrecisionAll(p);
-  skip_reduce_->SetPrecisionRecursive(p);
-  up1_->SetPrecision(p);
-  refine_->SetPrecisionRecursive(p);
-  for (auto& up : upsample_tail_) {
-    if (auto* seq = dynamic_cast<Sequential*>(up.get())) {
-      seq->SetPrecisionRecursive(p);
-    } else {
-      up->SetPrecision(p);
-    }
-  }
-  classifier_->SetPrecision(p);
-}
-
-std::int64_t DeepLabV3Plus::ParameterCount() {
-  std::int64_t count = 0;
-  for (Param* p : Params()) count += p->NumElements();
-  return count;
 }
 
 }  // namespace exaclim

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -24,9 +25,6 @@ class ASPP : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
 
   std::int64_t out_channels() const { return opts_.branch_c; }
 
@@ -34,6 +32,13 @@ class ASPP : public Layer {
   Options opts_;
   std::vector<std::unique_ptr<Sequential>> branches_;
   std::unique_ptr<Sequential> project_;
+
+  // Per-step scratch, sized in the constructor so the steady-state step
+  // performs no heap allocation (see DenseBlock).
+  std::vector<Tensor> branch_outs_;
+  std::vector<const Tensor*> concat_ptrs_;  // -> branch_outs_
+  std::vector<std::int64_t> branch_channels_;
+  std::vector<Tensor> branch_grads_;
 };
 
 /// Modified DeepLabv3+ (Fig 1): ResNet encoder with atrous stages
@@ -69,12 +74,8 @@ class DeepLabV3Plus : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
 
   const Config& config() const { return config_; }
-  std::int64_t ParameterCount();
   /// Input H/W must be divisible by this.
   std::int64_t SpatialDivisor() const;
 
@@ -88,6 +89,7 @@ class DeepLabV3Plus : public Layer {
   std::vector<std::unique_ptr<Layer>> upsample_tail_;  // to full res
   std::unique_ptr<Conv2d> classifier_;
   std::int64_t skip_concat_channels_ = 0;
+  std::array<Tensor, 2> skip_split_;  // [up1 grad, skip grad] scratch
 };
 
 }  // namespace exaclim

@@ -42,6 +42,9 @@ Bottleneck::Bottleneck(std::string name, const Options& opts, Rng& rng)
     shortcut_->Emplace<BatchNorm2d>(this->name() + ".proj_bn", opts_.out_c);
   }
   out_relu_ = std::make_unique<ReLU>(this->name() + ".out_relu");
+  AddChild(*main_);
+  if (shortcut_) AddChild(*shortcut_);
+  AddChild(*out_relu_);
 }
 
 TensorShape Bottleneck::OutputShape(const TensorShape& input) const {
@@ -69,27 +72,6 @@ Tensor Bottleneck::Backward(const Tensor& grad_output) {
     g_in += g_sum;
   }
   return g_in;
-}
-
-std::vector<Param*> Bottleneck::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *main_);
-  if (shortcut_) AppendParams(params, *shortcut_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> Bottleneck::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *main_);
-  if (shortcut_) AppendStateTensors(state, *shortcut_);
-  return state;
-}
-
-void Bottleneck::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  main_->SetPrecisionRecursive(p);
-  if (shortcut_) shortcut_->SetPrecisionRecursive(p);
-  out_relu_->SetPrecision(p);
 }
 
 // ------------------------------------------------------ ResNetEncoder ---
@@ -154,6 +136,8 @@ ResNetEncoder::ResNetEncoder(const Config& config, Rng& rng)
     }
   }
   out_channels_ = c;
+  AddChild(*stem_);
+  for (auto& b : blocks_) AddChild(*b);
 }
 
 TensorShape ResNetEncoder::OutputShape(const TensorShape& input) const {
@@ -193,32 +177,9 @@ Tensor ResNetEncoder::Backward(const Tensor& grad_output) {
     if (i + 1 == low_level_block_end_ && !low_level_grad_.Empty()) {
       g += low_level_grad_;
     }
-    g = blocks_[i]->Backward(g);
-    NotifyGradsReady(*blocks_[i]);
+    g = BackwardChild(*blocks_[i], g);
   }
-  g = stem_->Backward(g);
-  NotifyGradsReady(*stem_);
-  return g;
-}
-
-std::vector<Param*> ResNetEncoder::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *stem_);
-  for (auto& b : blocks_) AppendParams(params, *b);
-  return params;
-}
-
-std::vector<Layer::StateTensor> ResNetEncoder::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *stem_);
-  for (auto& b : blocks_) AppendStateTensors(state, *b);
-  return state;
-}
-
-void ResNetEncoder::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  stem_->SetPrecisionRecursive(p);
-  for (auto& b : blocks_) b->SetPrecisionAll(p);
+  return BackwardChild(*stem_, g);
 }
 
 }  // namespace exaclim

@@ -25,6 +25,7 @@ DenseBlock::DenseBlock(std::string name, const Options& opts, Rng& rng)
     if (opts_.dropout > 0.0f) {
       unit->Emplace<Dropout>(unit->name() + ".drop", opts_.dropout, rng);
     }
+    AddChild(*unit);
     units_.push_back(std::move(unit));
     feat_channels_.push_back(opts_.growth);
     in_c += opts_.growth;
@@ -94,23 +95,6 @@ Tensor DenseBlock::Backward(const Tensor& grad_output) {
     }
   }
   return std::move(feat_grads_[0]);
-}
-
-std::vector<Param*> DenseBlock::Params() {
-  std::vector<Param*> params;
-  for (auto& unit : units_) AppendParams(params, *unit);
-  return params;
-}
-
-std::vector<Layer::StateTensor> DenseBlock::StateTensors() {
-  std::vector<StateTensor> state;
-  for (auto& unit : units_) AppendStateTensors(state, *unit);
-  return state;
-}
-
-void DenseBlock::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  for (auto& unit : units_) unit->SetPrecisionRecursive(p);
 }
 
 // ----------------------------------------------------- TransitionDown ---
@@ -225,6 +209,16 @@ Tiramisu::Tiramisu(const Config& config, Rng& rng)
       Conv2d::Options{.in_c = new_feats, .out_c = config_.num_classes,
                       .kernel = 1, .pad = 0},
       rng);
+
+  // Grouped by kind, not interleaved along the forward path: this order
+  // is the checkpoint layout.
+  AddChild(*first_conv_);
+  for (auto& b : down_blocks_) AddChild(*b);
+  for (auto& d : downs_) AddChild(*d);
+  AddChild(*bottleneck_);
+  for (auto& u : ups_) AddChild(*u);
+  for (auto& b : up_blocks_) AddChild(*b);
+  AddChild(*final_conv_);
 }
 
 std::int64_t Tiramisu::SpatialDivisor() const {
@@ -264,73 +258,24 @@ Tensor Tiramisu::Forward(const Tensor& input, bool train) {
 Tensor Tiramisu::Backward(const Tensor& grad_output) {
   // Each child is announced grad-ready right after its Backward — the
   // overlap hooks of DESIGN §14 (no-ops without a listener installed).
-  Tensor g = final_conv_->Backward(grad_output);
-  NotifyGradsReady(*final_conv_);
+  Tensor g = BackwardChild(*final_conv_, grad_output);
   skip_grads_.resize(skips_.size());  // capacity-stable after warmup
   for (std::size_t u = up_blocks_.size(); u-- > 0;) {
     const std::size_t skip_idx = ups_.size() - 1 - u;
-    g = up_blocks_[u]->Backward(g);
-    NotifyGradsReady(*up_blocks_[u]);
+    g = BackwardChild(*up_blocks_[u], g);
     const std::array<std::int64_t, 2> channels{
         g.shape().c() - skip_channels_[skip_idx], skip_channels_[skip_idx]};
     SplitChannelsInto(g, channels, up_split_);
     skip_grads_[skip_idx] = std::move(up_split_[1]);
-    g = ups_[u]->Backward(up_split_[0]);
-    NotifyGradsReady(*ups_[u]);
+    g = BackwardChild(*ups_[u], up_split_[0]);
   }
-  g = bottleneck_->Backward(g);
-  NotifyGradsReady(*bottleneck_);
+  g = BackwardChild(*bottleneck_, g);
   for (std::size_t i = down_blocks_.size(); i-- > 0;) {
-    g = downs_[i]->Backward(g);
-    NotifyGradsReady(*downs_[i]);
+    g = BackwardChild(*downs_[i], g);
     g += skip_grads_[i];
-    g = down_blocks_[i]->Backward(g);
-    NotifyGradsReady(*down_blocks_[i]);
+    g = BackwardChild(*down_blocks_[i], g);
   }
-  g = first_conv_->Backward(g);
-  NotifyGradsReady(*first_conv_);
-  return g;
-}
-
-std::vector<Param*> Tiramisu::Params() {
-  std::vector<Param*> params;
-  AppendParams(params, *first_conv_);
-  for (auto& b : down_blocks_) AppendParams(params, *b);
-  for (auto& d : downs_) AppendParams(params, *d);
-  AppendParams(params, *bottleneck_);
-  for (auto& u : ups_) AppendParams(params, *u);
-  for (auto& b : up_blocks_) AppendParams(params, *b);
-  AppendParams(params, *final_conv_);
-  return params;
-}
-
-std::vector<Layer::StateTensor> Tiramisu::StateTensors() {
-  std::vector<StateTensor> state;
-  AppendStateTensors(state, *first_conv_);
-  for (auto& b : down_blocks_) AppendStateTensors(state, *b);
-  for (auto& d : downs_) AppendStateTensors(state, *d);
-  AppendStateTensors(state, *bottleneck_);
-  for (auto& u : ups_) AppendStateTensors(state, *u);
-  for (auto& b : up_blocks_) AppendStateTensors(state, *b);
-  AppendStateTensors(state, *final_conv_);
-  return state;
-}
-
-void Tiramisu::SetPrecisionAll(Precision p) {
-  SetPrecision(p);
-  first_conv_->SetPrecision(p);
-  for (auto& b : down_blocks_) b->SetPrecisionAll(p);
-  for (auto& d : downs_) d->SetPrecisionRecursive(p);
-  bottleneck_->SetPrecisionAll(p);
-  for (auto& u : ups_) u->SetPrecision(p);
-  for (auto& b : up_blocks_) b->SetPrecisionAll(p);
-  final_conv_->SetPrecision(p);
-}
-
-std::int64_t Tiramisu::ParameterCount() {
-  std::int64_t count = 0;
-  for (Param* p : Params()) count += p->NumElements();
-  return count;
+  return BackwardChild(*first_conv_, g);
 }
 
 }  // namespace exaclim

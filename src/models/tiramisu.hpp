@@ -35,9 +35,6 @@ class DenseBlock : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-  void SetPrecisionAll(Precision p);
 
   std::int64_t out_channels() const {
     return (opts_.include_input ? opts_.in_c : 0) +
@@ -101,14 +98,8 @@ class Tiramisu : public Layer {
   Tensor Forward(const Tensor& input, bool train) override;
   Tensor Backward(const Tensor& grad_output) override;
   TensorShape OutputShape(const TensorShape& input) const override;
-  std::vector<Param*> Params() override;
-  std::vector<StateTensor> StateTensors() override;
-
-  /// Propagates precision to every sub-layer (FP16 emulation).
-  void SetPrecisionAll(Precision p);
 
   const Config& config() const { return config_; }
-  std::int64_t ParameterCount();
   /// Input H/W must be divisible by this (2^len(down_layers)).
   std::int64_t SpatialDivisor() const;
 

@@ -70,13 +70,6 @@ void SplitChannelsInto(const Tensor& grad,
   }
 }
 
-std::vector<Tensor> SplitChannels(const Tensor& grad,
-                                  std::span<const std::int64_t> channels) {
-  std::vector<Tensor> parts(channels.size());
-  SplitChannelsInto(grad, channels, parts);
-  return parts;
-}
-
 Tensor SliceChannels(const Tensor& input, std::int64_t begin,
                      std::int64_t count) {
   const TensorShape& s = input.shape();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "nn/layer.hpp"
 
@@ -14,14 +13,10 @@ Tensor ConcatChannels(std::span<const Tensor* const> inputs);
 Tensor ConcatChannels(const Tensor& a, const Tensor& b);
 
 /// Splits a concatenated gradient back into per-input gradients with the
-/// given channel counts (adjoint of ConcatChannels).
-std::vector<Tensor> SplitChannels(const Tensor& grad,
-                                  std::span<const std::int64_t> channels);
-
-/// Allocation-reusing form of SplitChannels: writes part i into out[i],
-/// recycling out[i]'s pooled buffer when its shape already matches
-/// (which it does from the second training step on — DenseBlock and
-/// Tiramisu keep the destination tensors as member scratch).
+/// given channel counts (adjoint of ConcatChannels): writes part i into
+/// out[i], recycling out[i]'s pooled buffer when its shape already
+/// matches (which it does from the second training step on — the models
+/// keep the destination tensors as member scratch).
 /// out.size() must equal channels.size().
 void SplitChannelsInto(const Tensor& grad,
                        std::span<const std::int64_t> channels,

@@ -62,21 +62,52 @@ class Layer {
   /// assembly checks.
   virtual TensorShape OutputShape(const TensorShape& input) const = 0;
 
-  virtual std::vector<Param*> Params() { return {}; }
+  /// Trainable parameters. Leaves with weights override this; for a
+  /// container it concatenates its Children()'s params in order. The
+  /// order is the checkpoint layout and the optimizer/exchanger param
+  /// index.
+  virtual std::vector<Param*> Params() {
+    std::vector<Param*> params;
+    for (Layer* child : children_) {
+      for (Param* p : child->Params()) params.push_back(p);
+    }
+    return params;
+  }
 
   /// Non-trainable state that must survive checkpoint/resume — e.g.
   /// batch-norm running statistics. Named like params but outside the
   /// optimizer and the gradient exchange; checkpoints store them as
-  /// "__state__<name>" datasets.
+  /// "__state__<name>" datasets. Derived from Children() like Params().
   struct StateTensor {
     std::string name;
     Tensor* tensor;
   };
-  virtual std::vector<StateTensor> StateTensors() { return {}; }
+  virtual std::vector<StateTensor> StateTensors() {
+    std::vector<StateTensor> state;
+    for (Layer* child : children_) {
+      for (StateTensor& s : child->StateTensors()) state.push_back(s);
+    }
+    return state;
+  }
+
+  /// Total trainable elements over Params().
+  std::int64_t ParameterCount() {
+    std::int64_t count = 0;
+    for (const Param* p : Params()) count += p->NumElements();
+    return count;
+  }
+
+  /// Direct sub-layers, in the order Params()/StateTensors() walk them;
+  /// empty for leaves.
+  const std::vector<Layer*>& Children() const { return children_; }
 
   const std::string& name() const { return name_; }
 
-  void SetPrecision(Precision p) { precision_ = p; }
+  /// Sets the precision of this layer and of every layer below it.
+  void SetPrecision(Precision p) {
+    precision_ = p;
+    for (Layer* child : children_) child->SetPrecision(p);
+  }
   Precision precision() const { return precision_; }
 
   /// Installs the backward-progress observer on this layer (the trainer
@@ -89,15 +120,23 @@ class Layer {
  protected:
   explicit Layer(std::string name) : name_(std::move(name)) {}
 
+  /// Declares `child` (owned by the caller) as the next sub-layer. Each
+  /// container calls this once per child in its constructor; the order
+  /// fixes the Params()/StateTensors() order.
+  void AddChild(Layer& child) { children_.push_back(&child); }
+
   /// Applies FP16 storage emulation to an activation if enabled.
   void MaybeQuantise(Tensor& t) const {
     if (precision_ == Precision::kFP16) RoundTripHalf(t);
   }
 
-  /// Announces that `child`'s gradients are final for this step. No-op
-  /// without a listener, so un-instrumented call paths cost one branch.
-  void NotifyGradsReady(Layer& child) const {
+  /// Runs `child`'s Backward, then announces that its gradients are final
+  /// for this step. The announcement is a no-op without a listener, so
+  /// un-instrumented call paths cost one branch.
+  Tensor BackwardChild(Layer& child, const Tensor& grad_output) const {
+    Tensor grad_input = child.Backward(grad_output);
     if (grad_listener_ != nullptr) grad_listener_->OnGradsReady(child);
+    return grad_input;
   }
 
   /// The installed listener (for containers that forward it to nested
@@ -109,19 +148,9 @@ class Layer {
   std::string name_;
   Precision precision_ = Precision::kFP32;
   GradReadyListener* grad_listener_ = nullptr;
+  std::vector<Layer*> children_;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
-
-/// Collects Params from a list of layers (helper for containers/models).
-inline void AppendParams(std::vector<Param*>& out, Layer& layer) {
-  for (Param* p : layer.Params()) out.push_back(p);
-}
-
-/// Same for non-trainable state tensors.
-inline void AppendStateTensors(std::vector<Layer::StateTensor>& out,
-                               Layer& layer) {
-  for (auto& s : layer.StateTensors()) out.push_back(std::move(s));
-}
 
 }  // namespace exaclim

@@ -21,11 +21,14 @@ class Sequential : public Layer {
   L& Emplace(Args&&... args) {
     auto layer = std::make_unique<L>(std::forward<Args>(args)...);
     L& ref = *layer;
-    layers_.push_back(std::move(layer));
+    Append(std::move(layer));
     return ref;
   }
 
-  void Append(LayerPtr layer) { layers_.push_back(std::move(layer)); }
+  void Append(LayerPtr layer) {
+    AddChild(*layer);
+    layers_.push_back(std::move(layer));
+  }
 
   Tensor Forward(const Tensor& input, bool train) override {
     Tensor x = input;
@@ -49,10 +52,9 @@ class Sequential : public Layer {
   Tensor Backward(const Tensor& grad_output) override {
     Tensor g = grad_output;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      g = (*it)->Backward(g);
       // This child's param grads are final for the step — the overlap
       // hook (DESIGN §14). No-op without a listener.
-      NotifyGradsReady(**it);
+      g = BackwardChild(**it, g);
     }
     return g;
   }
@@ -61,30 +63,6 @@ class Sequential : public Layer {
     TensorShape s = input;
     for (const auto& layer : layers_) s = layer->OutputShape(s);
     return s;
-  }
-
-  std::vector<Param*> Params() override {
-    std::vector<Param*> params;
-    for (auto& layer : layers_) AppendParams(params, *layer);
-    return params;
-  }
-
-  std::vector<StateTensor> StateTensors() override {
-    std::vector<StateTensor> state;
-    for (auto& layer : layers_) AppendStateTensors(state, *layer);
-    return state;
-  }
-
-  /// Propagates precision to every contained layer.
-  void SetPrecisionRecursive(Precision p) {
-    SetPrecision(p);
-    for (auto& layer : layers_) {
-      if (auto* seq = dynamic_cast<Sequential*>(layer.get())) {
-        seq->SetPrecisionRecursive(p);
-      } else {
-        layer->SetPrecision(p);
-      }
-    }
   }
 
   std::size_t size() const { return layers_.size(); }

@@ -286,7 +286,6 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
 
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
-    const std::int64_t nc_pad = RoundUp(nc, NR);
     for (std::int64_t pc = 0; pc < k; pc += KC) {
       const std::int64_t kc = std::min(KC, k - pc);
       const float beta_eff = pc == 0 ? beta : 1.0f;
@@ -300,14 +299,17 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
                             tile_epi->relu_mask == nullptr;
       // The forking thread packs B once; strip tasks share it read-only
       // (ParallelFor joins before the next acquire can grow the slot).
-      // Steady state the scratch slots are warm, so the gemm.pack.*
-      // census sites read zero; growth (first call, bigger shape) is
-      // exactly what they catch.
+      // Both pack slots are always acquired at their full KC×NC / MC×KC
+      // block size, so a thread's slot reaches its final size on its
+      // first GEMM of any shape: which conv shards a pool worker happened
+      // to run during warmup cannot leave it short. Steady state the
+      // gemm.pack.* census sites therefore read zero; a thread's first
+      // GEMM is exactly what they catch.
       float* bpack;
       {
         EXACLIM_ALLOC_CENSUS_THREAD("gemm.pack.b");
         bpack = AcquireScratch(ScratchSlot::kGemmPackB,
-                               static_cast<std::size_t>(kc * nc_pad));
+                               static_cast<std::size_t>(KC * NC));
         if (bimp != nullptr) {
           PackImplicitBPanel(*bimp, pc, kc, jc, nc, bpack);
         } else {
@@ -329,8 +331,7 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
               } else {
                 EXACLIM_ALLOC_CENSUS_THREAD("gemm.pack.a");
                 float* dst = AcquireScratch(
-                    ScratchSlot::kGemmPackA,
-                    static_cast<std::size_t>((s1 - s0) * MR * kc));
+                    ScratchSlot::kGemmPackA, static_cast<std::size_t>(MC * KC));
                 PackAStrips(trans_a, a, m, k, alpha, pc, kc, s0, s1, dst);
                 apack = dst;
               }

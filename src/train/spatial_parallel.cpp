@@ -257,7 +257,9 @@ Tensor SpatialConvStack::BackwardLocal(const Tensor& grad_out) {
 
 std::vector<Param*> SpatialConvStack::Params() {
   std::vector<Param*> params;
-  for (auto& conv : convs_) AppendParams(params, *conv);
+  for (auto& conv : convs_) {
+    for (Param* p : conv->Params()) params.push_back(p);
+  }
   return params;
 }
 

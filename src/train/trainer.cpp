@@ -22,16 +22,6 @@ std::unique_ptr<Layer> BuildModel(const TrainerOptions& opts, Rng& rng) {
   return std::make_unique<DeepLabV3Plus>(opts.deeplab, rng);
 }
 
-void SetModelPrecision(Layer& model, Precision precision) {
-  if (auto* t = dynamic_cast<Tiramisu*>(&model)) {
-    t->SetPrecisionAll(precision);
-  } else if (auto* d = dynamic_cast<DeepLabV3Plus*>(&model)) {
-    d->SetPrecisionAll(precision);
-  } else {
-    model.SetPrecision(precision);
-  }
-}
-
 RankTrainer::RankTrainer(const TrainerOptions& opts,
                          std::vector<float> class_weights, int rank)
     : opts_(opts),
@@ -41,7 +31,7 @@ RankTrainer::RankTrainer(const TrainerOptions& opts,
   // synchronous-training invariant of Sec V-A3).
   Rng rng(opts_.seed);
   model_ = BuildModel(opts_, rng);
-  SetModelPrecision(*model_, opts_.precision);
+  model_->SetPrecision(opts_.precision);
   params_ = model_->Params();
 
   std::unique_ptr<Optimizer> base;

@@ -162,6 +162,5 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& opts,
 /// Builds the model described by the options (used by benches that need
 /// a standalone replica, e.g. for evaluation).
 std::unique_ptr<Layer> BuildModel(const TrainerOptions& opts, Rng& rng);
-void SetModelPrecision(Layer& model, Precision precision);
 
 }  // namespace exaclim

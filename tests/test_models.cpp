@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <map>
 #include <set>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <typeindex>
+#include <vector>
 
+#include "common/checksum.hpp"
 #include "gradcheck.hpp"
+#include "hvd/exchanger.hpp"
 #include "models/deeplab.hpp"
 #include "models/resnet.hpp"
 #include "models/tiramisu.hpp"
@@ -147,7 +156,7 @@ TEST(Tiramisu, ModifiedHasComparableParameterCountToOriginal) {
 TEST(Tiramisu, FP16ForwardFinite) {
   Rng rng(12);
   Tiramisu net(Tiramisu::Config::Downscaled(4), rng);
-  net.SetPrecisionAll(Precision::kFP16);
+  net.SetPrecision(Precision::kFP16);
   const Tensor x = RandomInput(TensorShape::NCHW(1, 4, 16, 16), 13);
   const Tensor y = net.Forward(x, false);
   EXPECT_TRUE(y.AllFinite());
@@ -319,6 +328,433 @@ TEST(DeepLabV3Plus, TrainingStepReducesLoss) {
     last_loss = res.loss;
   }
   EXPECT_LT(last_loss, first_loss);
+}
+
+
+// ------------------------------------------------------ Layer order ----
+//
+// Checkpoints name their datasets after Params()/StateTensors() in order,
+// and the exchanger fills its buckets in grad-ready emission order, so
+// these orders are part of the on-disk and on-wire format: any change
+// here breaks resume from older checkpoints and cross-version exchange.
+
+constexpr std::string_view kTiramisuDownscaledParams = R"(
+tiramisu.first.weight tiramisu.down0.unit0.bn.gamma
+tiramisu.down0.unit0.bn.beta tiramisu.down0.unit0.conv.weight
+tiramisu.down1.unit0.bn.gamma tiramisu.down1.unit0.bn.beta
+tiramisu.down1.unit0.conv.weight tiramisu.down0.td.bn.gamma
+tiramisu.down0.td.bn.beta tiramisu.down0.td.conv.weight
+tiramisu.down1.td.bn.gamma tiramisu.down1.td.bn.beta
+tiramisu.down1.td.conv.weight tiramisu.bottleneck.unit0.bn.gamma
+tiramisu.bottleneck.unit0.bn.beta tiramisu.bottleneck.unit0.conv.weight
+tiramisu.up1.tu.weight tiramisu.up0.tu.weight tiramisu.up1.unit0.bn.gamma
+tiramisu.up1.unit0.bn.beta tiramisu.up1.unit0.conv.weight
+tiramisu.up0.unit0.bn.gamma tiramisu.up0.unit0.bn.beta
+tiramisu.up0.unit0.conv.weight tiramisu.final.weight tiramisu.final.bias)";
+
+constexpr std::string_view kTiramisuDownscaledState = R"(
+tiramisu.down0.unit0.bn.running_mean tiramisu.down0.unit0.bn.running_var
+tiramisu.down1.unit0.bn.running_mean tiramisu.down1.unit0.bn.running_var
+tiramisu.down0.td.bn.running_mean tiramisu.down0.td.bn.running_var
+tiramisu.down1.td.bn.running_mean tiramisu.down1.td.bn.running_var
+tiramisu.bottleneck.unit0.bn.running_mean
+tiramisu.bottleneck.unit0.bn.running_var tiramisu.up1.unit0.bn.running_mean
+tiramisu.up1.unit0.bn.running_var tiramisu.up0.unit0.bn.running_mean
+tiramisu.up0.unit0.bn.running_var)";
+
+constexpr std::string_view kTiramisuDownscaledEmission = R"(
+tiramisu.final.weight tiramisu.final.bias tiramisu.up0.unit0.bn.gamma
+tiramisu.up0.unit0.bn.beta tiramisu.up0.unit0.conv.weight
+tiramisu.up0.tu.weight tiramisu.up1.unit0.bn.gamma
+tiramisu.up1.unit0.bn.beta tiramisu.up1.unit0.conv.weight
+tiramisu.up1.tu.weight tiramisu.bottleneck.unit0.bn.gamma
+tiramisu.bottleneck.unit0.bn.beta tiramisu.bottleneck.unit0.conv.weight
+tiramisu.down1.td.bn.gamma tiramisu.down1.td.bn.beta
+tiramisu.down1.td.conv.weight tiramisu.down1.unit0.bn.gamma
+tiramisu.down1.unit0.bn.beta tiramisu.down1.unit0.conv.weight
+tiramisu.down0.td.bn.gamma tiramisu.down0.td.bn.beta
+tiramisu.down0.td.conv.weight tiramisu.down0.unit0.bn.gamma
+tiramisu.down0.unit0.bn.beta tiramisu.down0.unit0.conv.weight
+tiramisu.first.weight)";
+
+constexpr std::string_view kDeepLabDownscaledFullResParams = R"(
+encoder.stem.conv.weight encoder.stem.bn.gamma encoder.stem.bn.beta
+encoder.stage1.block0.conv1.weight encoder.stage1.block0.bn1.gamma
+encoder.stage1.block0.bn1.beta encoder.stage1.block0.conv2.weight
+encoder.stage1.block0.bn2.gamma encoder.stage1.block0.bn2.beta
+encoder.stage1.block0.conv3.weight encoder.stage1.block0.bn3.gamma
+encoder.stage1.block0.bn3.beta encoder.stage1.block0.proj.weight
+encoder.stage1.block0.proj_bn.gamma encoder.stage1.block0.proj_bn.beta
+encoder.stage2.block0.conv1.weight encoder.stage2.block0.bn1.gamma
+encoder.stage2.block0.bn1.beta encoder.stage2.block0.conv2.weight
+encoder.stage2.block0.bn2.gamma encoder.stage2.block0.bn2.beta
+encoder.stage2.block0.conv3.weight encoder.stage2.block0.bn3.gamma
+encoder.stage2.block0.bn3.beta encoder.stage2.block0.proj.weight
+encoder.stage2.block0.proj_bn.gamma encoder.stage2.block0.proj_bn.beta
+encoder.stage3.block0.conv1.weight encoder.stage3.block0.bn1.gamma
+encoder.stage3.block0.bn1.beta encoder.stage3.block0.conv2.weight
+encoder.stage3.block0.bn2.gamma encoder.stage3.block0.bn2.beta
+encoder.stage3.block0.conv3.weight encoder.stage3.block0.bn3.gamma
+encoder.stage3.block0.bn3.beta encoder.stage3.block0.proj.weight
+encoder.stage3.block0.proj_bn.gamma encoder.stage3.block0.proj_bn.beta
+encoder.stage4.block0.conv1.weight encoder.stage4.block0.bn1.gamma
+encoder.stage4.block0.bn1.beta encoder.stage4.block0.conv2.weight
+encoder.stage4.block0.bn2.gamma encoder.stage4.block0.bn2.beta
+encoder.stage4.block0.conv3.weight encoder.stage4.block0.bn3.gamma
+encoder.stage4.block0.bn3.beta encoder.stage4.block0.proj.weight
+encoder.stage4.block0.proj_bn.gamma encoder.stage4.block0.proj_bn.beta
+aspp.b1x1.conv.weight aspp.b1x1.bn.gamma aspp.b1x1.bn.beta
+aspp.b3x3_d2.conv.weight aspp.b3x3_d2.bn.gamma aspp.b3x3_d2.bn.beta
+aspp.b3x3_d4.conv.weight aspp.b3x3_d4.bn.gamma aspp.b3x3_d4.bn.beta
+aspp.b3x3_d6.conv.weight aspp.b3x3_d6.bn.gamma aspp.b3x3_d6.bn.beta
+aspp.project.conv.weight aspp.project.bn.gamma aspp.project.bn.beta
+decoder.skip.conv.weight decoder.skip.bn.gamma decoder.skip.bn.beta
+decoder.up1.weight decoder.refine.conv1.weight decoder.refine.bn1.gamma
+decoder.refine.bn1.beta decoder.refine.conv2.weight decoder.refine.bn2.gamma
+decoder.refine.bn2.beta decoder.up2.deconv.weight decoder.up2.bn.gamma
+decoder.up2.bn.beta decoder.up2.conv.weight decoder.up2.bn2.gamma
+decoder.up2.bn2.beta decoder.up3.deconv.weight decoder.up3.bn.gamma
+decoder.up3.bn.beta decoder.up3.conv.weight decoder.up3.bn2.gamma
+decoder.up3.bn2.beta decoder.classifier.weight decoder.classifier.bias)";
+
+constexpr std::string_view kDeepLabDownscaledFullResState = R"(
+encoder.stem.bn.running_mean encoder.stem.bn.running_var
+encoder.stage1.block0.bn1.running_mean encoder.stage1.block0.bn1.running_var
+encoder.stage1.block0.bn2.running_mean encoder.stage1.block0.bn2.running_var
+encoder.stage1.block0.bn3.running_mean encoder.stage1.block0.bn3.running_var
+encoder.stage1.block0.proj_bn.running_mean
+encoder.stage1.block0.proj_bn.running_var
+encoder.stage2.block0.bn1.running_mean encoder.stage2.block0.bn1.running_var
+encoder.stage2.block0.bn2.running_mean encoder.stage2.block0.bn2.running_var
+encoder.stage2.block0.bn3.running_mean encoder.stage2.block0.bn3.running_var
+encoder.stage2.block0.proj_bn.running_mean
+encoder.stage2.block0.proj_bn.running_var
+encoder.stage3.block0.bn1.running_mean encoder.stage3.block0.bn1.running_var
+encoder.stage3.block0.bn2.running_mean encoder.stage3.block0.bn2.running_var
+encoder.stage3.block0.bn3.running_mean encoder.stage3.block0.bn3.running_var
+encoder.stage3.block0.proj_bn.running_mean
+encoder.stage3.block0.proj_bn.running_var
+encoder.stage4.block0.bn1.running_mean encoder.stage4.block0.bn1.running_var
+encoder.stage4.block0.bn2.running_mean encoder.stage4.block0.bn2.running_var
+encoder.stage4.block0.bn3.running_mean encoder.stage4.block0.bn3.running_var
+encoder.stage4.block0.proj_bn.running_mean
+encoder.stage4.block0.proj_bn.running_var aspp.b1x1.bn.running_mean
+aspp.b1x1.bn.running_var aspp.b3x3_d2.bn.running_mean
+aspp.b3x3_d2.bn.running_var aspp.b3x3_d4.bn.running_mean
+aspp.b3x3_d4.bn.running_var aspp.b3x3_d6.bn.running_mean
+aspp.b3x3_d6.bn.running_var aspp.project.bn.running_mean
+aspp.project.bn.running_var decoder.skip.bn.running_mean
+decoder.skip.bn.running_var decoder.refine.bn1.running_mean
+decoder.refine.bn1.running_var decoder.refine.bn2.running_mean
+decoder.refine.bn2.running_var decoder.up2.bn.running_mean
+decoder.up2.bn.running_var decoder.up2.bn2.running_mean
+decoder.up2.bn2.running_var decoder.up3.bn.running_mean
+decoder.up3.bn.running_var decoder.up3.bn2.running_mean
+decoder.up3.bn2.running_var)";
+
+constexpr std::string_view kDeepLabDownscaledFullResEmission = R"(
+decoder.classifier.weight decoder.classifier.bias decoder.up3.deconv.weight
+decoder.up3.bn.gamma decoder.up3.bn.beta decoder.up3.conv.weight
+decoder.up3.bn2.gamma decoder.up3.bn2.beta decoder.up2.deconv.weight
+decoder.up2.bn.gamma decoder.up2.bn.beta decoder.up2.conv.weight
+decoder.up2.bn2.gamma decoder.up2.bn2.beta decoder.refine.conv1.weight
+decoder.refine.bn1.gamma decoder.refine.bn1.beta decoder.refine.conv2.weight
+decoder.refine.bn2.gamma decoder.refine.bn2.beta decoder.skip.conv.weight
+decoder.skip.bn.gamma decoder.skip.bn.beta decoder.up1.weight
+aspp.b1x1.conv.weight aspp.b1x1.bn.gamma aspp.b1x1.bn.beta
+aspp.b3x3_d2.conv.weight aspp.b3x3_d2.bn.gamma aspp.b3x3_d2.bn.beta
+aspp.b3x3_d4.conv.weight aspp.b3x3_d4.bn.gamma aspp.b3x3_d4.bn.beta
+aspp.b3x3_d6.conv.weight aspp.b3x3_d6.bn.gamma aspp.b3x3_d6.bn.beta
+aspp.project.conv.weight aspp.project.bn.gamma aspp.project.bn.beta
+encoder.stage4.block0.conv1.weight encoder.stage4.block0.bn1.gamma
+encoder.stage4.block0.bn1.beta encoder.stage4.block0.conv2.weight
+encoder.stage4.block0.bn2.gamma encoder.stage4.block0.bn2.beta
+encoder.stage4.block0.conv3.weight encoder.stage4.block0.bn3.gamma
+encoder.stage4.block0.bn3.beta encoder.stage4.block0.proj.weight
+encoder.stage4.block0.proj_bn.gamma encoder.stage4.block0.proj_bn.beta
+encoder.stage3.block0.conv1.weight encoder.stage3.block0.bn1.gamma
+encoder.stage3.block0.bn1.beta encoder.stage3.block0.conv2.weight
+encoder.stage3.block0.bn2.gamma encoder.stage3.block0.bn2.beta
+encoder.stage3.block0.conv3.weight encoder.stage3.block0.bn3.gamma
+encoder.stage3.block0.bn3.beta encoder.stage3.block0.proj.weight
+encoder.stage3.block0.proj_bn.gamma encoder.stage3.block0.proj_bn.beta
+encoder.stage2.block0.conv1.weight encoder.stage2.block0.bn1.gamma
+encoder.stage2.block0.bn1.beta encoder.stage2.block0.conv2.weight
+encoder.stage2.block0.bn2.gamma encoder.stage2.block0.bn2.beta
+encoder.stage2.block0.conv3.weight encoder.stage2.block0.bn3.gamma
+encoder.stage2.block0.bn3.beta encoder.stage2.block0.proj.weight
+encoder.stage2.block0.proj_bn.gamma encoder.stage2.block0.proj_bn.beta
+encoder.stage1.block0.conv1.weight encoder.stage1.block0.bn1.gamma
+encoder.stage1.block0.bn1.beta encoder.stage1.block0.conv2.weight
+encoder.stage1.block0.bn2.gamma encoder.stage1.block0.bn2.beta
+encoder.stage1.block0.conv3.weight encoder.stage1.block0.bn3.gamma
+encoder.stage1.block0.bn3.beta encoder.stage1.block0.proj.weight
+encoder.stage1.block0.proj_bn.gamma encoder.stage1.block0.proj_bn.beta
+encoder.stem.conv.weight encoder.stem.bn.gamma encoder.stem.bn.beta)";
+
+constexpr std::string_view kDeepLabDownscaledQuarterResParams = R"(
+encoder.stem.conv.weight encoder.stem.bn.gamma encoder.stem.bn.beta
+encoder.stage1.block0.conv1.weight encoder.stage1.block0.bn1.gamma
+encoder.stage1.block0.bn1.beta encoder.stage1.block0.conv2.weight
+encoder.stage1.block0.bn2.gamma encoder.stage1.block0.bn2.beta
+encoder.stage1.block0.conv3.weight encoder.stage1.block0.bn3.gamma
+encoder.stage1.block0.bn3.beta encoder.stage1.block0.proj.weight
+encoder.stage1.block0.proj_bn.gamma encoder.stage1.block0.proj_bn.beta
+encoder.stage2.block0.conv1.weight encoder.stage2.block0.bn1.gamma
+encoder.stage2.block0.bn1.beta encoder.stage2.block0.conv2.weight
+encoder.stage2.block0.bn2.gamma encoder.stage2.block0.bn2.beta
+encoder.stage2.block0.conv3.weight encoder.stage2.block0.bn3.gamma
+encoder.stage2.block0.bn3.beta encoder.stage2.block0.proj.weight
+encoder.stage2.block0.proj_bn.gamma encoder.stage2.block0.proj_bn.beta
+encoder.stage3.block0.conv1.weight encoder.stage3.block0.bn1.gamma
+encoder.stage3.block0.bn1.beta encoder.stage3.block0.conv2.weight
+encoder.stage3.block0.bn2.gamma encoder.stage3.block0.bn2.beta
+encoder.stage3.block0.conv3.weight encoder.stage3.block0.bn3.gamma
+encoder.stage3.block0.bn3.beta encoder.stage3.block0.proj.weight
+encoder.stage3.block0.proj_bn.gamma encoder.stage3.block0.proj_bn.beta
+encoder.stage4.block0.conv1.weight encoder.stage4.block0.bn1.gamma
+encoder.stage4.block0.bn1.beta encoder.stage4.block0.conv2.weight
+encoder.stage4.block0.bn2.gamma encoder.stage4.block0.bn2.beta
+encoder.stage4.block0.conv3.weight encoder.stage4.block0.bn3.gamma
+encoder.stage4.block0.bn3.beta encoder.stage4.block0.proj.weight
+encoder.stage4.block0.proj_bn.gamma encoder.stage4.block0.proj_bn.beta
+aspp.b1x1.conv.weight aspp.b1x1.bn.gamma aspp.b1x1.bn.beta
+aspp.b3x3_d2.conv.weight aspp.b3x3_d2.bn.gamma aspp.b3x3_d2.bn.beta
+aspp.b3x3_d4.conv.weight aspp.b3x3_d4.bn.gamma aspp.b3x3_d4.bn.beta
+aspp.b3x3_d6.conv.weight aspp.b3x3_d6.bn.gamma aspp.b3x3_d6.bn.beta
+aspp.project.conv.weight aspp.project.bn.gamma aspp.project.bn.beta
+decoder.skip.conv.weight decoder.skip.bn.gamma decoder.skip.bn.beta
+decoder.up1.weight decoder.refine.conv1.weight decoder.refine.bn1.gamma
+decoder.refine.bn1.beta decoder.refine.conv2.weight decoder.refine.bn2.gamma
+decoder.refine.bn2.beta decoder.classifier.weight decoder.classifier.bias)";
+
+constexpr std::string_view kDeepLabDownscaledQuarterResState = R"(
+encoder.stem.bn.running_mean encoder.stem.bn.running_var
+encoder.stage1.block0.bn1.running_mean encoder.stage1.block0.bn1.running_var
+encoder.stage1.block0.bn2.running_mean encoder.stage1.block0.bn2.running_var
+encoder.stage1.block0.bn3.running_mean encoder.stage1.block0.bn3.running_var
+encoder.stage1.block0.proj_bn.running_mean
+encoder.stage1.block0.proj_bn.running_var
+encoder.stage2.block0.bn1.running_mean encoder.stage2.block0.bn1.running_var
+encoder.stage2.block0.bn2.running_mean encoder.stage2.block0.bn2.running_var
+encoder.stage2.block0.bn3.running_mean encoder.stage2.block0.bn3.running_var
+encoder.stage2.block0.proj_bn.running_mean
+encoder.stage2.block0.proj_bn.running_var
+encoder.stage3.block0.bn1.running_mean encoder.stage3.block0.bn1.running_var
+encoder.stage3.block0.bn2.running_mean encoder.stage3.block0.bn2.running_var
+encoder.stage3.block0.bn3.running_mean encoder.stage3.block0.bn3.running_var
+encoder.stage3.block0.proj_bn.running_mean
+encoder.stage3.block0.proj_bn.running_var
+encoder.stage4.block0.bn1.running_mean encoder.stage4.block0.bn1.running_var
+encoder.stage4.block0.bn2.running_mean encoder.stage4.block0.bn2.running_var
+encoder.stage4.block0.bn3.running_mean encoder.stage4.block0.bn3.running_var
+encoder.stage4.block0.proj_bn.running_mean
+encoder.stage4.block0.proj_bn.running_var aspp.b1x1.bn.running_mean
+aspp.b1x1.bn.running_var aspp.b3x3_d2.bn.running_mean
+aspp.b3x3_d2.bn.running_var aspp.b3x3_d4.bn.running_mean
+aspp.b3x3_d4.bn.running_var aspp.b3x3_d6.bn.running_mean
+aspp.b3x3_d6.bn.running_var aspp.project.bn.running_mean
+aspp.project.bn.running_var decoder.skip.bn.running_mean
+decoder.skip.bn.running_var decoder.refine.bn1.running_mean
+decoder.refine.bn1.running_var decoder.refine.bn2.running_mean
+decoder.refine.bn2.running_var)";
+
+constexpr std::string_view kDeepLabDownscaledQuarterResEmission = R"(
+decoder.classifier.weight decoder.classifier.bias
+decoder.refine.conv1.weight decoder.refine.bn1.gamma decoder.refine.bn1.beta
+decoder.refine.conv2.weight decoder.refine.bn2.gamma decoder.refine.bn2.beta
+decoder.skip.conv.weight decoder.skip.bn.gamma decoder.skip.bn.beta
+decoder.up1.weight aspp.b1x1.conv.weight aspp.b1x1.bn.gamma
+aspp.b1x1.bn.beta aspp.b3x3_d2.conv.weight aspp.b3x3_d2.bn.gamma
+aspp.b3x3_d2.bn.beta aspp.b3x3_d4.conv.weight aspp.b3x3_d4.bn.gamma
+aspp.b3x3_d4.bn.beta aspp.b3x3_d6.conv.weight aspp.b3x3_d6.bn.gamma
+aspp.b3x3_d6.bn.beta aspp.project.conv.weight aspp.project.bn.gamma
+aspp.project.bn.beta encoder.stage4.block0.conv1.weight
+encoder.stage4.block0.bn1.gamma encoder.stage4.block0.bn1.beta
+encoder.stage4.block0.conv2.weight encoder.stage4.block0.bn2.gamma
+encoder.stage4.block0.bn2.beta encoder.stage4.block0.conv3.weight
+encoder.stage4.block0.bn3.gamma encoder.stage4.block0.bn3.beta
+encoder.stage4.block0.proj.weight encoder.stage4.block0.proj_bn.gamma
+encoder.stage4.block0.proj_bn.beta encoder.stage3.block0.conv1.weight
+encoder.stage3.block0.bn1.gamma encoder.stage3.block0.bn1.beta
+encoder.stage3.block0.conv2.weight encoder.stage3.block0.bn2.gamma
+encoder.stage3.block0.bn2.beta encoder.stage3.block0.conv3.weight
+encoder.stage3.block0.bn3.gamma encoder.stage3.block0.bn3.beta
+encoder.stage3.block0.proj.weight encoder.stage3.block0.proj_bn.gamma
+encoder.stage3.block0.proj_bn.beta encoder.stage2.block0.conv1.weight
+encoder.stage2.block0.bn1.gamma encoder.stage2.block0.bn1.beta
+encoder.stage2.block0.conv2.weight encoder.stage2.block0.bn2.gamma
+encoder.stage2.block0.bn2.beta encoder.stage2.block0.conv3.weight
+encoder.stage2.block0.bn3.gamma encoder.stage2.block0.bn3.beta
+encoder.stage2.block0.proj.weight encoder.stage2.block0.proj_bn.gamma
+encoder.stage2.block0.proj_bn.beta encoder.stage1.block0.conv1.weight
+encoder.stage1.block0.bn1.gamma encoder.stage1.block0.bn1.beta
+encoder.stage1.block0.conv2.weight encoder.stage1.block0.bn2.gamma
+encoder.stage1.block0.bn2.beta encoder.stage1.block0.conv3.weight
+encoder.stage1.block0.bn3.gamma encoder.stage1.block0.bn3.beta
+encoder.stage1.block0.proj.weight encoder.stage1.block0.proj_bn.gamma
+encoder.stage1.block0.proj_bn.beta encoder.stem.conv.weight
+encoder.stem.bn.gamma encoder.stem.bn.beta)";
+
+std::vector<std::string> Words(std::string_view text) {
+  std::vector<std::string> words;
+  std::istringstream in{std::string(text)};
+  for (std::string w; in >> w;) words.push_back(w);
+  return words;
+}
+
+std::vector<std::string> ParamNames(Layer& model) {
+  std::vector<std::string> names;
+  for (const Param* p : model.Params()) names.push_back(p->name);
+  return names;
+}
+
+std::vector<std::string> StateNames(Layer& model) {
+  std::vector<std::string> names;
+  for (const auto& s : model.StateTensors()) names.push_back(s.name);
+  return names;
+}
+
+// Param names in the order one training Backward announces them through
+// a GradReadyRecorder (the exchanger's bucket fill order), followed by
+// any params no hook announced.
+std::vector<std::string> EmissionNames(Layer& model, std::int64_t in_c) {
+  const std::vector<Param*> params = model.Params();
+  GradReadyRecorder recorder;
+  recorder.Bind(params);
+  recorder.BeginStep(nullptr);
+  model.SetGradReadyListener(&recorder);
+  const Tensor x = RandomInput(TensorShape::NCHW(1, in_c, 16, 16), 3);
+  const Tensor y = model.Forward(x, /*train=*/true);
+  (void)model.Backward(RandomInput(y.shape(), 4));
+  recorder.FlushRemaining();
+  model.SetGradReadyListener(nullptr);
+  std::vector<std::string> names;
+  for (const int i : recorder.order()) {
+    names.push_back(params[static_cast<std::size_t>(i)]->name);
+  }
+  return names;
+}
+
+std::uint32_t NamesCrc(const std::vector<std::string>& names) {
+  std::string joined;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) joined += '\n';
+    joined += names[i];
+  }
+  return Crc32(std::as_bytes(std::span<const char>(joined)));
+}
+
+TEST(LayerOrder, TiramisuDownscaledGoldens) {
+  Rng rng(40);
+  Tiramisu net(Tiramisu::Config::Downscaled(4), rng);
+  EXPECT_EQ(ParamNames(net), Words(kTiramisuDownscaledParams));
+  EXPECT_EQ(StateNames(net), Words(kTiramisuDownscaledState));
+  EXPECT_EQ(EmissionNames(net, 4), Words(kTiramisuDownscaledEmission));
+}
+
+TEST(LayerOrder, DeepLabDownscaledFullResGoldens) {
+  Rng rng(41);
+  DeepLabV3Plus net(DeepLabV3Plus::Config::Downscaled(4), rng);
+  EXPECT_EQ(ParamNames(net), Words(kDeepLabDownscaledFullResParams));
+  EXPECT_EQ(StateNames(net), Words(kDeepLabDownscaledFullResState));
+  EXPECT_EQ(EmissionNames(net, 4), Words(kDeepLabDownscaledFullResEmission));
+}
+
+TEST(LayerOrder, DeepLabDownscaledQuarterResGoldens) {
+  Rng rng(42);
+  auto cfg = DeepLabV3Plus::Config::Downscaled(4);
+  cfg.full_res_decoder = false;
+  DeepLabV3Plus net(cfg, rng);
+  EXPECT_EQ(ParamNames(net), Words(kDeepLabDownscaledQuarterResParams));
+  EXPECT_EQ(StateNames(net), Words(kDeepLabDownscaledQuarterResState));
+  EXPECT_EQ(EmissionNames(net, 4),
+            Words(kDeepLabDownscaledQuarterResEmission));
+}
+
+TEST(LayerOrder, PaperScaleNameChecksums) {
+  // Full-size trees are too long to spell out; pin count + CRC32 of the
+  // newline-joined names instead.
+  struct Expected {
+    std::size_t params;
+    std::uint32_t params_crc;
+    std::size_t state;
+    std::uint32_t state_crc;
+  };
+  const auto check = [](Layer& net, const Expected& e) {
+    const auto params = ParamNames(net);
+    const auto state = StateNames(net);
+    EXPECT_EQ(params.size(), e.params) << net.name();
+    EXPECT_EQ(NamesCrc(params), e.params_crc) << net.name();
+    EXPECT_EQ(state.size(), e.state) << net.name();
+    EXPECT_EQ(NamesCrc(state), e.state_crc) << net.name();
+  };
+  Rng rng(43);
+  {
+    Tiramisu net(Tiramisu::Config::Original(), rng);
+    check(net, {94, 0x678e04d9u, 58, 0x6d3e597eu});
+  }
+  {
+    Tiramisu net(Tiramisu::Config::Modified(), rng);
+    check(net, {58, 0x8e87854bu, 34, 0xf7f14f7au});
+  }
+  {
+    DeepLabV3Plus net(DeepLabV3Plus::Config::Paper(), rng);
+    check(net, {198, 0xd998b370u, 130, 0x1ca5e691u});
+  }
+}
+
+// ---------------------------------------------------------- Layer tree --
+
+// Visits `node` and everything below it through Children(), depth-first.
+void WalkTree(Layer& node, const std::function<void(Layer&)>& visit) {
+  visit(node);
+  for (Layer* child : node.Children()) WalkTree(*child, visit);
+}
+
+// The three properties the base class derives from Children(): params
+// partition over the leaves, precision reaches every node, and the walk
+// reaches every kind of leaf the model is built from.
+void ExpectTreeCoversModel(Layer& root,
+                           const std::set<std::type_index>& leaf_types) {
+  SCOPED_TRACE(root.name());
+  std::map<const Param*, int> reached;
+  std::set<std::type_index> seen_types;
+  WalkTree(root, [&](Layer& node) {
+    if (!node.Children().empty()) return;
+    seen_types.insert(typeid(node));
+    for (const Param* p : node.Params()) ++reached[p];
+  });
+  const std::vector<Param*> params = root.Params();
+  EXPECT_EQ(reached.size(), params.size());
+  for (const Param* p : params) EXPECT_EQ(reached[p], 1) << p->name;
+  EXPECT_EQ(seen_types, leaf_types);
+
+  root.SetPrecision(Precision::kFP16);
+  WalkTree(root, [](Layer& node) {
+    EXPECT_EQ(node.precision(), Precision::kFP16) << node.name();
+  });
+}
+
+TEST(LayerTree, ChildrenCoverEveryParamNodeAndLeafType) {
+  const std::type_index conv = typeid(Conv2d), deconv = typeid(ConvTranspose2d),
+                        bn = typeid(BatchNorm2d), relu = typeid(ReLU),
+                        pool = typeid(MaxPool2d);
+  Rng rng(44);
+  auto tiramisu_cfg = Tiramisu::Config::Downscaled(4);
+  tiramisu_cfg.dropout = 0.2f;
+  Tiramisu tiramisu(tiramisu_cfg, rng);
+  ExpectTreeCoversModel(tiramisu,
+                        {conv, deconv, bn, relu, pool, typeid(Dropout)});
+
+  DeepLabV3Plus deeplab(DeepLabV3Plus::Config::Downscaled(4), rng);
+  ExpectTreeCoversModel(deeplab, {conv, deconv, bn, relu, pool});
+
+  auto quarter_cfg = DeepLabV3Plus::Config::Downscaled(4);
+  quarter_cfg.full_res_decoder = false;
+  DeepLabV3Plus quarter(quarter_cfg, rng);
+  ExpectTreeCoversModel(
+      quarter, {conv, deconv, bn, relu, pool, typeid(BilinearUpsample2d)});
 }
 
 }  // namespace

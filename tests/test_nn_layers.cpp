@@ -503,8 +503,8 @@ TEST(ConcatChannels, LayoutAndSplitRoundTrip) {
   EXPECT_EQ(cat[5], 6.0f);
 
   const std::vector<std::int64_t> channels{1, 2};
-  const auto parts = SplitChannels(cat, channels);
-  ASSERT_EQ(parts.size(), 2u);
+  std::vector<Tensor> parts(2);
+  SplitChannelsInto(cat, channels, parts);
   EXPECT_EQ(parts[0].shape(), a.shape());
   for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(parts[0][static_cast<std::size_t>(i)],
@@ -587,7 +587,7 @@ TEST(Sequential, PrecisionPropagates) {
   Sequential seq("s");
   auto& conv =
       seq.Emplace<Conv2d>("c", Conv2d::Options{.in_c = 1, .out_c = 1}, rng);
-  seq.SetPrecisionRecursive(Precision::kFP16);
+  seq.SetPrecision(Precision::kFP16);
   EXPECT_EQ(conv.precision(), Precision::kFP16);
 }
 
@@ -596,7 +596,7 @@ TEST(Sequential, FP16OutputsAreHalfRepresentable) {
   Sequential seq("s");
   seq.Emplace<Conv2d>("c", Conv2d::Options{.in_c = 2, .out_c = 2}, rng);
   seq.Emplace<ReLU>("r");
-  seq.SetPrecisionRecursive(Precision::kFP16);
+  seq.SetPrecision(Precision::kFP16);
   const Tensor x = RandomInput(TensorShape::NCHW(1, 2, 5, 5), 17);
   const Tensor y = seq.Forward(x, false);
   for (std::int64_t i = 0; i < y.NumElements(); ++i) {

@@ -29,6 +29,8 @@
 #      EXACLIM_FAULTS spec (env-driven injection path, DESIGN §8)
 #   10. overlap-smoke (TSan): exchange-thread-vs-backward suites re-run
 #      under TSan, incl. the chaos kill on the exchange thread
+#   11. perfbench-selftest: the end-to-end benchmark builds against the
+#      library and every workload emits every metric (perfbench/)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -194,5 +196,14 @@ run env TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_overlap \
   --gtest_filter='Overlap*:AllTransports/*:BucketTagLayout.*'
 
+# ---- 11. perfbench-selftest ----------------------------------------------
+# perfbench/ compiles its own Release build of the library and drives the
+# public model/trainer API (Layer::SetPrecision, Layer::StateTensors, ...),
+# so an API change that breaks it must fail here rather than only when the
+# benchmark next runs. The selftest runs every BENCHMARK.json workload on
+# a smoke configuration and checks metric coverage, trace bit-identity
+# and failure accounting (~1.5 min).
+run python3 perfbench/selftest.py
+
 echo
-echo "ci.sh: all gates green (lint, tier-1, bench-smoke, perf-smoke, alloc-smoke, overlap-smoke, asan+ubsan, tsan-stress, fault-smoke, chaos-smoke)"
+echo "ci.sh: all gates green (lint, tier-1, bench-smoke, perf-smoke, alloc-smoke, overlap-smoke, asan+ubsan, tsan-stress, fault-smoke, chaos-smoke, perfbench-selftest)"
