@@ -1,6 +1,7 @@
 // Overlapped gradient exchange (DESIGN §14): executed step-time of the
-// serialized compute-then-comm exchanger vs the as-ready bucketed
-// overlap, wire bytes of the packed-FP16 format vs FP32, a zero-alloc
+// exchange engine driven inline after backward ("serialized") vs driven
+// from its own thread as buckets close ("overlap") — the same messages
+// either way — wire bytes of the packed-FP16 format vs FP32, a zero-alloc
 // census of the steady-state exchange phase, and the netsim model's
 // predicted serialized/overlapped ratio as a cross-check.
 //
@@ -52,7 +53,7 @@ TrainerOptions BenchTrainer(bool overlap) {
 struct StepTimes {
   std::vector<double> step_s;      // rank 0 per-step wall time
   std::vector<double> exchange_s;  // rank 0 per-step exchange-phase time:
-                                   // the full exchange when serialized,
+                                   // the full exchange when inline,
                                    // only the exposed WaitAll tail when
                                    // overlapped
 };
@@ -126,7 +127,7 @@ struct ExchangeAllocs {
   std::int64_t bytes = 0;
 };
 
-/// Process-wide allocations of `reps` overlapped exchanges over kRanks
+/// Process-wide allocations of `reps` threaded-drive exchanges over kRanks
 /// ranks (FP16 wire, multiple buckets). Nothing but the exchange path
 /// runs inside the world, so the census is attributable; the caller
 /// subtracts two rep counts to cancel the fixed setup/warmup costs.
@@ -150,9 +151,10 @@ ExchangeAllocs CensusRun(int reps) {
       opts.shuffle_ready_order = false;
       opts.wire_precision = Precision::kFP16;
       opts.fusion_threshold_bytes = 16 << 10;  // a few tensors per bucket
+      opts.overlap = true;
       GradientExchanger exchanger(opts, 5);
       for (int s = 0; s < reps; ++s) {
-        exchanger.BeginStep(comm, params, nullptr, Deadline(kNoTimeout));
+        exchanger.BeginStep(comm, params, nullptr, kNoTimeout);
         for (int i = 0; i < static_cast<int>(params.size()); ++i) {
           exchanger.NotifyGradReady(i);
         }

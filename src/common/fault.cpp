@@ -38,6 +38,7 @@ struct SiteRegistry {
       "comm.drop",        "comm.delay",      "comm.kill.",
       "fs.read",          "pipeline.produce", "checkpoint.write",
       "epoch.step",       "elastic.kill.",   "elastic.exchange.kill.",
+      "step.backward.delay",
   };
 };
 

@@ -30,6 +30,8 @@ namespace exaclim {
 ///   elastic.exchange.kill.<rank>  kill rank <rank> mid-exchange, after the
 ///                                 tensor order was negotiated (peers starve
 ///                                 inside the allreduce rounds)
+///   step.backward.delay           lengthen a training step's backward pass
+///                                 by delay_seconds (a slow rank)
 struct FaultSpec {
   std::string site;
   /// Chance each evaluation fires, drawn from the site's own seeded
@@ -38,7 +40,8 @@ struct FaultSpec {
   std::uint64_t seed = 0;
   /// Total number of times the site may fire; < 0 means unlimited.
   int max_triggers = -1;
-  /// For delay-type sites (comm.delay): how long to hold the message.
+  /// For delay-type sites (comm.delay, step.backward.delay): how long
+  /// to hold the message or stall the backward pass.
   double delay_seconds = 0.0;
   /// Number of initial evaluations that can never fire — lets tests pin
   /// a fault to "the Nth call" (e.g. a specific epoch/step).

@@ -26,7 +26,7 @@ namespace exaclim {
 /// CollectiveResult instead of a hang. The blocking NegotiateOrder
 /// delegates over the full world with no deadline — identical messages.
 ///
-/// Sequential reuse: the overlapped exchange (DESIGN §14) negotiates once
+/// Sequential reuse: the exchange engine (DESIGN §14) negotiates once
 /// per fused bucket with the *same* tag salt. That is safe without extra
 /// tag space because negotiations are strictly serialized — a rank only
 /// starts bucket k+1's negotiation after receiving bucket k's order,

@@ -1,9 +1,11 @@
 #include "hvd/exchanger.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
-#include <numeric>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "comm/collectives.hpp"
@@ -26,19 +28,28 @@ const char* ToString(ReduceTransport t) {
 
 ExchangerOptions ExchangerOptions::FromEnv(ExchangerOptions base) {
   if (const char* v = std::getenv("EXACLIM_OVERLAP")) {
-    const std::string s(v);
-    base.overlap = !(s.empty() || s == "off" || s == "0" || s == "false");
+    const std::string_view s(v);
+    const bool on = s == "on" || s == "1" || s == "true";
+    EXACLIM_CHECK(on || s == "off" || s == "0" || s == "false",
+                  "EXACLIM_OVERLAP='" << s
+                                      << "': expected on|off|1|0|true|false");
+    base.overlap = on;
   }
   if (const char* v = std::getenv("EXACLIM_FUSION_BYTES")) {
-    base.fusion_threshold_bytes = std::stoll(v);
+    const std::string_view s(v);
+    std::int64_t bytes = 0;
+    const char* last = s.data() + s.size();
+    const auto [end, ec] = std::from_chars(s.data(), last, bytes);
+    EXACLIM_CHECK(ec == std::errc() && end == last && bytes > 0,
+                  "EXACLIM_FUSION_BYTES='"
+                      << s << "': expected a positive integer byte count");
+    base.fusion_threshold_bytes = bytes;
   }
   if (const char* v = std::getenv("EXACLIM_WIRE")) {
-    const std::string s(v);
-    if (s == "fp16" || s == "half") {
-      base.wire_precision = Precision::kFP16;
-    } else if (s == "fp32") {
-      base.wire_precision = Precision::kFP32;
-    }
+    const std::string_view s(v);
+    EXACLIM_CHECK(s == "fp16" || s == "fp32",
+                  "EXACLIM_WIRE='" << s << "': expected fp16|fp32");
+    base.wire_precision = s == "fp16" ? Precision::kFP16 : Precision::kFP32;
   }
   return base;
 }
@@ -83,8 +94,8 @@ void GradientExchanger::MaybeChaosKill(Communicator& comm) {
   // Chaos site "elastic.exchange.kill.<rank>": this rank dies right
   // after an order was agreed, so its peers starve *inside* the
   // allreduce rounds — the mid-collective failure mode of DESIGN §13.
-  // Checked exactly once per step in both the serialized and the
-  // overlapped path, so schedules count occurrences identically.
+  // Checked exactly once per step, after the first bucket's
+  // negotiation, whichever thread drives the engine.
   FaultInjector& injector = FaultInjector::Global();
   if (injector.ArmedSiteCount() > 0 &&
       injector.ShouldInject("elastic.exchange.kill." +
@@ -96,12 +107,14 @@ void GradientExchanger::MaybeChaosKill(Communicator& comm) {
 }
 
 void GradientExchanger::Exchange(Communicator& comm,
-                                 const std::vector<Param*>& params,
-                                 std::span<const int> ready_order) {
-  // The blocking path is the elastic path at generation 0 over the full
-  // world with no deadline — one implementation, identical messages.
-  const CollectiveResult result = TryExchange(
-      comm, params, Identity(comm), Deadline(kNoTimeout), ready_order);
+                                 const std::vector<Param*>& params) {
+  // One engine step at generation 0 over the full world with no
+  // deadline, every tensor announced in index order.
+  BeginStep(comm, params, /*elastic=*/nullptr, kNoTimeout);
+  for (int i = 0; i < static_cast<int>(params.size()); ++i) {
+    NotifyGradReady(i);
+  }
+  const CollectiveResult result = WaitAll();
   EXACLIM_CHECK(result.ok(),
                 "rank " << comm.rank()
                         << ": blocking Exchange cannot complete: rank "
@@ -121,9 +134,9 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   }
   if (elems == 0) return {};  // identical on every rank: shapes agree
 
-  // Pooled fusion buffer (per thread): the serialized path packs on the
-  // trainer thread, the overlapped path on the exchange thread — each
-  // gets its own slot, and buckets on one thread run strictly in order.
+  // Pooled fusion buffer (per thread): the calling thread packs when
+  // overlap is off, the exchange thread when it is on — each gets its
+  // own slot, and buckets on one thread run strictly in order.
   std::span<float> fusion(
       AcquireScratch(ScratchSlot::kExchangeFusion,
                      static_cast<std::size_t>(elems)),
@@ -181,92 +194,7 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   return {};
 }
 
-CollectiveResult GradientExchanger::TryExchange(
-    Communicator& comm, const std::vector<Param*>& params,
-    ElasticWorld& elastic, const Deadline& deadline,
-    std::span<const int> ready_order) {
-  EXACLIM_REENTRANCY_SCOPE(reentrancy_);
-  const ElasticView& view = elastic.view();
-  EXACLIM_CHECK(view.my_index >= 0,
-                "rank " << comm.rank()
-                        << " exchanging outside its elastic view");
-  const auto n = static_cast<int>(params.size());
-  last_tensors_ = n;
-  last_fused_buffers_ = 0;
-  if (n == 0) return {};
-
-  // Local readiness order: either the backward emission order handed in
-  // by the trainer (so serialized steps fuse the exact buckets the
-  // overlapped path forms) or the index order. TensorFlow's dynamic
-  // scheduler finishes backprop ops in a timing-dependent order,
-  // different per rank — emulated by the optional shuffle, keyed by
-  // (world rank, step); the step counter only advances on success, so a
-  // post-rebuild retry replays the same shuffle.
-  if (ready_order.empty()) {
-    ready_.assign(static_cast<std::size_t>(n), 0);
-    std::iota(ready_.begin(), ready_.end(), 0);
-  } else {
-    EXACLIM_CHECK(static_cast<int>(ready_order.size()) == n,
-                  "ready_order covers " << ready_order.size() << " of " << n
-                                        << " tensors");
-    ready_.assign(ready_order.begin(), ready_order.end());
-  }
-  if (opts_.shuffle_ready_order) {
-    Rng step_rng = rng_.Fork(
-        static_cast<std::uint64_t>(comm.rank()) * 1000003u +
-        static_cast<std::uint64_t>(step_));
-    std::shuffle(ready_.begin(), ready_.end(), step_rng.engine());
-  }
-
-  const RankGroup group(view.members, comm.rank());
-  {
-    CollectiveResult r = control_->TryNegotiateOrder(
-        comm, group, ready_, deadline, elastic.GenTag(0), &order_);
-    if (!r.ok()) return r;
-  }
-  EXACLIM_CHECK(static_cast<int>(order_.size()) == n,
-                "negotiated order has wrong tensor count");
-
-  MaybeChaosKill(comm);
-
-  const int bpe = BytesPerElement(opts_.wire_precision);
-
-  EXACLIM_TRACE_SPAN("exchange.allreduce", "hvd");
-  std::int64_t total_bytes = 0;
-  std::size_t pos = 0;
-  int buffer_index = 0;
-  while (pos < order_.size()) {
-    // Greedy fusion: take consecutive tensors from the agreed order until
-    // the byte threshold is reached (always at least one).
-    std::size_t end = pos;
-    std::int64_t bytes = 0;
-    while (end < order_.size()) {
-      const std::int64_t t_bytes =
-          params[static_cast<std::size_t>(order_[end])]->grad.NumElements() *
-          bpe;
-      if (end > pos && bytes + t_bytes > opts_.fusion_threshold_bytes) break;
-      bytes += t_bytes;
-      ++end;
-    }
-
-    CollectiveResult r = ReduceFusedBucket(
-        comm, params, elastic, group,
-        std::span<const int>(order_.data() + pos, end - pos), buffer_index,
-        deadline);
-    if (!r.ok()) return r;
-
-    total_bytes += bytes;
-    pos = end;
-    ++buffer_index;
-  }
-  last_fused_buffers_ = buffer_index;
-  if (auto* c = obs::CounterOrNull("exchange.bytes")) c->Add(total_bytes);
-  if (auto* c = obs::CounterOrNull("exchange.buffers")) c->Add(buffer_index);
-  ++step_;
-  return {};
-}
-
-// ---- overlapped exchange ---------------------------------------------------
+// ---- exchange engine -------------------------------------------------------
 
 void GradientExchanger::StartExchangeThread() {
   if (thread_started_) return;
@@ -277,20 +205,34 @@ void GradientExchanger::StartExchangeThread() {
 void GradientExchanger::BeginStep(Communicator& comm,
                                   const std::vector<Param*>& params,
                                   ElasticWorld* elastic,
-                                  const Deadline& deadline) {
+                                  double timeout_s) {
+  EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(!step_open_, "BeginStep while a step is already open");
   ElasticWorld& world = elastic != nullptr ? *elastic : Identity(comm);
   EXACLIM_CHECK(world.view().my_index >= 0,
                 "rank " << comm.rank()
                         << " exchanging outside its elastic view");
-  StartExchangeThread();
+  if (opts_.overlap) StartExchangeThread();
   {
     MutexLock lock(mu_);
     EXACLIM_CHECK(!step_active_, "previous overlapped step still draining");
-    ol_comm_ = &comm;
-    ol_params_ = &params;
-    ol_elastic_ = &world;
-    ol_deadline_ = deadline;
+    comm_ = &comm;
+    params_ = &params;
+    elastic_ = &world;
+    // The threaded drive may start exchanging as soon as the first
+    // bucket closes, so its deadline counts from here; the inline drive
+    // arms its own in WaitAll, once backward is done.
+    timeout_s_ = timeout_s;
+    if (opts_.overlap) deadline_ = Deadline(timeout_s);
+    // TensorFlow's dynamic scheduler finishes backprop ops in a
+    // timing-dependent order, different per rank — emulated by the
+    // optional shuffle, keyed by (world rank, step); the step counter
+    // only advances on success, so a post-rebuild retry replays it.
+    if (opts_.shuffle_ready_order) {
+      shuffle_rng_ = rng_.Fork(static_cast<std::uint64_t>(comm.rank()) *
+                                   1000003u +
+                               static_cast<std::uint64_t>(step_));
+    }
     sched_order_.assign(params.size(), -1);
     sched_count_ = 0;
     buckets_.assign(params.size(), Bucket{});  // never more buckets than tensors
@@ -299,12 +241,12 @@ void GradientExchanger::BeginStep(Communicator& comm,
     pend_bytes_ = 0;
     pend_elems_ = 0;
     emit_done_ = false;
-    ol_failed_ = false;
-    ol_result_ = {};
-    ol_exception_ = nullptr;
-    ol_bytes_ = 0;
-    ol_buffers_ = 0;
-    step_active_ = true;
+    failed_ = false;
+    result_ = {};
+    exception_ = nullptr;
+    step_bytes_ = 0;
+    step_buffers_ = 0;
+    step_active_ = opts_.overlap;  // hands the step to the exchange thread
   }
   cv_.NotifyAll();
   step_open_ = true;
@@ -325,16 +267,15 @@ void GradientExchanger::CloseBucketLocked() {
 void GradientExchanger::NotifyGradReady(int param_index) {
   EXACLIM_CHECK(step_open_, "NotifyGradReady outside BeginStep/WaitAll");
   const std::int64_t t_elems =
-      (*ol_params_)[static_cast<std::size_t>(param_index)]
-          ->grad.NumElements();
+      (*params_)[static_cast<std::size_t>(param_index)]->grad.NumElements();
   const std::int64_t t_bytes =
       t_elems * BytesPerElement(opts_.wire_precision);
   bool closed = false;
   {
     MutexLock lock(mu_);
-    // Same greedy rule as the serialized fusion loop: a bucket always
-    // takes at least one tensor, and closes when the next would push it
-    // past the threshold — identical bucket composition by construction.
+    // The one bucket-closing rule (greedy fusion): a bucket always takes
+    // at least one tensor, and closes when the next would push it past
+    // the threshold.
     if (sched_count_ > pend_begin_ &&
         pend_bytes_ + t_bytes > opts_.fusion_threshold_bytes) {
       CloseBucketLocked();
@@ -349,31 +290,34 @@ void GradientExchanger::NotifyGradReady(int param_index) {
 }
 
 CollectiveResult GradientExchanger::WaitAll() {
+  EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(step_open_, "WaitAll without BeginStep");
   {
     MutexLock lock(mu_);
     if (sched_count_ > pend_begin_) CloseBucketLocked();
     emit_done_ = true;
   }
-  cv_.NotifyAll();
-  {
+  if (opts_.overlap) {
+    cv_.NotifyAll();
     MutexLock lock(mu_);
     while (step_active_) cv_.Wait(lock);
+    // The exchange thread cleared step_active_ under mu_ after its last
+    // write to the result fields; observing the clear under mu_ orders
+    // every read below after those writes.
+  } else {
+    deadline_ = Deadline(timeout_s_);
+    RunStep();  // every bucket is closed: the loop never waits
   }
-  // The exchange thread cleared step_active_ under mu_ after its last
-  // write to the result fields; observing the clear under mu_ orders
-  // every read below after those writes.
   step_open_ = false;
-  last_tensors_ = sched_count_;
-  last_fused_buffers_ = ol_buffers_;
-  if (ol_exception_ != nullptr) {
-    const std::exception_ptr e = ol_exception_;
-    ol_exception_ = nullptr;
+  last_fused_buffers_ = step_buffers_;
+  if (exception_ != nullptr) {
+    const std::exception_ptr e = exception_;
+    exception_ = nullptr;
     std::rethrow_exception(e);
   }
-  if (!ol_result_.ok()) return ol_result_;
-  if (auto* c = obs::CounterOrNull("exchange.bytes")) c->Add(ol_bytes_);
-  if (auto* c = obs::CounterOrNull("exchange.buffers")) c->Add(ol_buffers_);
+  if (!result_.ok()) return result_;
+  if (auto* c = obs::CounterOrNull("exchange.bytes")) c->Add(step_bytes_);
+  if (auto* c = obs::CounterOrNull("exchange.buffers")) c->Add(step_buffers_);
   ++step_;
   return {};
 }
@@ -385,7 +329,7 @@ void GradientExchanger::ExchangeThreadMain() {
       while (!shutdown_ && !step_active_) cv_.Wait(lock);
       if (shutdown_) return;
     }
-    RunOverlapStep();
+    RunStep();
     {
       MutexLock lock(mu_);
       step_active_ = false;
@@ -394,9 +338,10 @@ void GradientExchanger::ExchangeThreadMain() {
   }
 }
 
-void GradientExchanger::RunOverlapStep() {
-  Communicator& comm = *ol_comm_;
-  ElasticWorld& elastic = *ol_elastic_;
+void GradientExchanger::RunStep() {
+  EXACLIM_TRACE_SPAN("exchange.allreduce", "hvd");
+  Communicator& comm = *comm_;
+  ElasticWorld& elastic = *elastic_;
   const ElasticView& view = elastic.view();
   const RankGroup group(view.members, comm.rank());
   int next_bucket = 0;
@@ -412,40 +357,43 @@ void GradientExchanger::RunOverlapStep() {
     // After the first failure the step is doomed: drain the remaining
     // buckets without touching the communicator so WaitAll can return
     // the first result and the trainer can roll the step back.
-    if (!ol_failed_) {
+    if (!failed_) {
       try {
         EXACLIM_TRACE_SPAN("exchange.bucket", "hvd");
         // Entries [b.begin, b.end) were written under mu_ before the
-        // bucket close we just observed under mu_ — safe to read.
-        const std::span<const int> ids(
-            sched_order_.data() + b.begin,
-            static_cast<std::size_t>(b.end - b.begin));
+        // bucket close we just observed under mu_, and NotifyGradReady
+        // never writes them again — safe to read and shuffle in place.
+        const std::span<int> ids(sched_order_.data() + b.begin,
+                                 static_cast<std::size_t>(b.end - b.begin));
+        if (opts_.shuffle_ready_order) {
+          std::shuffle(ids.begin(), ids.end(), shuffle_rng_.engine());
+        }
         // Per-bucket negotiation reuses the control tag window: safe
-        // because buckets run strictly sequentially on this thread and
+        // because buckets run strictly sequentially on one thread and
         // every peer orders its buckets identically (see
         // hvd/control_plane.hpp).
         CollectiveResult r = control_->TryNegotiateOrder(
-            comm, group, ids, ol_deadline_, elastic.GenTag(0), &ol_order_);
+            comm, group, ids, deadline_, elastic.GenTag(0), &negotiated_);
         if (r.ok()) {
-          EXACLIM_CHECK(ol_order_.size() == ids.size(),
+          EXACLIM_CHECK(negotiated_.size() == ids.size(),
                         "negotiated bucket order has wrong tensor count");
           if (!chaos_checked) {
             chaos_checked = true;
             MaybeChaosKill(comm);
           }
-          r = ReduceFusedBucket(comm, *ol_params_, elastic, group, ol_order_,
-                                next_bucket, ol_deadline_);
+          r = ReduceFusedBucket(comm, *params_, elastic, group, negotiated_,
+                                next_bucket, deadline_);
         }
         if (!r.ok()) {
-          ol_result_ = r;
-          ol_failed_ = true;
+          result_ = r;
+          failed_ = true;
         } else {
-          ol_bytes_ += b.bytes;
-          ++ol_buffers_;
+          step_bytes_ += b.bytes;
+          ++step_buffers_;
         }
       } catch (...) {
-        ol_exception_ = std::current_exception();
-        ol_failed_ = true;
+        exception_ = std::current_exception();
+        failed_ = true;
       }
     }
     ++next_bucket;

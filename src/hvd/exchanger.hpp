@@ -82,18 +82,21 @@ struct ExchangerOptions {
   /// (Tensor Core FMA / NCCL fp32-accumulation style).
   Precision wire_precision = Precision::kFP32;
   bool average = true;
-  /// Emulate TensorFlow's dynamic scheduler: shuffle the local readiness
-  /// order per step (all ranks still converge on one global order).
-  /// Ignored by the overlapped path, whose readiness order *is* the
-  /// backward emission order.
+  /// Emulate TensorFlow's dynamic scheduler: shuffle each bucket's
+  /// tensors per step before the bucket is negotiated (all ranks still
+  /// converge on one global order). Bucket composition follows the
+  /// emission order either way; only the order inside a bucket moves.
   bool shuffle_ready_order = true;
-  /// Overlap the exchange with backward compute: the trainer streams
-  /// grad-ready notifications during Backward and a dedicated exchange
-  /// thread reduces each fused bucket as soon as it closes (DESIGN §14).
+  /// Who drives the exchange engine (DESIGN §14). On: a dedicated
+  /// exchange thread reduces each fused bucket as soon as it closes,
+  /// overlapping the exchange with backward compute. Off: no thread;
+  /// WaitAll runs the same loop on the calling thread. Both drives send
+  /// the same messages and give bit-identical gradients.
   bool overlap = false;
 
-  /// EXACLIM_OVERLAP=on|off, EXACLIM_FUSION_BYTES=<bytes>,
-  /// EXACLIM_WIRE=fp16|fp32 applied over `base`.
+  /// EXACLIM_OVERLAP=on|off|1|0|true|false, EXACLIM_FUSION_BYTES=<positive
+  /// integer>, EXACLIM_WIRE=fp16|fp32 applied over `base`. Any other value
+  /// fails with an EXACLIM_CHECK naming the variable.
   static ExchangerOptions FromEnv(ExchangerOptions base);
 };
 
@@ -104,52 +107,41 @@ class GradientExchanger {
 
   /// Collective: every rank calls with its (identically shaped) params.
   /// On return, each param's grad holds the rank-averaged gradient,
-  /// bit-identical on every rank. A non-empty `ready_order` replaces the
-  /// iota local readiness order (the trainer passes the backward
-  /// emission order so the serialized path fuses the exact buckets the
-  /// overlapped path does).
-  void Exchange(Communicator& comm, const std::vector<Param*>& params,
-                std::span<const int> ready_order = {});
+  /// bit-identical on every rank. Drives one blocking engine step over
+  /// the full world (BeginStep with no deadline, every tensor announced
+  /// in index order, WaitAll) and checks that it succeeded.
+  void Exchange(Communicator& comm, const std::vector<Param*>& params);
 
-  /// Elastic variant: the same negotiation + fusion + allreduce, run
-  /// over the current view's members with generation-salted tags and a
-  /// bounded deadline. On failure the partial step must be discarded by
-  /// the caller (gradients may hold partially averaged data) and the
-  /// step counter is NOT advanced, so the retried step reproduces the
-  /// same readiness shuffle. At generation 0 over the full world this is
-  /// message-for-message identical to Exchange. After a shrink the
-  /// hybrid transport falls back to the group ring (survivors rarely
-  /// form whole nodes).
-  CollectiveResult TryExchange(Communicator& comm,
-                               const std::vector<Param*>& params,
-                               ElasticWorld& elastic,
-                               const Deadline& deadline,
-                               std::span<const int> ready_order = {});
-
-  /// ---- Overlapped exchange (DESIGN §14) -------------------------------
+  /// ---- The exchange engine (DESIGN §14) ------------------------------
   /// BeginStep arms a step: NotifyGradReady calls (from the backward
   /// pass, via GradReadyRecorder) append tensors to the emission order
-  /// and greedily close fusion buckets; a persistent exchange thread
-  /// negotiates and reduces each closed bucket while the remaining
-  /// backward layers keep computing. WaitAll closes the final bucket,
-  /// blocks until the exchange thread drained the step, and returns the
+  /// and greedily close fusion buckets. Each closed bucket is shuffled
+  /// (shuffle_ready_order), negotiated and reduced, in order — on the
+  /// exchange thread while backward keeps computing (overlap on), or on
+  /// the calling thread inside WaitAll (overlap off). WaitAll closes the
+  /// final bucket, returns once the step is drained, and returns the
   /// first failure (kOk when every bucket reduced). `elastic == nullptr`
-  /// uses the lazily built identity view (blocking semantics: WaitAll
-  /// checks success). Bucket composition and reduce order are identical
-  /// to the serialized path fed the same readiness order, so
-  /// overlap-on/off is bit-identical.
+  /// uses the lazily built identity view. `timeout_s` (kNoTimeout for
+  /// none) bounds the step's exchange: from BeginStep on in the threaded
+  /// drive, from WaitAll on in the inline one, so a backward pass longer
+  /// than the timeout does not eat into it. On failure the partial
+  /// step must be discarded by the caller (gradients may hold partially
+  /// averaged data) and the step counter is NOT advanced, so the retried
+  /// step reproduces the same shuffle. After a shrink the hybrid
+  /// transport falls back to the group ring (survivors rarely form
+  /// whole nodes).
   void BeginStep(Communicator& comm, const std::vector<Param*>& params,
-                 ElasticWorld* elastic, const Deadline& deadline);
+                 ElasticWorld* elastic, double timeout_s);
   /// Announces that `param_index`'s gradient is final for this step.
   /// Called on the trainer thread, between BeginStep and WaitAll.
   void NotifyGradReady(int param_index);
-  /// Barrier before optimizer.Step: rethrows a RankKilledError raised on
-  /// the exchange thread (chaos schedule) on the calling thread.
+  /// Barrier before optimizer.Step: rethrows a RankKilledError raised by
+  /// the chaos schedule (on the exchange thread when overlapped) on the
+  /// calling thread.
   CollectiveResult WaitAll();
 
-  /// Fused buffers formed in the last Exchange (diagnostic).
+  /// Fused buffers formed in the last step (diagnostic).
   std::int64_t last_fused_buffers() const { return last_fused_buffers_; }
-  std::int64_t last_negotiated_tensors() const { return last_tensors_; }
 
   const ExchangerOptions& options() const { return opts_; }
 
@@ -184,38 +176,35 @@ class GradientExchanger {
 
   void StartExchangeThread();
   void ExchangeThreadMain();
-  /// Runs one armed step on the exchange thread: negotiate + reduce each
-  /// closed bucket in order, latch the first failure, drain the rest.
-  void RunOverlapStep();
+  /// Runs one armed step: shuffle, negotiate + reduce each closed bucket
+  /// in order, latch the first failure, drain the rest. Called on the
+  /// exchange thread (overlap on) or from WaitAll (overlap off).
+  void RunStep();
   void CloseBucketLocked();
 
   ExchangerOptions opts_;
   std::unique_ptr<ControlPlane> control_;
   Rng rng_;
   std::int64_t last_fused_buffers_ = 0;
-  std::int64_t last_tensors_ = 0;
   int step_ = 0;
   // One exchanger per rank by design; Debug builds trap two threads
-  // calling Exchange on the same instance (which would corrupt rng_ and
-  // the step counter without any TSan-visible lock).
+  // driving the same instance (which would corrupt the step state and
+  // counter without any TSan-visible lock).
   ReentrancyGuard reentrancy_;
 
   // Non-elastic identity view (see Identity()).
   std::unique_ptr<ElasticWorld> identity_;
   Communicator* identity_comm_ = nullptr;
 
-  // Serialized-path reusable buffers (grow-only across steps).
-  std::vector<int> ready_;
-  std::vector<int> order_;
-
-  // ---- overlap engine state ----
-  // Hand-off discipline: the trainer thread writes sched_order_ /
-  // bucket bookkeeping under mu_ (NotifyGradReady); the exchange thread
-  // copies closed buckets out under mu_ and touches comm/grads only for
-  // tensors already announced, so the two threads never race on a
-  // tensor. Result fields are written by the exchange thread before it
-  // clears step_active_ under mu_ and read by WaitAll after observing
-  // step_active_ == false — ordered by the mutex.
+  // ---- engine state ----
+  // Hand-off discipline (overlap on): the trainer thread writes
+  // sched_order_ / bucket bookkeeping under mu_ (NotifyGradReady); the
+  // exchange thread copies closed buckets out under mu_ and touches
+  // comm/grads only for tensors already announced, so the two threads
+  // never race on a tensor. Result fields are written by the exchange
+  // thread before it clears step_active_ under mu_ and read by WaitAll
+  // after observing step_active_ == false — ordered by the mutex. With
+  // overlap off one thread does everything and step_active_ stays false.
   Mutex mu_;
   CondVar cv_;
   std::thread exchange_thread_;
@@ -224,10 +213,12 @@ class GradientExchanger {
   bool step_active_ = false;     // guarded by mu_
   bool emit_done_ = false;       // guarded by mu_
   bool step_open_ = false;       // trainer thread only
-  Communicator* ol_comm_ = nullptr;
-  const std::vector<Param*>* ol_params_ = nullptr;
-  ElasticWorld* ol_elastic_ = nullptr;
-  Deadline ol_deadline_{kNoTimeout};
+  Communicator* comm_ = nullptr;
+  const std::vector<Param*>* params_ = nullptr;
+  ElasticWorld* elastic_ = nullptr;
+  double timeout_s_ = kNoTimeout;
+  Deadline deadline_{kNoTimeout};  // armed per drive (see BeginStep)
+  Rng shuffle_rng_{0};            // this step's readiness-shuffle stream
   std::vector<int> sched_order_;  // emission order; writes guarded by mu_
   int sched_count_ = 0;           // guarded by mu_
   std::vector<Bucket> buckets_;   // closed buckets; guarded by mu_
@@ -235,20 +226,20 @@ class GradientExchanger {
   int pend_begin_ = 0;            // open bucket start; guarded by mu_
   std::int64_t pend_bytes_ = 0;   // guarded by mu_
   std::int64_t pend_elems_ = 0;   // guarded by mu_
-  std::vector<int> ol_order_;     // exchange thread's negotiation buffer
-  CollectiveResult ol_result_;    // first failure of the armed step
-  bool ol_failed_ = false;
-  std::exception_ptr ol_exception_;
-  std::int64_t ol_bytes_ = 0;
-  std::int64_t ol_buffers_ = 0;
+  std::vector<int> negotiated_;   // a bucket's agreed order
+  CollectiveResult result_;       // first failure of the armed step
+  bool failed_ = false;
+  std::exception_ptr exception_;
+  std::int64_t step_bytes_ = 0;
+  std::int64_t step_buffers_ = 0;
 };
 
 /// Bridges Layer grad-ready hooks to the exchanger: the trainer installs
 /// it as the model's GradReadyListener for the backward pass. It maps
 /// each announcing layer to its param indices (cached after the first
-/// step — steady-state notifications do zero heap work), dedups, records
-/// the emission order, and forwards newly ready indices to the exchanger
-/// when one is armed. FlushRemaining emits params no hook announced
+/// step — steady-state notifications do zero heap work), dedups, and
+/// forwards newly ready indices to the exchanger, whose buckets follow
+/// this emission order. FlushRemaining emits params no hook announced
 /// (models without instrumented containers), so every param always
 /// exchanges exactly once per step.
 class GradReadyRecorder : public GradReadyListener {
@@ -257,12 +248,13 @@ class GradReadyRecorder : public GradReadyListener {
   /// unchanged; rebinding clears the layer cache).
   void Bind(const std::vector<Param*>& params);
   /// Starts a step. `sink` receives NotifyGradReady(index) per newly
-  /// ready param; nullptr records the order only (serialized path).
+  /// ready param; nullptr records the order only (for order()).
   void BeginStep(GradientExchanger* sink);
   void OnGradsReady(Layer& layer) override;
   /// Emits every param not announced by a hook, in index order.
   void FlushRemaining();
-  /// Emission order of the current/last step.
+  /// Emission order of the current/last step. Nothing in the training
+  /// path reads it; it is the probe the LayerOrder goldens pin.
   std::span<const int> order() const {
     return std::span<const int>(order_.data(), count_);
   }

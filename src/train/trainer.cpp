@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "common/alloc_tracker.hpp"
 #include "common/checksum.hpp"
@@ -107,27 +108,32 @@ RankTrainer::StepResult RankTrainer::StepImpl(
     loss = WeightedSoftmaxCrossEntropy(logits, batch.labels, loss_opts);
     result.loss_scale = loss_opts.loss_scale;
   }
-  const bool overlap = opts_.exchanger.overlap && comm != nullptr;
   {
     obs::ScopedTimer timer("step.backward", "train",
                            &result.timings.backward_seconds,
                            obs::HistogramOrNull("step.backward_s"));
     EXACLIM_ALLOC_CENSUS("step.backward");
     if (comm != nullptr) {
-      // Record the grad-ready emission order (and, in overlap mode,
-      // stream it straight into the exchanger so fused buckets reduce on
-      // the exchange thread while the rest of backward still computes —
-      // DESIGN §14).
-      if (overlap) {
-        const Deadline deadline(elastic != nullptr
-                                    ? elastic->options().collective_timeout_s
-                                    : kNoTimeout);
-        exchanger_->BeginStep(*comm, params_, elastic, deadline);
-      }
-      recorder_.BeginStep(overlap ? exchanger_.get() : nullptr);
+      // Stream the grad-ready emission order straight into the
+      // exchanger, which closes fused buckets as backward produces them
+      // (with overlap on, they reduce on the exchange thread while the
+      // rest of backward still computes — DESIGN §14).
+      exchanger_->BeginStep(*comm, params_, elastic,
+                            elastic != nullptr
+                                ? elastic->options().collective_timeout_s
+                                : kNoTimeout);
+      recorder_.BeginStep(exchanger_.get());
       model_->SetGradReadyListener(&recorder_);
     }
     (void)model_->Backward(loss.grad_logits);
+    // Chaos site "step.backward.delay": this rank's backward pass runs
+    // delay_seconds longer (a slow or straggling rank).
+    FaultInjector& injector = FaultInjector::Global();
+    if (injector.ArmedSiteCount() > 0 &&
+        injector.ShouldInject("step.backward.delay")) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(
+          injector.DelaySeconds("step.backward.delay")));
+    }
     if (comm != nullptr) {
       model_->SetGradReadyListener(nullptr);
       // Params no hook announced (if any) still exchange exactly once.
@@ -140,19 +146,11 @@ RankTrainer::StepResult RankTrainer::StepImpl(
                            &result.timings.exchange_seconds,
                            obs::HistogramOrNull("step.exchange_s"));
     EXACLIM_ALLOC_CENSUS("step.exchange");
-    CollectiveResult r;
-    if (overlap) {
-      // Barrier: only the exchange tail not hidden behind backward shows
-      // up here (a RankKilledError raised on the exchange thread by the
-      // chaos schedule rethrows out of WaitAll on this thread).
-      r = exchanger_->WaitAll();
-    } else if (elastic != nullptr) {
-      const Deadline deadline(elastic->options().collective_timeout_s);
-      r = exchanger_->TryExchange(*comm, params_, *elastic, deadline,
-                                  recorder_.order());
-    } else {
-      exchanger_->Exchange(*comm, params_, recorder_.order());
-    }
+    // Barrier: with overlap on, only the exchange tail not hidden behind
+    // backward shows up here; with it off, the whole exchange runs here
+    // on this thread. A RankKilledError raised by the chaos schedule
+    // rethrows out of WaitAll.
+    const CollectiveResult r = exchanger_->WaitAll();
     if (exchange_status != nullptr) *exchange_status = r;
     if (elastic != nullptr) {
       if (!r.ok()) {

@@ -128,8 +128,8 @@ class RankTrainer {
   std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<GradientExchanger> exchanger_;
   /// Streams per-layer grad-ready events from Backward into the
-  /// exchanger (overlap mode) and records the emission order the
-  /// serialized exchange replays, so both modes fuse identical buckets.
+  /// exchanger, whose fused buckets follow this emission order in both
+  /// drives (overlap on or off).
   GradReadyRecorder recorder_;
   LossScaler scaler_;
 };

@@ -353,6 +353,40 @@ TEST(ElasticBitIdentity, HybridTransportAlsoMatches) {
   EXPECT_EQ(a.survivor_param_crcs, b.survivor_param_crcs);
 }
 
+// ---------------------------------------------- slow backward deadline --
+//
+// The collective timeout bounds the exchange, not backward: a backward
+// pass longer than collective_timeout_s on every rank must not time the
+// step out (with overlap off the deadline starts once backward is done).
+
+TEST(ElasticDeadline, BackwardLongerThanCollectiveTimeoutStillExchanges) {
+  FaultScope scope;
+  ClimateDataset dataset(TinyData());
+  TrainerOptions opts = TinyElasticTrainer();
+  opts.exchanger.shuffle_ready_order = false;
+  // Still far above the exchange itself plus the ranks' compute skew,
+  // even under TSan; only the injected backward delay exceeds it.
+  opts.elastic.collective_timeout_s = 1.0;
+  const TrainRunResult fast = RunDistributedTraining(opts, dataset, 2, 2, 8);
+
+  FaultSpec slow_backward;
+  slow_backward.site = "step.backward.delay";
+  slow_backward.delay_seconds = 1.5;
+  // Every rank's backward in both steps (2 x 2). The budget also keeps a
+  // regression from retrying forever: once spent, a rolled-back step
+  // retries fast and the recovery count below catches it.
+  slow_backward.max_triggers = 4;
+  FaultInjector::Global().Arm(slow_backward);
+  const TrainRunResult slow = RunDistributedTraining(opts, dataset, 2, 2, 8);
+
+  EXPECT_EQ(FaultInjector::Global().InjectionCount("step.backward.delay"), 4);
+  EXPECT_EQ(slow.recoveries, 0);
+  EXPECT_EQ(slow.final_generation, 0);
+  EXPECT_EQ(slow.final_world_size, 2);
+  EXPECT_EQ(slow.loss_history, fast.loss_history);
+  EXPECT_EQ(slow.survivor_param_crcs, fast.survivor_param_crcs);
+}
+
 // --------------------------------------------------------- chaos soak --
 //
 // Deterministic seeded schedule (DESIGN §13):

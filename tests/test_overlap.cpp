@@ -1,10 +1,11 @@
-// Overlapped gradient exchange tests (DESIGN §14): bit-identity of
-// overlap-on vs overlap-off (FP32 and the packed-FP16 wire), the bounded
-// bucket-tag layout (regression for the tag overflow past the elastic
-// generation stride), binary16 overflow-boundary agreement between the
-// RTNE converter, CountHalfNonFinite's bit threshold and the packed wire,
-// wire-byte halving under FP16, and the chaos soak with the exchange
-// running on its dedicated thread.
+// Exchange engine tests (DESIGN §14): bit-identity and identical message
+// counts of overlap-on vs overlap-off (FP32 and the packed-FP16 wire),
+// bucket composition under the readiness shuffle, strict env parsing,
+// the bounded bucket-tag layout (regression for the tag overflow past
+// the elastic generation stride), binary16 overflow-boundary agreement
+// between the RTNE converter, CountHalfNonFinite's bit threshold and the
+// packed wire, wire-byte halving under FP16, and the chaos soak with the
+// exchange running on its dedicated thread.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/elastic.hpp"
@@ -65,8 +68,9 @@ TrainerOptions TinyTrainer() {
   o.learning_rate = 2e-3f;
   o.exchanger.transport = ReduceTransport::kMpiRing;
   // Overlap-on must be bit-identical to overlap-off: the readiness
-  // shuffle stays off because overlap's readiness order IS the backward
-  // emission order (see ExchangerOptions).
+  // shuffle stays off because with it the negotiated order inside a
+  // bucket follows message arrival, which moves the reduction's rounding
+  // (DESIGN §13).
   o.exchanger.shuffle_ready_order = false;
   return o;
 }
@@ -75,20 +79,23 @@ TrainerOptions TinyTrainer() {
 
 struct ExchangeOutcome {
   std::vector<float> rank0_grads;
+  bool ranks_identical = true;  // every rank ended with rank 0's grads
   std::int64_t fused_buffers = 0;
+  std::int64_t messages = 0;  // SimWorld totals over the whole exchange
+  std::int64_t bytes = 0;
 };
 
 /// Runs one exchange over 6 ranks with a small fusion threshold (so the
 /// tensors split into several buckets) and returns rank 0's resulting
-/// gradients. `overlap == true` drives the streaming
-/// BeginStep/NotifyGradReady/WaitAll path with the emission order set to
-/// the index order; `overlap == false` runs the serialized path fed the
-/// same readiness order.
+/// gradients. `overlap == true` drives BeginStep/NotifyGradReady/WaitAll
+/// by hand on an exchanger with its exchange thread; `overlap == false`
+/// runs the blocking Exchange, which drives the same engine inline.
 ExchangeOutcome RunExchange(ReduceTransport transport, Precision wire,
-                            bool overlap) {
+                            bool overlap, bool shuffle = false) {
   const int p = 6;
   SimWorld world(p);
   ExchangeOutcome out;
+  std::vector<std::vector<float>> grads(p);
   world.Run([&](Communicator& comm) {
     auto owned = MakeParams(comm.rank(), 5, 7);
     std::vector<Param*> params;
@@ -96,14 +103,14 @@ ExchangeOutcome RunExchange(ReduceTransport transport, Precision wire,
     ExchangerOptions opts;
     opts.transport = transport;
     opts.wire_precision = wire;
-    opts.shuffle_ready_order = false;
+    opts.shuffle_ready_order = shuffle;
+    opts.overlap = overlap;
     opts.fusion_threshold_bytes = 64;  // a few tensors per bucket
     opts.hybrid.topology.ranks_per_node = 3;
     opts.hybrid.mpi_ranks_per_node = 2;
     GradientExchanger exchanger(opts, 7);
     if (overlap) {
-      exchanger.BeginStep(comm, params, /*elastic=*/nullptr,
-                          Deadline(kNoTimeout));
+      exchanger.BeginStep(comm, params, /*elastic=*/nullptr, kNoTimeout);
       for (int i = 0; i < static_cast<int>(params.size()); ++i) {
         exchanger.NotifyGradReady(i);
       }
@@ -112,14 +119,16 @@ ExchangeOutcome RunExchange(ReduceTransport transport, Precision wire,
     } else {
       exchanger.Exchange(comm, params);
     }
-    if (comm.rank() == 0) {
-      out.fused_buffers = exchanger.last_fused_buffers();
-      for (Param* q : params) {
-        out.rank0_grads.insert(out.rank0_grads.end(), q->grad.Data().begin(),
-                               q->grad.Data().end());
-      }
+    if (comm.rank() == 0) out.fused_buffers = exchanger.last_fused_buffers();
+    std::vector<float>& flat = grads[static_cast<std::size_t>(comm.rank())];
+    for (Param* q : params) {
+      flat.insert(flat.end(), q->grad.Data().begin(), q->grad.Data().end());
     }
   });
+  out.rank0_grads = grads[0];
+  for (const auto& g : grads) out.ranks_identical &= g == grads[0];
+  out.messages = world.total_messages();
+  out.bytes = world.total_bytes();
   return out;
 }
 
@@ -133,6 +142,10 @@ TEST_P(OverlapTransports, OverlapOnIsBitIdenticalToOffFP32) {
   EXPECT_GT(off.fused_buffers, 1);  // the threshold actually split buckets
   EXPECT_EQ(on.fused_buffers, off.fused_buffers);
   EXPECT_EQ(on.rank0_grads, off.rank0_grads);  // bit identity
+  // Both drives run one engine: the same per-bucket negotiations and
+  // reductions, message for message.
+  EXPECT_EQ(on.messages, off.messages);
+  EXPECT_EQ(on.bytes, off.bytes);
 }
 
 TEST_P(OverlapTransports, OverlapOnIsBitIdenticalToOffFP16Wire) {
@@ -142,6 +155,23 @@ TEST_P(OverlapTransports, OverlapOnIsBitIdenticalToOffFP16Wire) {
       RunExchange(GetParam(), Precision::kFP16, /*overlap=*/true);
   EXPECT_EQ(on.fused_buffers, off.fused_buffers);
   EXPECT_EQ(on.rank0_grads, off.rank0_grads);  // bit identity
+  EXPECT_EQ(on.messages, off.messages);
+  EXPECT_EQ(on.bytes, off.bytes);
+}
+
+TEST_P(OverlapTransports, ShuffledReadinessKeepsBucketsAndRankAgreement) {
+  // The readiness shuffle reorders tensors inside each bucket before the
+  // bucket is negotiated; buckets themselves follow the emission order,
+  // so the bucket count matches the unshuffled run in both drives.
+  const ExchangeOutcome plain =
+      RunExchange(GetParam(), Precision::kFP32, /*overlap=*/false);
+  for (const bool overlap : {false, true}) {
+    const ExchangeOutcome shuffled = RunExchange(
+        GetParam(), Precision::kFP32, overlap, /*shuffle=*/true);
+    EXPECT_TRUE(shuffled.ranks_identical) << "overlap " << overlap;
+    EXPECT_EQ(shuffled.fused_buffers, plain.fused_buffers)
+        << "overlap " << overlap;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, OverlapTransports,
@@ -161,11 +191,12 @@ TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
     opts.transport = ReduceTransport::kMpiRing;
     opts.shuffle_ready_order = false;
     opts.fusion_threshold_bytes = 48;
+    opts.overlap = true;
     GradientExchanger exchanger(opts, 11);
     // Two consecutive overlapped steps through one exchanger (the
     // persistent exchange thread is reused).
     for (int s = 0; s < 2; ++s) {
-      exchanger.BeginStep(comm, params, nullptr, Deadline(kNoTimeout));
+      exchanger.BeginStep(comm, params, nullptr, kNoTimeout);
       for (int i = 0; i < static_cast<int>(params.size()); ++i) {
         exchanger.NotifyGradReady(i);
       }
@@ -276,6 +307,19 @@ TEST(BucketTagLayout, ExchangeSurvivesMoreBucketsThanTagSlots) {
 
 // ------------------------------------------------------ env overrides --
 
+/// FromEnv's error text with `name=value` set, or "" when it accepted it.
+std::string FromEnvError(const char* name, const char* value) {
+  ::setenv(name, value, 1);
+  std::string what;
+  try {
+    (void)ExchangerOptions::FromEnv(ExchangerOptions{});
+  } catch (const std::exception& e) {
+    what = e.what();
+  }
+  ::unsetenv(name);
+  return what;
+}
+
 TEST(ExchangerOptionsEnv, FromEnvOverridesProgrammaticOptions) {
   ::setenv("EXACLIM_OVERLAP", "1", 1);
   ::setenv("EXACLIM_FUSION_BYTES", "123456", 1);
@@ -297,6 +341,29 @@ TEST(ExchangerOptionsEnv, FromEnvOverridesProgrammaticOptions) {
   ::unsetenv("EXACLIM_OVERLAP");
   ::unsetenv("EXACLIM_FUSION_BYTES");
   ::unsetenv("EXACLIM_WIRE");
+
+  // Every documented spelling is accepted...
+  for (const char* v : {"on", "1", "true", "off", "0", "false"}) {
+    EXPECT_EQ(FromEnvError("EXACLIM_OVERLAP", v), "") << v;
+  }
+  // ...and anything else fails with a message naming the variable,
+  // instead of silently meaning something else.
+  for (const auto& [name, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"EXACLIM_OVERLAP", "no"},
+           {"EXACLIM_OVERLAP", ""},
+           {"EXACLIM_FUSION_BYTES", "4MB"},
+           {"EXACLIM_FUSION_BYTES", "abc"},
+           {"EXACLIM_FUSION_BYTES", "0"},
+           {"EXACLIM_FUSION_BYTES", "-4096"},
+           {"EXACLIM_FUSION_BYTES", ""},
+           {"EXACLIM_FUSION_BYTES", "99999999999999999999"},
+           {"EXACLIM_WIRE", "bf16"},
+           {"EXACLIM_WIRE", ""}}) {
+    const std::string what = FromEnvError(name, value);
+    EXPECT_NE(what.find(name), std::string::npos)
+        << name << "='" << value << "' gave: '" << what << "'";
+  }
 }
 
 // ------------------------------------------- binary16 overflow boundary --

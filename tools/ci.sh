@@ -128,18 +128,20 @@ run python3 tools/check_alloc_budget.py "$BENCH_DIR"/BENCH_alloc_census.json \
   tools/alloc_budget_pool_off.json
 
 # ---- 5b. overlap-smoke (bench half) --------------------------------------
-# The overlapped exchange (DESIGN §14) must beat the serialized one.
-# bench_overlap times both modes under a deterministic 5 ms per-message
-# wire latency (the comm.delay fault site), so the win is structural
-# rather than scheduler luck — sleep latency is hideable behind backward
-# on any core count, and CPU load only grows the hiding window. Gates:
-# the overlapped step must be no slower than the serialized step (the
-# headline), its exposed WaitAll tail must stay well under the
-# serialized path's full post-backward exchange (the sharp structural
-# gate), the packed FP16 wire must actually halve the bytes on the
-# wire, and the exchange path must stay within its steady-state
-# allocation ratchet (tools/alloc_budget_exchange.json). The TSan half
-# of overlap-smoke is stage 10 below.
+# The exchange engine (DESIGN §14) driven from its own thread must beat
+# the same engine driven inline. bench_overlap times both drives under a
+# deterministic 5 ms per-message wire latency (the comm.delay fault
+# site), so the win is structural rather than scheduler luck — sleep
+# latency is hideable behind backward on any core count, and CPU load
+# only grows the hiding window. Both drives send the same messages.
+# Gates: the overlapped step must be no slower than the serialized
+# ("serialized" = inline drive) step (the headline), its exposed WaitAll
+# tail must stay well under the whole exchange the engine driven inline
+# runs after backward (the sharp structural gate), the packed FP16 wire
+# must actually halve the bytes on the wire, and the exchange path must
+# stay within its steady-state allocation ratchet
+# (tools/alloc_budget_exchange.json). The TSan half of overlap-smoke is
+# stage 10 below.
 run env EXACLIM_BENCH_DIR="$BENCH_DIR" ./build/bench/bench_overlap
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_overlap.json \
   --assert-le step_overlap_s step_serialized_s 1.0 \
@@ -186,12 +188,14 @@ run env TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_elastic --gtest_filter='ChaosSmoke.*'
 
 # ---- 10. overlap-smoke (TSan half) ---------------------------------------
-# The overlapped exchange runs gradient reduction on a dedicated exchange
-# thread while the trainer thread still emits grad-ready notifications
-# (DESIGN §14) — exactly the pairing TSan exists for. Re-run the
-# bit-identity + chaos overlap suites under TSan, including the chaos
-# schedule where rank 1's kill fires on the exchange thread and the
-# RankKilledError must propagate through WaitAll to the trainer thread.
+# With overlap on, the exchange engine runs gradient reduction on a
+# dedicated exchange thread while the trainer thread still emits
+# grad-ready notifications (DESIGN §14) — exactly the pairing TSan exists
+# for; with overlap off the same engine is driven inline on the trainer
+# thread. Re-run the bit-identity (both drives) + chaos overlap suites
+# under TSan, including the chaos schedule where rank 1's kill fires on
+# the exchange thread and the RankKilledError must propagate through
+# WaitAll to the trainer thread.
 run env TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_overlap \
   --gtest_filter='Overlap*:AllTransports/*:BucketTagLayout.*'
