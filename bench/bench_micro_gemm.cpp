@@ -1,12 +1,11 @@
 // Microbenchmarks of the GEMM kernel that backs im2col convolution —
-// the CPU stand-in for the cuDNN implicit-GEMM kernels — plus the kernel
-// engine comparison, which times the packed microkernel engine against
-// the reference blocked walk and records GFLOP/s through BenchReport
-// (BENCH_micro_gemm.json; the ci.sh perf-smoke stage asserts the
-// reference never beats the packed engine).
+// the CPU stand-in for the cuDNN implicit-GEMM kernels — plus a
+// per-shape throughput table that records the packed engine's median
+// GFLOP/s through BenchReport (BENCH_micro_gemm.json) next to the name
+// of the microkernel it dispatched to.
 //
 // Custom main: google-benchmark cases run first (skip them with
-// --benchmark_filter='-.*'), then the kernel comparison.
+// --benchmark_filter='-.*'), then the throughput table.
 
 #include <benchmark/benchmark.h>
 
@@ -79,7 +78,7 @@ void BM_GemmTransposed(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransposed);
 
-// ------------------------------------------ kernel mode comparison -----
+// ------------------------------------------------ throughput table -----
 
 using Clock = std::chrono::steady_clock;
 
@@ -107,20 +106,17 @@ double TimeGemmMs(const GemmCase& cs, const float* a, const float* b,
       .count();
 }
 
-// Times each shape under the packed microkernel engine and the reference
-// blocked walk, reporting GFLOP/s series plus speedup scalars.
-void RunKernelComparison() {
+// Times each shape, reporting a GFLOP/s series per shape.
+void RunThroughputTable() {
   obs::BenchReport report("micro_gemm");
   report.AddScalar("threads",
                    static_cast<double>(ThreadPool::Global().size() + 1));
 
   constexpr int kRounds = 7;
   std::printf(
-      "\nGEMM kernel engine (microkernel: %s, median GFLOP/s of %d):\n"
-      "  %10s %16s %14s %9s\n",
-      GemmMicroKernelName(), kRounds, "shape", "reference", "packed",
-      "speedup");
-  const GemmKernelMode saved = GemmKernelModeInUse();
+      "\nGEMM engine (microkernel: %s, median GFLOP/s of %d):\n"
+      "  %10s %10s\n",
+      GemmMicroKernelName(), kRounds, "shape", "GFLOP/s");
   for (const GemmCase& cs : kCases) {
     Rng rng(7);
     std::vector<float> a(static_cast<std::size_t>(cs.m * cs.k));
@@ -130,28 +126,16 @@ void RunKernelComparison() {
     for (auto& v : b) v = rng.Uniform(-1, 1);
     const double gflop = 2.0 * cs.m * cs.n * cs.k / 1e9;
 
-    double medians[2] = {0, 0};
-    for (const bool packed : {false, true}) {
-      SetGemmKernelMode(packed ? GemmKernelMode::kPacked
-                                : GemmKernelMode::kReference);
-      (void)TimeGemmMs(cs, a.data(), b.data(), c.data());  // warm-up
-      std::vector<double> rates;
-      rates.reserve(kRounds);
-      for (int r = 0; r < kRounds; ++r) {
-        rates.push_back(gflop /
-                        (TimeGemmMs(cs, a.data(), b.data(), c.data()) / 1e3));
-      }
-      const std::string metric = std::string("gflops_") +
-                                 (packed ? "packed_" : "reference_") + cs.key;
-      report.AddSeries(metric, rates);
-      medians[packed ? 1 : 0] = Summarize(rates).median;
+    (void)TimeGemmMs(cs, a.data(), b.data(), c.data());  // warm-up
+    std::vector<double> rates;
+    rates.reserve(kRounds);
+    for (int r = 0; r < kRounds; ++r) {
+      rates.push_back(gflop /
+                      (TimeGemmMs(cs, a.data(), b.data(), c.data()) / 1e3));
     }
-    const double speedup = medians[0] > 0 ? medians[1] / medians[0] : 0;
-    std::printf("  %10s %16.2f %14.2f %8.2fx\n", cs.key, medians[0],
-                medians[1], speedup);
-    report.AddScalar(std::string("speedup_packed_") + cs.key, speedup);
+    report.AddSeries(std::string("gflops_") + cs.key, rates);
+    std::printf("  %10s %10.2f\n", cs.key, Summarize(rates).median);
   }
-  SetGemmKernelMode(saved);
   const auto path = report.WriteJsonFile();
   if (!path.empty()) std::printf("  wrote %s\n", path.string().c_str());
 }
@@ -163,6 +147,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  exaclim::RunKernelComparison();
+  exaclim::RunThroughputTable();
   return 0;
 }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
+#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 
@@ -58,15 +58,15 @@ CollectiveResult ConsensusFail(Communicator& comm, int waited_world_rank,
 
 ElasticOptions ElasticOptions::FromEnv(ElasticOptions base) {
   if (const char* env = std::getenv("EXACLIM_ELASTIC")) {
-    const std::string value(env);
-    base.enabled = !(value == "off" || value == "0" || value == "false" ||
-                     value.empty());
+    base.enabled = ParseEnvSwitch("EXACLIM_ELASTIC", env);
   }
   if (const char* env = std::getenv("EXACLIM_ELASTIC_TIMEOUT")) {
-    base.collective_timeout_s = std::stod(env);
+    base.collective_timeout_s =
+        ParseEnvPositiveReal("EXACLIM_ELASTIC_TIMEOUT", env);
   }
   if (const char* env = std::getenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT")) {
-    base.rebuild_timeout_s = std::stod(env);
+    base.rebuild_timeout_s =
+        ParseEnvPositiveReal("EXACLIM_ELASTIC_REBUILD_TIMEOUT", env);
   }
   return base;
 }

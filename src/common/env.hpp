@@ -1,0 +1,25 @@
+#pragma once
+
+// Strict grammar shared by every EXACLIM_* knob that takes a switch or a
+// number. Call sites keep their own std::getenv("EXACLIM_...") (so the
+// env-prefix lint rule sees every name) and hand the raw value here.
+// A value outside the grammar fails with an EXACLIM_CHECK naming the
+// variable, instead of silently meaning something else.
+
+#include <cstdint>
+#include <string_view>
+
+namespace exaclim {
+
+/// on|1|true -> true, off|0|false -> false.
+bool ParseEnvSwitch(const char* name, std::string_view value);
+
+/// A positive decimal integer: no sign, no spaces, no trailing
+/// characters, no overflow.
+std::int64_t ParseEnvPositiveInt(const char* name, std::string_view value);
+
+/// A finite positive decimal number ("2.5", "1e-3"): no trailing
+/// characters (so "5s" fails), not nan or inf.
+double ParseEnvPositiveReal(const char* name, std::string_view value);
+
+}  // namespace exaclim

@@ -22,7 +22,6 @@ const char* ScratchSlotName(ScratchSlot slot) {
   switch (slot) {
     case ScratchSlot::kGemmPackA: return "gemm.pack_a";
     case ScratchSlot::kGemmPackB: return "gemm.pack_b";
-    case ScratchSlot::kGemmRefPanel: return "gemm.ref_panel";
     case ScratchSlot::kLossProbs: return "loss.probs";
     case ScratchSlot::kStagingDecode: return "staging.decode";
     case ScratchSlot::kExchangeFusion: return "exchange.fusion";

@@ -38,7 +38,6 @@ namespace exaclim {
 enum class ScratchSlot {
   kGemmPackA = 0,   // MR-strip A panels of the packed GEMM engine
   kGemmPackB,       // NR-strip B panels of the packed GEMM engine
-  kGemmRefPanel,    // op(B) panel of the reference (pre-PR5) kernel
   kLossProbs,       // per-pixel softmax probabilities of the loss kernel
   kStagingDecode,   // per-channel decode panel of the sample reader
   kExchangeFusion,  // fused gradient staging of the hvd exchanger

@@ -1,14 +1,13 @@
 #include "hvd/exchanger.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <utility>
 
 #include "comm/collectives.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/workspace.hpp"
@@ -28,22 +27,11 @@ const char* ToString(ReduceTransport t) {
 
 ExchangerOptions ExchangerOptions::FromEnv(ExchangerOptions base) {
   if (const char* v = std::getenv("EXACLIM_OVERLAP")) {
-    const std::string_view s(v);
-    const bool on = s == "on" || s == "1" || s == "true";
-    EXACLIM_CHECK(on || s == "off" || s == "0" || s == "false",
-                  "EXACLIM_OVERLAP='" << s
-                                      << "': expected on|off|1|0|true|false");
-    base.overlap = on;
+    base.overlap = ParseEnvSwitch("EXACLIM_OVERLAP", v);
   }
   if (const char* v = std::getenv("EXACLIM_FUSION_BYTES")) {
-    const std::string_view s(v);
-    std::int64_t bytes = 0;
-    const char* last = s.data() + s.size();
-    const auto [end, ec] = std::from_chars(s.data(), last, bytes);
-    EXACLIM_CHECK(ec == std::errc() && end == last && bytes > 0,
-                  "EXACLIM_FUSION_BYTES='"
-                      << s << "': expected a positive integer byte count");
-    base.fusion_threshold_bytes = bytes;
+    base.fusion_threshold_bytes =
+        ParseEnvPositiveInt("EXACLIM_FUSION_BYTES", v);
   }
   if (const char* v = std::getenv("EXACLIM_WIRE")) {
     const std::string_view s(v);

@@ -17,11 +17,16 @@ void WriteScalar(std::ofstream& out, T value) {
 }
 
 template <typename T>
-T ReadScalar(std::ifstream& in) {
+T ReadScalar(std::ifstream& in, const std::filesystem::path& path) {
   T value{};
   in.read(reinterpret_cast<char*>(&value), sizeof(T));
+  EXACLIM_CHECK(in.good(), "truncated NCF header in " << path);
   return value;
 }
+
+// Header bytes of an entry with an empty name: name_len, dtype, count,
+// offset.
+constexpr std::uint64_t kMinEntryBytes = 4 + 4 + 8 + 8;
 
 }  // namespace
 
@@ -91,24 +96,52 @@ NcfReader::NcfReader(std::filesystem::path path, bool use_global_lock)
     : path_(std::move(path)), use_global_lock_(use_global_lock) {
   std::ifstream in(path_, std::ios::binary);
   EXACLIM_CHECK(in.good(), "cannot open " << path_);
+  // Nothing the header says sizes an allocation before it is checked
+  // against the bytes the file really has: a corrupt or hostile header
+  // fails here instead of asking for a 4 GiB name, 2^32 entries or a
+  // payload whose byte count overflows.
+  const std::uint64_t file_size = std::filesystem::file_size(path_);
   char magic[4];
   in.read(magic, 4);
-  EXACLIM_CHECK(std::memcmp(magic, kMagic, 4) == 0,
+  EXACLIM_CHECK(in.good() && std::memcmp(magic, kMagic, 4) == 0,
                 path_ << " is not an NCF file");
-  const auto count = ReadScalar<std::uint32_t>(in);
+  const auto count = ReadScalar<std::uint32_t>(in, path_);
+  std::uint64_t pos = 8;
+  EXACLIM_CHECK(count <= (file_size - pos) / kMinEntryBytes,
+                path_ << ": header lists " << count << " datasets, more than "
+                      << file_size << " bytes can hold");
+  entries_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
+    const auto name_len = ReadScalar<std::uint32_t>(in, path_);
+    pos += 4;
+    EXACLIM_CHECK(name_len + kMinEntryBytes - 4 <= file_size - pos,
+                  path_ << ": dataset name of " << name_len
+                        << " bytes runs past the end of the header");
     Entry entry;
-    const auto name_len = ReadScalar<std::uint32_t>(in);
     entry.name.resize(name_len);
     in.read(entry.name.data(), name_len);
-    entry.dtype = static_cast<int>(ReadScalar<std::uint32_t>(in));
-    entry.count = static_cast<std::int64_t>(ReadScalar<std::uint64_t>(in));
-    entry.offset = static_cast<std::int64_t>(ReadScalar<std::uint64_t>(in));
+    EXACLIM_CHECK(in.good(), "truncated NCF header in " << path_);
+    const auto dtype = ReadScalar<std::uint32_t>(in, path_);
+    const auto elems = ReadScalar<std::uint64_t>(in, path_);
+    const auto offset = ReadScalar<std::uint64_t>(in, path_);
+    pos += name_len + kMinEntryBytes - 4;
+    EXACLIM_CHECK(dtype == 0 || dtype == 1,
+                  path_ << ": dataset " << entry.name << " has unknown dtype "
+                        << dtype);
+    // Divide instead of multiplying, so no byte count can overflow.
+    const std::uint64_t elem_size = dtype == 0 ? sizeof(float) : 1;
+    EXACLIM_CHECK(offset <= file_size &&
+                      elems <= (file_size - offset) / elem_size,
+                  path_ << ": dataset " << entry.name << " (" << elems
+                        << " x " << elem_size << " bytes at offset " << offset
+                        << ") runs past the end of the file (" << file_size
+                        << " bytes)");
+    entry.dtype = static_cast<int>(dtype);
+    entry.count = static_cast<std::int64_t>(elems);
+    entry.offset = static_cast<std::int64_t>(offset);
     entries_.push_back(std::move(entry));
   }
-  EXACLIM_CHECK(in.good(), "truncated NCF header in " << path_);
-  file_bytes_ =
-      static_cast<std::int64_t>(std::filesystem::file_size(path_));
+  file_bytes_ = static_cast<std::int64_t>(file_size);
 }
 
 std::vector<std::string> NcfReader::Names() const {
@@ -171,6 +204,7 @@ std::vector<std::uint8_t> NcfReader::ReadPayload(const Entry& entry,
 
 std::vector<std::uint8_t> NcfReader::ReadPayloadUnlocked(
     const Entry& entry, std::size_t elem_size) const {
+  // The constructor bounded count * elem_size by the file size.
   std::vector<std::uint8_t> payload(
       static_cast<std::size_t>(entry.count) * elem_size);
   ReadRawUnlocked(entry, payload.data(), payload.size());

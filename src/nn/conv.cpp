@@ -13,10 +13,14 @@ namespace {
 
 std::atomic<ConvAlgorithm>& DefaultAlgorithmFlag() {
   static std::atomic<ConvAlgorithm> flag([] {
-    if (const char* env = std::getenv("EXACLIM_CONV_ALGO")) {
-      if (const auto parsed = ParseConvAlgorithm(env)) return *parsed;
-    }
-    return ConvAlgorithm::kAuto;
+    const char* env = std::getenv("EXACLIM_CONV_ALGO");
+    if (env == nullptr) return ConvAlgorithm::kAuto;
+    const auto parsed = ParseConvAlgorithm(env);
+    EXACLIM_CHECK(parsed.has_value(),
+                  "EXACLIM_CONV_ALGO='"
+                      << env << "': expected auto|im2col|implicit|"
+                                "implicit-gemm|direct");
+    return *parsed;
   }());
   return flag;
 }
@@ -151,19 +155,11 @@ ConvAlgorithm Conv2d::chosen_algorithm() const {
     algo = UsePointwiseFastPath() ? ConvAlgorithm::kDirect
                                   : ConvAlgorithm::kImplicitGemm;
   }
-  // The implicit-B packer lives in the packed engine; the reference
-  // kernel A/B (EXACLIM_GEMM_KERNEL=reference) falls back to the
-  // bit-identical materialized col path.
-  if (algo == ConvAlgorithm::kImplicitGemm && !GemmUsesPackedEngine()) {
-    algo = ConvAlgorithm::kIm2Col;
-  }
   return algo;
 }
 
 bool Conv2d::CanFuseEpilogue() const {
-  if (precision() != Precision::kFP32 || !GemmUsesPackedEngine()) {
-    return false;
-  }
+  if (precision() != Precision::kFP32) return false;
   const ConvAlgorithm algo = chosen_algorithm();
   return algo == ConvAlgorithm::kImplicitGemm ||
          algo == ConvAlgorithm::kIm2Col ||
@@ -239,14 +235,10 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
   const std::int64_t out_w = g.OutW();
   // Pack the weight into the GEMM engine's A-panel layout once; every
   // shard then reuses the panels read-only instead of re-packing W per
-  // image inside the per-image GEMMs (DESIGN §10).
-  const bool prepacked = GemmUsesPackedEngine() &&
-                         (algo == ConvAlgorithm::kImplicitGemm ||
-                          algo == ConvAlgorithm::kIm2Col || pointwise);
-  if (prepacked) {
-    const std::int64_t kk =
-        algo == ConvAlgorithm::kDirect ? g.in_c : g.PatchSize();
-    packed_weight_.Pack(false, opts_.out_c, kk, 1.0f, w.Raw());
+  // image inside the per-image GEMMs (DESIGN §10). Only the spatial
+  // direct walk reads W unpacked.
+  if (algo != ConvAlgorithm::kDirect || pointwise) {
+    packed_weight_.Pack(false, opts_.out_c, g.PatchSize(), 1.0f, w.Raw());
   }
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
@@ -276,24 +268,13 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
         float* col = workspace_.Col(s);
         Im2ColFromRows(g, rows, input.Raw() + n * in_stride, col);
         // out[out_c, P] = W[out_c, patch] @ col[patch, P]
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_, false, g.OutPixels(), col, 0.0f,
-                          output.Raw() + n * out_stride, epi_ptr);
-        } else {
-          Gemm(false, false, opts_.out_c, g.OutPixels(), g.PatchSize(), 1.0f,
-               w.Raw(), col, 0.0f, output.Raw() + n * out_stride);
-        }
+        GemmPackedWithA(packed_weight_, false, g.OutPixels(), col, 0.0f,
+                        output.Raw() + n * out_stride, epi_ptr);
       } else if (pointwise) {
         // 1x1/stride-1: the activation map already IS the patch matrix.
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_, false, g.OutPixels(),
-                          input.Raw() + n * in_stride, 0.0f,
-                          output.Raw() + n * out_stride, epi_ptr);
-        } else {
-          Gemm(false, false, opts_.out_c, g.OutPixels(), g.in_c, 1.0f,
-               w.Raw(), input.Raw() + n * in_stride, 0.0f,
-               output.Raw() + n * out_stride);
-        }
+        GemmPackedWithA(packed_weight_, false, g.OutPixels(),
+                        input.Raw() + n * in_stride, 0.0f,
+                        output.Raw() + n * out_stride, epi_ptr);
       } else {
         DirectConvImage(g, opts_.out_c, input.Raw() + n * in_stride,
                         w.Raw(), output.Raw() + n * out_stride);
@@ -347,15 +328,7 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   // The data gradient multiplies by W^T for every image; prepack the
   // transposed panels once and share across shards. Weight-gradient GEMMs
   // keep the plain entry point (their left operand changes per image).
-  const bool prepacked = GemmUsesPackedEngine();
-  if (prepacked) {
-    if (pointwise) {
-      packed_weight_bwd_.Pack(true, g.in_c, opts_.out_c, 1.0f, w.Raw());
-    } else {
-      packed_weight_bwd_.Pack(true, g.PatchSize(), opts_.out_c, 1.0f,
-                              w.Raw());
-    }
-  }
+  packed_weight_bwd_.Pack(true, g.PatchSize(), opts_.out_c, 1.0f, w.Raw());
 
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
@@ -366,13 +339,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       if (pointwise) {
         Gemm(false, true, opts_.out_c, g.in_c, g.OutPixels(), 1.0f, gout,
              cached_input_.Raw() + n * in_stride, 1.0f, wgrad);
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout,
-                          0.0f, grad_input.Raw() + n * in_stride);
-        } else {
-          Gemm(true, false, g.in_c, g.OutPixels(), opts_.out_c, 1.0f,
-               w.Raw(), gout, 0.0f, grad_input.Raw() + n * in_stride);
-        }
+        GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout, 0.0f,
+                        grad_input.Raw() + n * in_stride);
       } else {
         // Weight gradient: gW[out_c, patch] += gout[out_c, P] @ col^T.
         float* col = workspace_.Col(s);
@@ -381,13 +349,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
         Gemm(false, true, opts_.out_c, g.PatchSize(), g.OutPixels(), 1.0f,
              gout, col, 1.0f, wgrad);
         // Data gradient: gcol[patch, P] = W^T @ gout; scatter back.
-        if (prepacked) {
-          GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout,
-                          0.0f, grad_col);
-        } else {
-          Gemm(true, false, g.PatchSize(), g.OutPixels(), opts_.out_c, 1.0f,
-               w.Raw(), gout, 0.0f, grad_col);
-        }
+        GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout, 0.0f,
+                        grad_col);
         Col2Im(g, grad_col, grad_input.Raw() + n * in_stride);
       }
       if (bgrad != nullptr) {
@@ -487,22 +450,14 @@ Tensor ConvTranspose2d::Forward(const Tensor& input, bool /*train*/) {
   const std::int64_t in_stride = opts_.in_c * pixels;
   const std::int64_t out_stride = opts_.out_c * out_shape.h() * out_shape.w();
 
-  const bool prepacked = GemmUsesPackedEngine();
-  if (prepacked) {
-    packed_weight_.Pack(true, g.PatchSize(), opts_.in_c, 1.0f, w.Raw());
-  }
+  packed_weight_.Pack(true, g.PatchSize(), opts_.in_c, 1.0f, w.Raw());
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
     float* col = workspace_.Col(s);
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
       // col[out_c*k*k, P] = W^T[out_c*k*k, in_c] @ x[in_c, P]
-      if (prepacked) {
-        GemmPackedWithA(packed_weight_, false, pixels,
-                        input.Raw() + n * in_stride, 0.0f, col);
-      } else {
-        Gemm(true, false, g.PatchSize(), pixels, opts_.in_c, 1.0f, w.Raw(),
-             input.Raw() + n * in_stride, 0.0f, col);
-      }
+      GemmPackedWithA(packed_weight_, false, pixels,
+                      input.Raw() + n * in_stride, 0.0f, col);
       Col2Im(g, col, output.Raw() + n * out_stride);
       if (bias_) {
         float* out_n = output.Raw() + n * out_stride;
@@ -539,10 +494,7 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
   workspace_.ZeroGradAccumulators();
   const std::int64_t in_stride = opts_.in_c * pixels;
   const std::int64_t out_stride = opts_.out_c * out_shape.h() * out_shape.w();
-  const bool prepacked = GemmUsesPackedEngine();
-  if (prepacked) {
-    packed_weight_bwd_.Pack(false, opts_.in_c, g.PatchSize(), 1.0f, w.Raw());
-  }
+  packed_weight_bwd_.Pack(false, opts_.in_c, g.PatchSize(), 1.0f, w.Raw());
   // The fix for the per-batch-element Im2Col: all geometry-dependent
   // setup (bounds, offsets) is computed once per geometry here; the
   // n-loop below does pure data movement through the row table.
@@ -557,13 +509,8 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
       const float* gout = grad_output.Raw() + n * out_stride;
       Im2ColFromRows(g, rows, gout, col);
       // Data gradient: gx[in_c, P] = W[in_c, patch] @ col[patch, P]
-      if (prepacked) {
-        GemmPackedWithA(packed_weight_bwd_, false, pixels, col, 0.0f,
-                        grad_input.Raw() + n * in_stride);
-      } else {
-        Gemm(false, false, opts_.in_c, pixels, g.PatchSize(), 1.0f, w.Raw(),
-             col, 0.0f, grad_input.Raw() + n * in_stride);
-      }
+      GemmPackedWithA(packed_weight_bwd_, false, pixels, col, 0.0f,
+                      grad_input.Raw() + n * in_stride);
       // Weight gradient: gW[in_c, patch] += x[in_c, P] @ col[patch, P]^T
       Gemm(false, true, opts_.in_c, g.PatchSize(), pixels, 1.0f,
            cached_input_.Raw() + n * in_stride, col, 1.0f, wgrad);

@@ -18,10 +18,8 @@ namespace exaclim {
 /// input tensor with no col buffer (DESIGN §15); kDirect computes the
 /// convolution in place (for 1×1/stride-1 this is a pure GEMM on the
 /// activation map — the same FLOPs, less memory traffic). kAuto picks
-/// kDirect for pointwise geometries and kImplicitGemm elsewhere.
-/// kImplicitGemm needs the packed engine, so under
-/// EXACLIM_GEMM_KERNEL=reference it resolves to kIm2Col. All algorithms
-/// produce bit-identical forward outputs (the sweep in
+/// kDirect for pointwise geometries and kImplicitGemm elsewhere. All
+/// algorithms produce bit-identical forward outputs (the sweep in
 /// tests/test_conv_algorithms.cpp holds them to it).
 enum class ConvAlgorithm { kAuto, kIm2Col, kImplicitGemm, kDirect };
 
@@ -32,8 +30,10 @@ const char* ToString(ConvAlgorithm algo);
 std::optional<ConvAlgorithm> ParseConvAlgorithm(std::string_view value);
 
 /// The process-wide default that layers constructed with kAuto resolve
-/// through: EXACLIM_CONV_ALGO (parsed once) unless overridden, kAuto when
-/// unset or unparsable (= the pointwise→direct, else→implicit policy).
+/// through: EXACLIM_CONV_ALGO (parsed once, any value ParseConvAlgorithm
+/// rejects fails with an EXACLIM_CHECK naming the variable) unless
+/// overridden, kAuto when unset (= the pointwise→direct, else→implicit
+/// policy).
 ConvAlgorithm DefaultConvAlgorithm();
 
 /// Programmatic override of the EXACLIM_CONV_ALGO default (benches and
@@ -94,16 +94,16 @@ class Conv2d : public Layer {
                       const ConvFusedOps& ops);
 
   /// Whether this layer's resolved configuration can fold epilogue ops
-  /// into the GEMM writeback: FP32 precision, the packed engine active,
-  /// and an algorithm that writes C through it (implicit, im2col-GEMM,
-  /// or the pointwise fast path — everything but naive direct loops).
+  /// into the GEMM writeback: FP32 precision and an algorithm that writes
+  /// C through the GEMM engine (implicit, im2col-GEMM, or the pointwise
+  /// fast path — everything but naive direct loops).
   bool CanFuseEpilogue() const;
 
   const Options& options() const { return opts_; }
   Param& weight() { return weight_; }
   /// The algorithm actually used (kAuto resolved through
-  /// DefaultConvAlgorithm, engine fallback applied) — the equivalent of
-  /// the cuDNN API tracing of Sec VI.
+  /// DefaultConvAlgorithm) — the equivalent of the cuDNN API tracing of
+  /// Sec VI.
   ConvAlgorithm chosen_algorithm() const;
 
  private:

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/alloc_tracker.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
@@ -15,7 +16,7 @@ namespace {
 std::atomic<bool>& BatchParallelFlag() {
   static std::atomic<bool> flag([] {
     const char* env = std::getenv("EXACLIM_CONV_SERIAL");
-    return env == nullptr || std::strcmp(env, "0") == 0;
+    return env == nullptr || !ParseEnvSwitch("EXACLIM_CONV_SERIAL", env);
   }());
   return flag;
 }
@@ -23,22 +24,16 @@ std::atomic<bool>& BatchParallelFlag() {
 std::atomic<bool>& FusionFlag() {
   static std::atomic<bool> flag([] {
     const char* env = std::getenv("EXACLIM_CONV_FUSE");
-    return env == nullptr ||
-           (std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0);
+    return env == nullptr || ParseEnvSwitch("EXACLIM_CONV_FUSE", env);
   }());
   return flag;
 }
 
 std::int64_t MaxShardsKnob() {
   static const std::int64_t knob = [] {
-    if (const char* env = std::getenv("EXACLIM_CONV_SHARDS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v > 0) {
-        return static_cast<std::int64_t>(v);
-      }
-    }
-    return std::int64_t{16};
+    const char* env = std::getenv("EXACLIM_CONV_SHARDS");
+    return env == nullptr ? std::int64_t{16}
+                          : ParseEnvPositiveInt("EXACLIM_CONV_SHARDS", env);
   }();
   return knob;
 }

@@ -19,9 +19,10 @@
 namespace exaclim {
 
 /// Whether conv-family layers run their batch shards on the global pool.
-/// Defaults to on; EXACLIM_CONV_SERIAL=1 (or any value other than "0")
-/// forces the serial batch walk. Either mode computes the exact same
-/// floating-point operation sequence per gradient element.
+/// Defaults to on; EXACLIM_CONV_SERIAL=on|1|true forces the serial batch
+/// walk, off|0|false keeps the default, anything else fails (read once,
+/// common/env.hpp). Either mode computes the exact same floating-point
+/// operation sequence per gradient element.
 bool ConvBatchParallelEnabled();
 
 /// Programmatic override of the EXACLIM_CONV_SERIAL default (benches and
@@ -30,15 +31,18 @@ void SetConvBatchParallel(bool enabled);
 
 /// Whether Sequential fuses Conv2d→BatchNorm2d→ReLU chains and the conv
 /// layers fold their bias into the packed GEMM epilogue (DESIGN §15).
-/// Defaults to on; EXACLIM_CONV_FUSE=off (or "0") disables. Fused and
-/// unfused execution are bit-identical — this is a pure perf A/B knob.
+/// Defaults to on; EXACLIM_CONV_FUSE=off|0|false disables, on|1|true
+/// keeps it, anything else fails. Fused and unfused execution are
+/// bit-identical — this is a pure perf A/B knob.
 bool ConvFusionEnabled();
 
 /// Programmatic override of the EXACLIM_CONV_FUSE default.
 void SetConvFusion(bool enabled);
 
 /// Number of shards a batch of `n` images is decomposed into:
-/// min(n, EXACLIM_CONV_SHARDS), knob default 16. Fixed for a given batch
+/// min(n, EXACLIM_CONV_SHARDS), knob default 16; the knob must be a
+/// positive integer (it fixes the gradient reduction tree, so a typo must
+/// fail rather than silently change the rounding). Fixed for a given batch
 /// size, so the gradient reduction tree is reproducible across machines
 /// with different core counts.
 std::int64_t ConvGradShards(std::int64_t n);

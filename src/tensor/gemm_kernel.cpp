@@ -1,8 +1,6 @@
 #include "tensor/gemm_kernel.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -14,6 +12,7 @@
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
 #include "tensor/epilogue.hpp"
+#include "tensor/gemm.hpp"
 
 namespace exaclim {
 namespace {
@@ -28,16 +27,6 @@ static_assert(NC % NR == 0, "NC must hold whole NR-strips");
 
 std::int64_t RoundUp(std::int64_t v, std::int64_t unit) {
   return (v + unit - 1) / unit * unit;
-}
-
-std::atomic<GemmKernelMode>& ModeFlag() {
-  static std::atomic<GemmKernelMode> flag([] {
-    if (const char* env = std::getenv("EXACLIM_GEMM_KERNEL")) {
-      if (const auto parsed = ParseGemmKernelMode(env)) return *parsed;
-    }
-    return GemmKernelMode::kAuto;
-  }());
-  return flag;
 }
 
 struct ResolvedKernel {
@@ -263,7 +252,7 @@ void MergeTileWithEpilogue(const float* acc, float* c, std::int64_t ldc,
 
 // ------------------------------------------------------------- driver ---
 
-// Shared KC/MC/NC walk behind GemmPacked, GemmPackedWithA and
+// Shared KC/MC/NC walk behind Gemm, GemmPackedWithA and
 // GemmPackedImplicit. When `prepacked` is non-null its panels replace
 // on-the-fly A packing (and alpha is already folded in); when `bimp` is
 // non-null the B panels are gathered from the input image instead of a
@@ -379,35 +368,7 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
 
 }  // namespace
 
-// ------------------------------------------------- kernel selection -----
-
-const char* ToString(GemmKernelMode mode) {
-  switch (mode) {
-    case GemmKernelMode::kAuto: return "auto";
-    case GemmKernelMode::kPacked: return "packed";
-    case GemmKernelMode::kReference: return "reference";
-  }
-  return "?";
-}
-
-std::optional<GemmKernelMode> ParseGemmKernelMode(std::string_view value) {
-  if (value == "auto") return GemmKernelMode::kAuto;
-  if (value == "packed") return GemmKernelMode::kPacked;
-  if (value == "reference") return GemmKernelMode::kReference;
-  return std::nullopt;
-}
-
-GemmKernelMode GemmKernelModeInUse() {
-  return ModeFlag().load(std::memory_order_relaxed);
-}
-
-void SetGemmKernelMode(GemmKernelMode mode) {
-  ModeFlag().store(mode, std::memory_order_relaxed);
-}
-
-bool GemmUsesPackedEngine() {
-  return GemmKernelModeInUse() != GemmKernelMode::kReference;
-}
+// ---------------------------------------------------------- queries ----
 
 const char* GemmMicroKernelName() { return ActiveKernel().name; }
 
@@ -558,17 +519,30 @@ const GemmEpilogue* CheckEpilogue(const GemmEpilogue* epi, std::int64_t k,
 
 }  // namespace
 
-void GemmPacked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-                std::int64_t k, float alpha, const float* a, const float* b,
-                float beta, float* c) {
+void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+          std::int64_t k, float alpha, const float* a, const float* b,
+          float beta, float* c) {
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
-    // BLAS semantics: no product term; beta == 0 overwrites C unread.
+    // BLAS semantics: no product term, C = beta*C; beta == 0 overwrites C,
+    // never reads it (C may hold NaN/Inf garbage).
     ScaleC(c, m * n, beta);
     return;
   }
   RunPackedGemm(nullptr, trans_a, a, trans_b, b, nullptr, m, n, k, alpha,
                 beta, c, nullptr);
+}
+
+void GemmChecked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                 std::int64_t k, float alpha, std::span<const float> a,
+                 std::span<const float> b, float beta, std::span<float> c) {
+  EXACLIM_CHECK(static_cast<std::int64_t>(a.size()) == m * k,
+                "A size " << a.size() << " != " << m * k);
+  EXACLIM_CHECK(static_cast<std::int64_t>(b.size()) == k * n,
+                "B size " << b.size() << " != " << k * n);
+  EXACLIM_CHECK(static_cast<std::int64_t>(c.size()) == m * n,
+                "C size " << c.size() << " != " << m * n);
+  Gemm(trans_a, trans_b, m, n, k, alpha, a.data(), b.data(), beta, c.data());
 }
 
 void GemmPackedWithA(const PackedGemmA& a, bool trans_b, std::int64_t n,

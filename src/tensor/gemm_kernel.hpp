@@ -21,44 +21,11 @@
 // C tile in registers across the whole KC panel and touches C once per
 // panel. Variants: AVX2+FMA and NEON intrinsics selected at runtime when
 // compiled in, with a portable autovectorized kernel as fallback.
-//
-// Kernel selection for the public Gemm() entry point is controlled by
-// EXACLIM_GEMM_KERNEL={auto,packed,reference} (SetGemmKernelMode overrides
-// programmatically); `reference` keeps the pre-engine blocked walk for
-// A/B testing and bisection.
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 namespace exaclim {
-
-// ------------------------------------------------- kernel selection -----
-
-enum class GemmKernelMode {
-  kAuto,       // currently identical to kPacked
-  kPacked,     // the packed microkernel engine
-  kReference,  // pre-engine cache-blocked walk (gemm.cpp)
-};
-
-const char* ToString(GemmKernelMode mode);
-
-/// Parses "auto" / "packed" / "reference"; nullopt on anything else.
-std::optional<GemmKernelMode> ParseGemmKernelMode(std::string_view value);
-
-/// Mode in use by Gemm(): the programmatic override if set, else
-/// EXACLIM_GEMM_KERNEL (parsed once), else kAuto. Unparsable env values
-/// fall back to kAuto.
-GemmKernelMode GemmKernelModeInUse();
-
-/// Programmatic override (benches and the fuzz tests flip this per run).
-void SetGemmKernelMode(GemmKernelMode mode);
-
-/// True when the packed engine serves Gemm() (mode != kReference). Call
-/// sites that maintain prepacked operands (conv weight panels) key off
-/// this so EXACLIM_GEMM_KERNEL=reference A/B-tests the whole layer path.
-bool GemmUsesPackedEngine();
 
 /// Name of the microkernel variant the packed engine dispatches to on
 /// this machine: "avx2-fma", "neon" or "portable".
@@ -233,17 +200,10 @@ class PackedGemmA {
 
 // ------------------------------------------------------- entry points ---
 
-/// Packed-engine GEMM: C(m,n) = alpha*op(A)*op(B) + beta*C, row-major.
-/// Semantics match Gemm() exactly (beta == 0 overwrites C without reading
-/// it). Parallelised over MR-strips of C via ThreadPool::Global(); the
-/// per-element FP contraction order is fixed by the KC walk and never
-/// depends on the thread count or partition.
-void GemmPacked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-                std::int64_t k, float alpha, const float* a, const float* b,
-                float beta, float* c);
-
-/// Same, with the left operand prepacked (alpha folded at Pack time).
-/// A non-empty `epi` folds the epilogue into the final-KC-panel merge;
+/// Gemm() (tensor/gemm.hpp) packs both operands on every call; the entry
+/// points below take the left operand prepacked instead.
+///
+/// C(m,n) = A*op(B) + beta*C, alpha folded into A at Pack time. A non-empty `epi` folds the epilogue into the final-KC-panel merge;
 /// it requires beta in {0, 1} and k > 0.
 void GemmPackedWithA(const PackedGemmA& a, bool trans_b, std::int64_t n,
                      const float* b, float beta, float* c,

@@ -246,12 +246,6 @@ struct FusionGuard {
   ~FusionGuard() { SetConvFusion(saved); }
 };
 
-/// Restores the GEMM kernel mode on scope exit.
-struct KernelModeGuard {
-  GemmKernelMode saved = GemmKernelModeInUse();
-  ~KernelModeGuard() { SetGemmKernelMode(saved); }
-};
-
 std::vector<float> Snapshot(const Tensor& t) {
   return {t.Data().begin(), t.Data().end()};
 }
@@ -412,18 +406,6 @@ TEST(ConvFusion, DirectAlgorithmFallsBackToBnSweep) {
                           kChainDirect, /*train=*/true);
   ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
                           kChainDirect, /*train=*/false);
-}
-
-// Under EXACLIM_GEMM_KERNEL=reference there is no packed engine: fusion
-// degrades to the BN-sweep path (no GEMM epilogue) and must still be
-// bit-identical — the ci.sh A/B runs this whole suite in that mode.
-TEST(ConvFusion, ReferenceKernelFallbackMatchesUnfused) {
-  KernelModeGuard guard;
-  SetGemmKernelMode(GemmKernelMode::kReference);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true, kChain3x3,
-                          /*train=*/true);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true, kChain3x3,
-                          /*train=*/false);
 }
 
 // ------------- TSan stress: the fused path's threaded writebacks --------

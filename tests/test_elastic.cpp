@@ -16,11 +16,13 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/collectives.hpp"
 #include "comm/elastic.hpp"
 #include "comm/world.hpp"
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "hvd/hybrid.hpp"
 #include "obs/metrics.hpp"
@@ -79,6 +81,56 @@ TEST(ElasticOptionsEnv, FromEnvOverridesProgrammaticOptions) {
   ::unsetenv("EXACLIM_ELASTIC_TIMEOUT");
   ::unsetenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT");
   EXPECT_FALSE(ElasticOptions::FromEnv(ElasticOptions{}).enabled);
+
+  // Every documented spelling is accepted with its meaning...
+  for (const auto& [value, on] : std::vector<std::pair<const char*, bool>>{
+           {"on", true}, {"1", true}, {"true", true},
+           {"off", false}, {"0", false}, {"false", false}}) {
+    ::setenv("EXACLIM_ELASTIC", value, 1);
+    ElasticOptions flipped;
+    flipped.enabled = !on;
+    EXPECT_EQ(ElasticOptions::FromEnv(flipped).enabled, on) << value;
+  }
+  ::unsetenv("EXACLIM_ELASTIC");
+  ::setenv("EXACLIM_ELASTIC_TIMEOUT", "1e-3", 1);
+  ::setenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT", "30", 1);
+  const ElasticOptions numbers = ElasticOptions::FromEnv(ElasticOptions{});
+  EXPECT_DOUBLE_EQ(numbers.collective_timeout_s, 1e-3);
+  EXPECT_DOUBLE_EQ(numbers.rebuild_timeout_s, 30.0);
+  ::unsetenv("EXACLIM_ELASTIC_TIMEOUT");
+  ::unsetenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT");
+
+  // ...and anything else fails with an Error naming the variable, instead
+  // of silently meaning something else or escaping as a std::stod error.
+  for (const auto& [name, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"EXACLIM_ELASTIC", "no"},
+           {"EXACLIM_ELASTIC", "yes"},
+           {"EXACLIM_ELASTIC", ""},
+           {"EXACLIM_ELASTIC_TIMEOUT", "abc"},
+           {"EXACLIM_ELASTIC_TIMEOUT", "5s"},
+           {"EXACLIM_ELASTIC_TIMEOUT", "-1"},
+           {"EXACLIM_ELASTIC_TIMEOUT", "0"},
+           {"EXACLIM_ELASTIC_TIMEOUT", "nan"},
+           {"EXACLIM_ELASTIC_TIMEOUT", "inf"},
+           {"EXACLIM_ELASTIC_TIMEOUT", ""},
+           {"EXACLIM_ELASTIC_REBUILD_TIMEOUT", "abc"},
+           {"EXACLIM_ELASTIC_REBUILD_TIMEOUT", "2.5 "},
+           {"EXACLIM_ELASTIC_REBUILD_TIMEOUT", "0"}}) {
+    ::setenv(name, value, 1);
+    std::string what;
+    try {
+      (void)ElasticOptions::FromEnv(ElasticOptions{});
+    } catch (const Error& e) {
+      what = e.what();
+    } catch (const std::exception& e) {
+      what = std::string("non-Error exception: ") + e.what();
+    }
+    ::unsetenv(name);
+    EXPECT_NE(what.find(name), std::string::npos)
+        << name << "='" << value << "' gave: '" << what << "'";
+    EXPECT_EQ(what.find("non-Error"), std::string::npos) << what;
+  }
 }
 
 // ------------------------------------------------------------ Deadline --

@@ -54,53 +54,9 @@ void ExpectNear(const std::vector<float>& got, const std::vector<float>& want,
   }
 }
 
-/// Forces a kernel mode for the scope of one test section.
-class ModeGuard {
- public:
-  explicit ModeGuard(GemmKernelMode mode) : saved_(GemmKernelModeInUse()) {
-    SetGemmKernelMode(mode);
-  }
-  ~ModeGuard() { SetGemmKernelMode(saved_); }
-  ModeGuard(const ModeGuard&) = delete;
-  ModeGuard& operator=(const ModeGuard&) = delete;
+// ---------------------------------------------------- microkernel ------
 
- private:
-  GemmKernelMode saved_;
-};
-
-constexpr GemmKernelMode kBothModes[] = {GemmKernelMode::kPacked,
-                                         GemmKernelMode::kReference};
-
-// ---------------------------------------------------- mode plumbing -----
-
-TEST(GemmKernelMode, ParseAndToString) {
-  EXPECT_EQ(ParseGemmKernelMode("auto"), GemmKernelMode::kAuto);
-  EXPECT_EQ(ParseGemmKernelMode("packed"), GemmKernelMode::kPacked);
-  EXPECT_EQ(ParseGemmKernelMode("reference"), GemmKernelMode::kReference);
-  EXPECT_FALSE(ParseGemmKernelMode("").has_value());
-  EXPECT_FALSE(ParseGemmKernelMode("fast").has_value());
-  EXPECT_FALSE(ParseGemmKernelMode("Packed").has_value());
-  for (const GemmKernelMode mode :
-       {GemmKernelMode::kAuto, GemmKernelMode::kPacked,
-        GemmKernelMode::kReference}) {
-    EXPECT_EQ(ParseGemmKernelMode(ToString(mode)), mode);
-  }
-}
-
-TEST(GemmKernelMode, SetAndQuery) {
-  const GemmKernelMode saved = GemmKernelModeInUse();
-  SetGemmKernelMode(GemmKernelMode::kReference);
-  EXPECT_EQ(GemmKernelModeInUse(), GemmKernelMode::kReference);
-  EXPECT_FALSE(GemmUsesPackedEngine());
-  SetGemmKernelMode(GemmKernelMode::kPacked);
-  EXPECT_EQ(GemmKernelModeInUse(), GemmKernelMode::kPacked);
-  EXPECT_TRUE(GemmUsesPackedEngine());
-  SetGemmKernelMode(GemmKernelMode::kAuto);
-  EXPECT_TRUE(GemmUsesPackedEngine());
-  SetGemmKernelMode(saved);
-}
-
-TEST(GemmKernelMode, MicroKernelNameIsKnown) {
+TEST(GemmMicroKernel, NameIsKnown) {
   const std::string name = GemmMicroKernelName();
   EXPECT_TRUE(name == "avx2-fma" || name == "neon" || name == "portable")
       << name;
@@ -118,19 +74,15 @@ TEST(GemmKernelFuzz, TransposeAlphaBetaSweep) {
   const std::vector<float> a = RandomVec(rng, m * k);
   const std::vector<float> b = RandomVec(rng, k * n);
   const std::vector<float> c0 = RandomVec(rng, m * n);
-  for (const GemmKernelMode mode : kBothModes) {
-    const ModeGuard guard(mode);
-    for (const bool ta : {false, true}) {
-      for (const bool tb : {false, true}) {
-        for (const float alpha : {0.0f, 1.0f, -0.5f}) {
-          for (const float beta : {0.0f, 1.0f, 0.7f}) {
-            const std::vector<float> want =
-                NaiveGemm(ta, tb, m, n, k, alpha, a, b, beta, c0);
-            std::vector<float> got = c0;
-            Gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta,
-                 got.data());
-            ExpectNear(got, want, Tol(k), ToString(mode));
-          }
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      for (const float alpha : {0.0f, 1.0f, -0.5f}) {
+        for (const float beta : {0.0f, 1.0f, 0.7f}) {
+          const std::vector<float> want =
+              NaiveGemm(ta, tb, m, n, k, alpha, a, b, beta, c0);
+          std::vector<float> got = c0;
+          Gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta, got.data());
+          ExpectNear(got, want, Tol(k), "sweep");
         }
       }
     }
@@ -138,7 +90,7 @@ TEST(GemmKernelFuzz, TransposeAlphaBetaSweep) {
 }
 
 // Randomized shapes drawn from the edge-hunting set: sizes straddling MR,
-// NR, KC and the reference kernel's block sizes.
+// NR, KC and the 64-wide blocks of common layer shapes.
 TEST(GemmKernelFuzz, RandomShapes) {
   constexpr std::int64_t kSizes[] = {1, 2, 3, 5, 17, 63, 64, 65, 257};
   constexpr std::int64_t kMaxElems = 1 << 22;  // per-trial m*n*k budget
@@ -161,12 +113,9 @@ TEST(GemmKernelFuzz, RandomShapes) {
     const std::vector<float> c0 = RandomVec(rng, m * n);
     const std::vector<float> want =
         NaiveGemm(ta, tb, m, n, k, alpha, a, b, beta, c0);
-    for (const GemmKernelMode mode : kBothModes) {
-      const ModeGuard guard(mode);
-      std::vector<float> got = c0;
-      Gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta, got.data());
-      ExpectNear(got, want, Tol(k), ToString(mode));
-    }
+    std::vector<float> got = c0;
+    Gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta, got.data());
+    ExpectNear(got, want, Tol(k), "random shape");
   }
 }
 
@@ -179,14 +128,11 @@ TEST(GemmKernelFuzz, BetaZeroIgnoresPoisonedC) {
   const std::vector<float> want = NaiveGemm(
       false, false, m, n, k, 1.0f, a, b, 0.0f,
       std::vector<float>(static_cast<std::size_t>(m * n), 0.0f));
-  for (const GemmKernelMode mode : kBothModes) {
-    const ModeGuard guard(mode);
-    std::vector<float> got(static_cast<std::size_t>(m * n),
-                           std::numeric_limits<float>::quiet_NaN());
-    Gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
-    for (const float v : got) ASSERT_FALSE(std::isnan(v)) << ToString(mode);
-    ExpectNear(got, want, Tol(k), ToString(mode));
-  }
+  std::vector<float> got(static_cast<std::size_t>(m * n),
+                         std::numeric_limits<float>::quiet_NaN());
+  Gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, got.data());
+  for (const float v : got) ASSERT_FALSE(std::isnan(v));
+  ExpectNear(got, want, Tol(k), "poisoned C");
 }
 
 // alpha == 0 and k == 0 both degenerate to C *= beta, with no A/B reads.
@@ -194,19 +140,15 @@ TEST(GemmKernelFuzz, DegenerateScaleOnly) {
   const std::int64_t m = 17, n = 33;
   Rng rng(404);
   const std::vector<float> c0 = RandomVec(rng, m * n);
-  for (const GemmKernelMode mode : kBothModes) {
-    const ModeGuard guard(mode);
-    std::vector<float> got = c0;
-    Gemm(false, false, m, n, /*k=*/0, 1.0f, nullptr, nullptr, 0.7f,
-         got.data());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_FLOAT_EQ(got[i], 0.7f * c0[i]);
-    }
-    got = c0;
-    Gemm(false, false, m, n, /*k=*/64, 0.0f, nullptr, nullptr, 0.0f,
-         got.data());
-    for (const float v : got) ASSERT_EQ(v, 0.0f);
+  std::vector<float> got = c0;
+  Gemm(false, false, m, n, /*k=*/0, 1.0f, nullptr, nullptr, 0.7f, got.data());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_FLOAT_EQ(got[i], 0.7f * c0[i]);
   }
+  got = c0;
+  Gemm(false, false, m, n, /*k=*/64, 0.0f, nullptr, nullptr, 0.0f,
+       got.data());
+  for (const float v : got) ASSERT_EQ(v, 0.0f);
 }
 
 // ------------------------------------------------- prepacked operand ----
@@ -221,8 +163,8 @@ TEST(GemmKernelPrepack, MatchesOnTheFlyPath) {
     for (const float alpha : {1.0f, -0.5f}) {
       for (const float beta : {0.0f, 0.7f}) {
         std::vector<float> want = c0;
-        GemmPacked(ta, false, m, n, k, alpha, a.data(), b.data(), beta,
-                   want.data());
+        Gemm(ta, false, m, n, k, alpha, a.data(), b.data(), beta,
+             want.data());
         PackedGemmA packed;
         packed.Pack(ta, m, k, alpha, a.data());
         EXPECT_EQ(packed.m(), m);
@@ -258,7 +200,6 @@ TEST(GemmKernelPrepack, ReusableAcrossManyRightOperands) {
 // ------------------------------------------------- scratch workspace ----
 
 TEST(GemmKernelScratch, PackBuffersReusedNotReallocated) {
-  const ModeGuard guard(GemmKernelMode::kPacked);
   const std::int64_t m = 64, n = 128, k = 128;
   Rng rng(707);
   const std::vector<float> a = RandomVec(rng, m * k);

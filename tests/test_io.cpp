@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "comm/world.hpp"
+#include "common/alloc_tracker.hpp"
 #include "common/error.hpp"
 #include "data/climate.hpp"
 #include "io/ncf.hpp"
@@ -86,6 +87,116 @@ TEST(Ncf, RejectsGarbageFile) {
 
 TEST(Ncf, MissingFileThrows) {
   EXPECT_THROW(NcfReader reader("/nonexistent/path.ncf"), Error);
+}
+
+// ------------------------------------------- crafted (hostile) headers --
+
+/// Raw NCF bytes, laid out field by field like NcfWriter::Finish.
+class RawNcf {
+ public:
+  RawNcf& U32(std::uint32_t v) { return Put(&v, sizeof(v)); }
+  RawNcf& U64(std::uint64_t v) { return Put(&v, sizeof(v)); }
+  RawNcf& Str(const std::string& s) { return Put(s.data(), s.size()); }
+  RawNcf& Magic() { return Str("NCF1"); }
+  void WriteTo(const fs::path& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+  }
+
+ private:
+  RawNcf& Put(const void* p, std::size_t n) {
+    const auto* c = static_cast<const char*>(p);
+    bytes_.insert(bytes_.end(), c, c + n);
+    return *this;
+  }
+  std::vector<char> bytes_;
+};
+
+/// Opens `path` and reads every dataset it lists as floats. Expects an
+/// Error naming `what`, thrown without any large allocation on the way.
+void ExpectRejectedCheaply(const fs::path& path, const std::string& what) {
+  SetAllocTracking(true);
+  const AllocCounters before = ThreadAllocCounters();
+  std::string message;
+  try {
+    NcfReader reader(path);
+    for (const std::string& name : reader.Names()) {
+      (void)reader.ReadFloat(name);
+    }
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  const AllocCounters after = ThreadAllocCounters();
+  SetAllocTracking(false);
+  EXPECT_NE(message.find(what), std::string::npos)
+      << "expected an Error about '" << what << "', got '" << message << "'";
+  EXPECT_LT(after.bytes - before.bytes, 1 << 20) << message;
+}
+
+TEST(Ncf, RejectsHugeNameLength) {
+  TempDir tmp;
+  const auto path = tmp / "name.ncf";
+  // Room for one entry, but not for a 4 GiB name.
+  RawNcf()
+      .Magic()
+      .U32(1)
+      .U32(0xFFFFFFFFu)
+      .Str(std::string(64, 'x'))
+      .WriteTo(path);
+  ExpectRejectedCheaply(path, "dataset name of 4294967295 bytes");
+}
+
+TEST(Ncf, RejectsHugeDatasetCount) {
+  TempDir tmp;
+  const auto path = tmp / "count.ncf";
+  RawNcf().Magic().U32(0xFFFFFFFFu).U32(1).Str("x").WriteTo(path);
+  ExpectRejectedCheaply(path, "header lists 4294967295 datasets");
+}
+
+TEST(Ncf, RejectsOverflowingElementCount) {
+  // 2^62 + 1 floats: count * sizeof(float) wraps to 4 bytes in 64 bits,
+  // which the 8-byte payload would satisfy if the product were formed.
+  TempDir tmp;
+  const auto path = tmp / "overflow.ncf";
+  const std::uint64_t header = 8 + 4 + 1 + 4 + 8 + 8;
+  RawNcf()
+      .Magic()
+      .U32(1)
+      .U32(1)
+      .Str("x")
+      .U32(0)
+      .U64((std::uint64_t{1} << 62) + 1)
+      .U64(header)
+      .U64(0)
+      .WriteTo(path);
+  ExpectRejectedCheaply(path, "runs past the end of the file");
+}
+
+TEST(Ncf, RejectsOffsetPastEof) {
+  TempDir tmp;
+  const auto path = tmp / "offset.ncf";
+  RawNcf()
+      .Magic()
+      .U32(1)
+      .U32(1)
+      .Str("x")
+      .U32(0)
+      .U64(1)
+      .U64(1000)
+      .U32(0)
+      .WriteTo(path);
+  ExpectRejectedCheaply(path, "runs past the end of the file");
+}
+
+TEST(Ncf, RejectsHeaderTruncatedMidEntry) {
+  TempDir tmp;
+  const auto path = tmp / "truncated.ncf";
+  NcfWriter writer(path);
+  writer.AddFloat("field", std::vector<float>{1.0f, 2.0f});
+  writer.Finish();
+  // One byte short of the full header (8 + 4 + 5 + 4 + 8 + 8 bytes).
+  fs::resize_file(path, 36);
+  ExpectRejectedCheaply(path, "runs past the end of the header");
 }
 
 TEST(SampleIo, ClimateSampleRoundTrip) {
