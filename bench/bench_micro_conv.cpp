@@ -19,10 +19,12 @@
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/conv_engine.hpp"
+#include "nn/im2col.hpp"
 #include "nn/norm.hpp"
 #include "nn/sequential.hpp"
 #include "obs/bench_report.hpp"
 #include "stats/stats.hpp"
+#include "tensor/gemm_kernel.hpp"
 
 namespace exaclim {
 namespace {
@@ -157,9 +159,10 @@ void RunEngineComparison(obs::BenchReport& report) {
   }
 }
 
-double TimeForwardMs(Layer& layer, const Tensor& x) {
+template <typename Forward>
+double TimeMs(Forward&& forward) {
   const auto start = Clock::now();
-  Tensor y = layer.Forward(x, false);
+  Tensor y = forward();
   benchmark::DoNotOptimize(y.Raw());
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -167,9 +170,62 @@ double TimeForwardMs(Layer& layer, const Tensor& x) {
 
 // -------------------------------------- implicit GEMM vs im2col --------
 
-// Forward timing of the implicit B-panel gather against the materialized
-// im2col lowering (bit-identical outputs, so this is a pure perf A/B),
-// plus the col-buffer footprint the implicit path eliminates per image.
+// The materialized im2col lowering that the implicit B-panel gather
+// replaced, composed from the pieces conv backward still uses: per image,
+// Im2ColFromRows into the shard's col buffer, then out = W @ col on the
+// prepacked weight panels with the bias folded into the epilogue. Same
+// shards, packing and epilogue as Conv2d's forward (bit-identical
+// output), so the A/B isolates where the B panels come from.
+class Im2ColForward {
+ public:
+  explicit Im2ColForward(Conv2d& conv) : conv_(conv) {}
+
+  Tensor Run(const Tensor& x) {
+    const Conv2d::Options& o = conv_.options();
+    ConvGeometry g;
+    g.in_c = o.in_c;
+    g.in_h = x.shape().h();
+    g.in_w = x.shape().w();
+    g.k_h = g.k_w = o.kernel;
+    g.stride = o.stride;
+    g.pad = o.pad;
+    g.dilation = o.dilation;
+    Tensor output(conv_.OutputShape(x.shape()));
+    const std::int64_t batch = x.shape().n();
+    const std::int64_t shards = ConvGradShards(batch);
+    workspace_.Configure(shards, g.PatchSize() * g.OutPixels(),
+                         /*grad_col_elems=*/0, /*weight_elems=*/0,
+                         /*bias_elems=*/0);
+    const GemmImplicitRow* rows = workspace_.ImplicitRows(g);
+    packed_.Pack(false, o.out_c, g.PatchSize(), 1.0f,
+                 conv_.weight().value.Raw());
+    GemmEpilogue epi;
+    if (o.bias) epi.bias = conv_.Params().at(1)->value.Raw();
+    const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
+    const std::int64_t out_stride = o.out_c * g.OutPixels();
+    RunConvShards(shards, [&](std::int64_t s) {
+      const ConvShardRange images = ShardImageRange(batch, shards, s);
+      float* col = workspace_.Col(s);
+      for (std::int64_t n = images.lo; n < images.hi; ++n) {
+        Im2ColFromRows(g, rows, x.Raw() + n * in_stride, col);
+        GemmPackedWithA(packed_, false, g.OutPixels(), col, 0.0f,
+                        output.Raw() + n * out_stride,
+                        o.bias ? &epi : nullptr);
+      }
+    });
+    return output;
+  }
+
+ private:
+  Conv2d& conv_;
+  ConvWorkspace workspace_;
+  PackedGemmA packed_;
+};
+
+// Forward timing of the implicit B-panel gather (Conv2d's forward)
+// against the composed im2col lowering (bit-identical outputs, so this is
+// a pure perf A/B), plus the col-buffer footprint the implicit path
+// eliminates per image.
 void RunImplicitComparison(obs::BenchReport& report) {
   constexpr int kRounds = 7;
   struct Shape {
@@ -195,23 +251,22 @@ void RunImplicitComparison(obs::BenchReport& report) {
     Rng xrng(3);
     const Tensor x = Tensor::Uniform(
         TensorShape::NCHW(s.batch, s.opts.in_c, s.h, s.w), xrng, -1, 1);
+    Rng rng(2);
+    Conv2d conv("c", s.opts, rng);
+    Im2ColForward im2col(conv);
+    const TensorShape out = conv.OutputShape(x.shape());
+    const std::int64_t col_bytes =
+        s.opts.in_c * s.opts.kernel * s.opts.kernel * out.h() * out.w() *
+        static_cast<std::int64_t>(sizeof(float));
     double medians[2] = {0, 0};
-    std::int64_t col_bytes = 0;
     for (const bool implicit : {false, true}) {
-      Conv2d::Options opts = s.opts;
-      opts.algorithm = implicit ? ConvAlgorithm::kImplicitGemm
-                                : ConvAlgorithm::kIm2Col;
-      Rng rng(2);
-      Conv2d conv("c", opts, rng);
-      const TensorShape out = conv.OutputShape(x.shape());
-      col_bytes = s.opts.in_c * opts.kernel * opts.kernel * out.h() *
-                  out.w() * static_cast<std::int64_t>(sizeof(float));
-      (void)TimeForwardMs(conv, x);  // warm-up (workspace + row tables)
+      const auto forward = [&] {
+        return implicit ? conv.Forward(x, false) : im2col.Run(x);
+      };
+      (void)TimeMs(forward);  // warm-up (workspace + row tables)
       std::vector<double> times;
       times.reserve(kRounds);
-      for (int r = 0; r < kRounds; ++r) {
-        times.push_back(TimeForwardMs(conv, x));
-      }
+      for (int r = 0; r < kRounds; ++r) times.push_back(TimeMs(forward));
       const std::string metric = std::string("conv_") +
                                  (implicit ? "implicit_" : "im2col_") +
                                  s.name + "_ms";
@@ -261,12 +316,11 @@ void RunFusionComparison(obs::BenchReport& report) {
       seq.Emplace<BatchNorm2d>("bn", s.opts.out_c);
       seq.Emplace<ReLU>("r");
       (void)seq.Forward(x, true);   // warm running stats + buffers
-      (void)TimeForwardMs(seq, x);  // warm the eval path
+      const auto forward = [&] { return seq.Forward(x, false); };
+      (void)TimeMs(forward);  // warm the eval path
       std::vector<double> times;
       times.reserve(kRounds);
-      for (int r = 0; r < kRounds; ++r) {
-        times.push_back(TimeForwardMs(seq, x));
-      }
+      for (int r = 0; r < kRounds; ++r) times.push_back(TimeMs(forward));
       const std::string metric = std::string("conv_") +
                                  (fuse ? "fused_" : "unfused_") + s.name +
                                  "_eval_ms";

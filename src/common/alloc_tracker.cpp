@@ -64,13 +64,27 @@ thread_local ScopedAllocCheck* t_region_head = nullptr;
 // skip the region-chain walk entirely in the common census-only case.
 thread_local int t_assert_depth = 0;
 
+bool EnvIs(const char* env, const char* a, const char* b, const char* c) {
+  return std::strcmp(env, a) == 0 || std::strcmp(env, b) == 0 ||
+         std::strcmp(env, c) == 0;
+}
+
+// ParseEnvSwitch's spellings plus "strict". Runs inside operator new, so
+// it cannot throw or allocate: a bad value is reported with fputs and
+// aborts, like a strict-mode violation.
 int InitModeFromEnv() {
   int mode = kModeOff;
   if (const char* env = std::getenv("EXACLIM_ALLOC_TRACK")) {
     if (std::strcmp(env, "strict") == 0) {
       mode = kModeStrict;
-    } else if (*env != '\0' && std::strcmp(env, "0") != 0) {
+    } else if (EnvIs(env, "on", "1", "true")) {
       mode = kModeOn;
+    } else if (!EnvIs(env, "off", "0", "false")) {
+      std::fputs("EXACLIM_ALLOC_TRACK='", stderr);
+      std::fputs(env, stderr);
+      std::fputs("': expected on|off|1|0|true|false|strict; aborting\n",
+                 stderr);
+      std::abort();
     }
   }
   int expected = kModeUninit;

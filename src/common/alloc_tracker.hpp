@@ -36,8 +36,10 @@ namespace exaclim {
 // ------------------------------------------------------------- toggles --
 
 /// Whether the interposed operators are counting. Seeded from
-/// EXACLIM_ALLOC_TRACK on first allocation (unset/"0" off, "strict" fatal
-/// no-alloc violations, anything else on).
+/// EXACLIM_ALLOC_TRACK on first allocation: unset or off|0|false off,
+/// on|1|true on, strict on with fatal no-alloc violations; any other
+/// value aborts the process (the read happens inside operator new, so it
+/// cannot throw).
 bool AllocTrackingEnabled();
 
 /// True only under EXACLIM_ALLOC_TRACK=strict: a no-alloc region that saw

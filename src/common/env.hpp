@@ -1,10 +1,15 @@
 #pragma once
 
 // Strict grammar shared by every EXACLIM_* knob that takes a switch or a
-// number. Call sites keep their own std::getenv("EXACLIM_...") (so the
-// env-prefix lint rule sees every name) and hand the raw value here.
-// A value outside the grammar fails with an EXACLIM_CHECK naming the
-// variable, instead of silently meaning something else.
+// number (THREADS, POOL, OVERLAP, FUSION_BYTES, ELASTIC and its two
+// timeouts). Call sites keep their own std::getenv("EXACLIM_...") (so
+// the env-prefix and env-documented lint rules see every name) and hand
+// the raw value here. A value outside the grammar fails with an
+// EXACLIM_CHECK naming the variable, instead of silently meaning
+// something else. EXACLIM_ALLOC_TRACK accepts the same switch spellings
+// plus "strict", but is read inside operator new, where throwing is not
+// an option, so common/alloc_tracker.cpp matches them with strcmp and
+// aborts on anything else.
 
 #include <cstdint>
 #include <string_view>

@@ -3,10 +3,10 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
@@ -43,15 +43,15 @@ BlockHeader* HeaderOf(float* payload) {
                                         kHeaderBytes);
 }
 
-constexpr std::int32_t kMaxBuckets = 40;
+// Size classes: the largest holds kMinBucketElems << 25 floats (8 GiB).
+constexpr std::int32_t kBucketCount = 26;
 
 // ------------------------------------------------------------- knobs --
 
 std::atomic<bool>& EnabledFlag() {
   static std::atomic<bool> flag([] {
     const char* env = std::getenv("EXACLIM_POOL");
-    return env == nullptr ||
-           (std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0);
+    return env == nullptr || ParseEnvSwitch("EXACLIM_POOL", env);
   }());
   return flag;
 }
@@ -66,7 +66,7 @@ std::atomic<bool>& EnabledFlag() {
 // leaked.
 struct CentralPool {
   Mutex mutex;
-  std::array<BlockHeader*, kMaxBuckets> free_lists
+  std::array<BlockHeader*, kBucketCount> free_lists
       EXACLIM_GUARDED_BY(mutex){};
   std::vector<const float*> registry EXACLIM_GUARDED_BY(mutex);
 };
@@ -101,15 +101,15 @@ void NoteLiveDelta(std::int64_t delta) {
 constexpr std::int32_t kMaxCachedPerBucket = 8;
 
 struct ThreadCache {
-  std::array<BlockHeader*, kMaxBuckets> free_lists{};
-  std::array<std::int32_t, kMaxBuckets> counts{};
+  std::array<BlockHeader*, kBucketCount> free_lists{};
+  std::array<std::int32_t, kBucketCount> counts{};
 
   ~ThreadCache() { Flush(); }
 
   void Flush() {
     CentralPool& central = Central();
     MutexLock lock(central.mutex);
-    for (std::int32_t b = 0; b < kMaxBuckets; ++b) {
+    for (std::int32_t b = 0; b < kBucketCount; ++b) {
       while (free_lists[static_cast<std::size_t>(b)] != nullptr) {
         BlockHeader* h = free_lists[static_cast<std::size_t>(b)];
         free_lists[static_cast<std::size_t>(b)] = h->next;
@@ -189,19 +189,7 @@ void SetPoolEnabled(bool enabled) {
   EnabledFlag().store(enabled, std::memory_order_relaxed);
 }
 
-std::int32_t PoolBucketCount() {
-  static const std::int32_t count = [] {
-    if (const char* env = std::getenv("EXACLIM_POOL_BUCKETS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v >= 1 && v <= kMaxBuckets) {
-        return static_cast<std::int32_t>(v);
-      }
-    }
-    return std::int32_t{26};
-  }();
-  return count;
-}
+std::int32_t PoolBucketCount() { return kBucketCount; }
 
 std::int32_t PoolBucketIndex(std::size_t elems) {
   std::size_t cap = kMinBucketElems;
@@ -210,11 +198,11 @@ std::int32_t PoolBucketIndex(std::size_t elems) {
     cap <<= 1;
     ++bucket;
   }
-  return bucket < PoolBucketCount() ? bucket : kPoolBucketHeap;
+  return bucket < kBucketCount ? bucket : kPoolBucketHeap;
 }
 
 std::size_t PoolBucketElems(std::int32_t bucket) {
-  EXACLIM_CHECK(bucket >= 0 && bucket < kMaxBuckets,
+  EXACLIM_CHECK(bucket >= 0 && bucket < kBucketCount,
                 "bucket " << bucket << " out of range");
   return kMinBucketElems << bucket;
 }

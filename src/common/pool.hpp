@@ -16,8 +16,8 @@
 //
 // Bucket policy: capacities are kMinBucketElems << bucket (64 floats,
 // 128, 256, ... — power-of-two rounding). Requests above the largest
-// bucket (EXACLIM_POOL_BUCKETS size classes, default 26 -> 8 GiB) and all
-// requests with EXACLIM_POOL=off bypass the pool entirely and use plain
+// bucket (26 size classes -> 8 GiB) and all requests with
+// EXACLIM_POOL=off bypass the pool entirely and use plain
 // operator new[], preserving pre-pool behaviour for bisection.
 //
 // Registry contract: every pooled block is created by ::operator new (so
@@ -32,11 +32,11 @@ namespace exaclim {
 // ------------------------------------------------------------- toggles --
 
 /// Whether AcquirePoolBuffer serves from the arena. Seeded from
-/// EXACLIM_POOL on first use (unset/"on"/"1" enabled; "off"/"0"
-/// disabled). The flag is consulted at acquire time only: a buffer
-/// always releases to wherever it came from (its bucket id), so the
-/// switch may flip between phases without corrupting outstanding
-/// handles.
+/// EXACLIM_POOL on first use: unset or on|1|true enable it, off|0|false
+/// disable it, anything else fails (common/env.hpp). The flag is
+/// consulted at acquire time only: a buffer always releases to wherever
+/// it came from (its bucket id), so the switch may flip between phases
+/// without corrupting outstanding handles.
 bool PoolEnabled();
 
 /// Programmatic override of the env default (tests, benches).
@@ -50,8 +50,7 @@ inline constexpr std::size_t kMinBucketElems = 64;
 /// Bucket id of a direct-heap (non-pooled) buffer.
 inline constexpr std::int32_t kPoolBucketHeap = -1;
 
-/// Number of size classes: EXACLIM_POOL_BUCKETS, default 26, clamped to
-/// [1, 40]. Read once on first use.
+/// Number of size classes: 26 (the largest holds 8 GiB).
 std::int32_t PoolBucketCount();
 
 /// Size class serving a request of `elems` floats, or kPoolBucketHeap

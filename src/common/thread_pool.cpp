@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/sync.hpp"
 
@@ -168,14 +169,10 @@ bool ThreadPool::InParallelRegion() { return tls_parallel_depth > 0; }
 
 ThreadPool& ThreadPool::Global() {
   static ThreadPool pool([] {
-    if (const char* env = std::getenv("EXACLIM_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v > 0) {
-        return static_cast<std::size_t>(v);
-      }
-    }
-    return std::size_t{0};  // hardware_concurrency
+    const char* env = std::getenv("EXACLIM_THREADS");
+    return env == nullptr ? std::size_t{0}  // hardware_concurrency
+                          : static_cast<std::size_t>(ParseEnvPositiveInt(
+                                "EXACLIM_THREADS", env));
   }());
   return pool;
 }

@@ -57,8 +57,8 @@ class ThreadPool {
   static bool InParallelRegion();
 
   /// Process-wide pool shared by tensor kernels. Sized from
-  /// EXACLIM_THREADS when set (a positive integer), else from
-  /// std::thread::hardware_concurrency().
+  /// EXACLIM_THREADS when set (a positive integer — anything else fails,
+  /// common/env.hpp), else from std::thread::hardware_concurrency().
   static ThreadPool& Global();
 
  private:

@@ -1,8 +1,6 @@
 #include "nn/conv.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -10,20 +8,6 @@
 
 namespace exaclim {
 namespace {
-
-std::atomic<ConvAlgorithm>& DefaultAlgorithmFlag() {
-  static std::atomic<ConvAlgorithm> flag([] {
-    const char* env = std::getenv("EXACLIM_CONV_ALGO");
-    if (env == nullptr) return ConvAlgorithm::kAuto;
-    const auto parsed = ParseConvAlgorithm(env);
-    EXACLIM_CHECK(parsed.has_value(),
-                  "EXACLIM_CONV_ALGO='"
-                      << env << "': expected auto|im2col|implicit|"
-                                "implicit-gemm|direct");
-    return *parsed;
-  }());
-  return flag;
-}
 
 // "Same" padding must grow with the dilated (effective) kernel, or an
 // ASPP-style dilated conv with the default pad silently shrinks its
@@ -40,68 +24,18 @@ float PlaneSum(const float* plane, std::int64_t count) {
   return static_cast<float>(acc);
 }
 
-// Naive direct convolution of one image (used when kDirect is forced on a
-// non-pointwise geometry): no patch buffer, pure loops.
-void DirectConvImage(const ConvGeometry& g, std::int64_t out_c,
-                     const float* image, const float* weight, float* out) {
-  const std::int64_t out_h = g.OutH(), out_w = g.OutW();
-  const std::int64_t patch = g.PatchSize();
-  for (std::int64_t oc = 0; oc < out_c; ++oc) {
-    const float* w_oc = weight + oc * patch;
-    float* plane = out + oc * out_h * out_w;
-    for (std::int64_t oy = 0; oy < out_h; ++oy) {
-      for (std::int64_t ox = 0; ox < out_w; ++ox) {
-        double acc = 0.0;
-        std::int64_t w_idx = 0;
-        for (std::int64_t c = 0; c < g.in_c; ++c) {
-          const float* in_plane = image + c * g.in_h * g.in_w;
-          for (std::int64_t ky = 0; ky < g.k_h; ++ky) {
-            const std::int64_t iy = oy * g.stride + ky * g.dilation - g.pad;
-            for (std::int64_t kx = 0; kx < g.k_w; ++kx, ++w_idx) {
-              const std::int64_t ix =
-                  ox * g.stride + kx * g.dilation - g.pad;
-              if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w) {
-                acc += static_cast<double>(w_oc[w_idx]) *
-                       in_plane[iy * g.in_w + ix];
-              }
-            }
-          }
-        }
-        plane[oy * out_w + ox] = static_cast<float>(acc);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 const char* ToString(ConvAlgorithm algo) {
   switch (algo) {
     case ConvAlgorithm::kAuto: return "auto";
-    case ConvAlgorithm::kIm2Col: return "im2col";
     case ConvAlgorithm::kImplicitGemm: return "implicit-gemm";
     case ConvAlgorithm::kDirect: return "direct";
   }
   return "?";
 }
 
-std::optional<ConvAlgorithm> ParseConvAlgorithm(std::string_view value) {
-  if (value == "auto") return ConvAlgorithm::kAuto;
-  if (value == "im2col") return ConvAlgorithm::kIm2Col;
-  if (value == "implicit" || value == "implicit-gemm") {
-    return ConvAlgorithm::kImplicitGemm;
-  }
-  if (value == "direct") return ConvAlgorithm::kDirect;
-  return std::nullopt;
-}
-
-ConvAlgorithm DefaultConvAlgorithm() {
-  return DefaultAlgorithmFlag().load(std::memory_order_relaxed);
-}
-
-void SetDefaultConvAlgorithm(ConvAlgorithm algo) {
-  DefaultAlgorithmFlag().store(algo, std::memory_order_relaxed);
-}
+ConvAlgorithm DefaultConvAlgorithm() { return ConvAlgorithm::kAuto; }
 
 // ----------------------------------------------------------- Conv2d -----
 
@@ -147,23 +81,10 @@ bool Conv2d::UsePointwiseFastPath() const {
 }
 
 ConvAlgorithm Conv2d::chosen_algorithm() const {
-  ConvAlgorithm algo = opts_.algorithm;
-  if (algo == ConvAlgorithm::kAuto) algo = DefaultConvAlgorithm();
-  if (algo == ConvAlgorithm::kAuto) {
-    // Direct is strictly better for pointwise convolutions (no patch
-    // expansion); implicit GEMM wins elsewhere on this substrate.
-    algo = UsePointwiseFastPath() ? ConvAlgorithm::kDirect
-                                  : ConvAlgorithm::kImplicitGemm;
-  }
-  return algo;
-}
-
-bool Conv2d::CanFuseEpilogue() const {
-  if (precision() != Precision::kFP32) return false;
-  const ConvAlgorithm algo = chosen_algorithm();
-  return algo == ConvAlgorithm::kImplicitGemm ||
-         algo == ConvAlgorithm::kIm2Col ||
-         (algo == ConvAlgorithm::kDirect && UsePointwiseFastPath());
+  // Direct is strictly better for pointwise convolutions (no patch
+  // expansion); implicit GEMM wins elsewhere on this substrate.
+  return UsePointwiseFastPath() ? ConvAlgorithm::kDirect
+                                : ConvAlgorithm::kImplicitGemm;
 }
 
 TensorShape Conv2d::OutputShape(const TensorShape& input) const {
@@ -193,18 +114,16 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
 
   Tensor output(out_shape);
   const Tensor& w = ComputeWeight();
-  const ConvAlgorithm algo = chosen_algorithm();
   const bool pointwise = UsePointwiseFastPath();
-  EXACLIM_CHECK(ops.Empty() || CanFuseEpilogue(),
-                name() << ": epilogue ops on a non-fusable configuration");
-  // Fold the conv's own bias into the GEMM epilogue whenever the packed
-  // writeback allows it: the per-element add is the exact same FP op as
-  // the separate bias pass below, so flipping EXACLIM_CONV_FUSE (or the
-  // algorithm) never changes bits — it only changes how often C is
-  // touched.
+  const bool fp32 = precision() == Precision::kFP32;
+  EXACLIM_CHECK(ops.Empty() || fp32,
+                name() << ": epilogue ops on a non-FP32 conv");
+  // Fold the conv's own bias into the GEMM epilogue whenever fusion is
+  // on: the per-element add is the exact same FP op as the separate bias
+  // pass below, so SetConvFusion never changes bits — it only changes
+  // how often C is touched.
   const bool use_epilogue =
-      !ops.Empty() ||
-      (bias_.has_value() && ConvFusionEnabled() && CanFuseEpilogue());
+      !ops.Empty() || (bias_.has_value() && ConvFusionEnabled() && fp32);
   GemmEpilogue epi;
   if (use_epilogue) {
     if (bias_) epi.bias = bias_->value.Raw();
@@ -219,27 +138,20 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
   }
   const std::int64_t batch = input.shape().n();
   const std::int64_t shards = ConvGradShards(batch);
-  // The implicit path's headline: no col buffer at all on the forward
-  // hot path — only the kIm2Col reference still materializes patches.
-  const std::int64_t col_elems =
-      algo == ConvAlgorithm::kIm2Col ? g.PatchSize() * g.OutPixels() : 0;
-  workspace_.Configure(shards, col_elems, /*grad_col_elems=*/0,
+  // No col buffer at all on the forward path: pointwise reads the
+  // activation map directly, everything else gathers implicitly.
+  workspace_.Configure(shards, /*col_elems=*/0, /*grad_col_elems=*/0,
                        /*weight_elems=*/0, /*bias_elems=*/0);
-  const GemmImplicitRow* rows = algo == ConvAlgorithm::kImplicitGemm ||
-                                        algo == ConvAlgorithm::kIm2Col
-                                    ? workspace_.ImplicitRows(g)
-                                    : nullptr;
+  const GemmImplicitRow* rows =
+      pointwise ? nullptr : workspace_.ImplicitRows(g);
   const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_stride = opts_.out_c * g.OutPixels();
   const std::int64_t out_h = g.OutH();
   const std::int64_t out_w = g.OutW();
   // Pack the weight into the GEMM engine's A-panel layout once; every
   // shard then reuses the panels read-only instead of re-packing W per
-  // image inside the per-image GEMMs (DESIGN §10). Only the spatial
-  // direct walk reads W unpacked.
-  if (algo != ConvAlgorithm::kDirect || pointwise) {
-    packed_weight_.Pack(false, opts_.out_c, g.PatchSize(), 1.0f, w.Raw());
-  }
+  // image inside the per-image GEMMs (DESIGN §10).
+  packed_weight_.Pack(false, opts_.out_c, g.PatchSize(), 1.0f, w.Raw());
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
@@ -252,7 +164,12 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
         epi_n.bn_norm = ops.bn_norm + n * out_stride;
       }
       const GemmEpilogue* epi_ptr = use_epilogue ? &epi_n : nullptr;
-      if (algo == ConvAlgorithm::kImplicitGemm) {
+      float* out_n = output.Raw() + n * out_stride;
+      if (pointwise) {
+        // 1x1/stride-1: the activation map already IS the patch matrix.
+        GemmPackedWithA(packed_weight_, false, g.OutPixels(),
+                        input.Raw() + n * in_stride, 0.0f, out_n, epi_ptr);
+      } else {
         // out[out_c, P] = W[out_c, patch] @ implicit-im2col(x) — the
         // B-panel packer gathers straight from the image (DESIGN §15).
         GemmImplicitB bsrc;
@@ -262,25 +179,9 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
         bsrc.out_w = out_w;
         bsrc.in_row_stride = g.in_w;
         bsrc.stride = g.stride;
-        GemmPackedImplicit(packed_weight_, bsrc, 0.0f,
-                           output.Raw() + n * out_stride, epi_ptr);
-      } else if (algo == ConvAlgorithm::kIm2Col) {
-        float* col = workspace_.Col(s);
-        Im2ColFromRows(g, rows, input.Raw() + n * in_stride, col);
-        // out[out_c, P] = W[out_c, patch] @ col[patch, P]
-        GemmPackedWithA(packed_weight_, false, g.OutPixels(), col, 0.0f,
-                        output.Raw() + n * out_stride, epi_ptr);
-      } else if (pointwise) {
-        // 1x1/stride-1: the activation map already IS the patch matrix.
-        GemmPackedWithA(packed_weight_, false, g.OutPixels(),
-                        input.Raw() + n * in_stride, 0.0f,
-                        output.Raw() + n * out_stride, epi_ptr);
-      } else {
-        DirectConvImage(g, opts_.out_c, input.Raw() + n * in_stride,
-                        w.Raw(), output.Raw() + n * out_stride);
+        GemmPackedImplicit(packed_weight_, bsrc, 0.0f, out_n, epi_ptr);
       }
       if (bias_ && !use_epilogue) {
-        float* out_n = output.Raw() + n * out_stride;
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {
           const float b = bias_->value[static_cast<std::size_t>(c)];
           float* plane = out_n + c * g.OutPixels();

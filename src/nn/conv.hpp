@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <string_view>
 
 #include "nn/conv_engine.hpp"
 #include "nn/im2col.hpp"
@@ -10,35 +9,21 @@
 
 namespace exaclim {
 
-/// Convolution algorithm selection — the stand-in for cuDNN's dynamic
-/// algorithm tuning that Sec VI traces ("all convolutions were performed
-/// using either implicit GEMMs or direct convolutions"). kIm2Col lowers
-/// through a materialized patch buffer; kImplicitGemm runs the packed
-/// GEMM engine's implicit-B path, gathering panels straight from the
-/// input tensor with no col buffer (DESIGN §15); kDirect computes the
-/// convolution in place (for 1×1/stride-1 this is a pure GEMM on the
-/// activation map — the same FLOPs, less memory traffic). kAuto picks
-/// kDirect for pointwise geometries and kImplicitGemm elsewhere. All
-/// algorithms produce bit-identical forward outputs (the sweep in
-/// tests/test_conv_algorithms.cpp holds them to it).
-enum class ConvAlgorithm { kAuto, kIm2Col, kImplicitGemm, kDirect };
+/// Convolution algorithm trace — the stand-in for the cuDNN API tracing of
+/// Sec VI ("all convolutions were performed using either implicit GEMMs or
+/// direct convolutions"). The choice is a function of geometry alone:
+/// pointwise convolutions (1×1, stride 1, pad 0, dilation 1) run kDirect,
+/// a GEMM straight on the activation map (the map already is the patch
+/// matrix); every other geometry runs kImplicitGemm, the packed GEMM
+/// engine's implicit-B path that gathers panels from the input with no
+/// col buffer (DESIGN §15).
+enum class ConvAlgorithm { kAuto, kImplicitGemm, kDirect };
 
 const char* ToString(ConvAlgorithm algo);
 
-/// Parses "auto" / "im2col" / "implicit" (or "implicit-gemm") / "direct";
-/// nullopt on anything else.
-std::optional<ConvAlgorithm> ParseConvAlgorithm(std::string_view value);
-
-/// The process-wide default that layers constructed with kAuto resolve
-/// through: EXACLIM_CONV_ALGO (parsed once, any value ParseConvAlgorithm
-/// rejects fails with an EXACLIM_CHECK naming the variable) unless
-/// overridden, kAuto when unset (= the pointwise→direct, else→implicit
-/// policy).
+/// Always kAuto (the geometry policy above). Kept only for the end-to-end
+/// benchmark's info record, which prints it.
 ConvAlgorithm DefaultConvAlgorithm();
-
-/// Programmatic override of the EXACLIM_CONV_ALGO default (benches and
-/// the algorithm A/B tests flip this per run).
-void SetDefaultConvAlgorithm(ConvAlgorithm algo);
 
 /// Pointwise epilogue ops a fused chain folds into the convolution's
 /// GEMM writeback (DESIGN §15). The conv's own bias is not listed here —
@@ -76,7 +61,6 @@ class Conv2d : public Layer {
     std::int64_t pad = -1;  // -1 = "same" for stride 1: dilation*(k/2)
     std::int64_t dilation = 1;
     bool bias = true;
-    ConvAlgorithm algorithm = ConvAlgorithm::kAuto;
   };
 
   Conv2d(std::string name, const Options& opts, Rng& rng);
@@ -88,22 +72,15 @@ class Conv2d : public Layer {
 
   /// Forward with extra epilogue ops fused into the GEMM writeback —
   /// what Sequential's fusion pass calls for Conv2d→BN(→ReLU) chains.
-  /// Requires CanFuseEpilogue() when `ops` is non-empty; Forward() is
+  /// Requires FP32 precision when `ops` is non-empty; Forward() is
   /// exactly ForwardFused(input, train, {}).
   Tensor ForwardFused(const Tensor& input, bool train,
                       const ConvFusedOps& ops);
 
-  /// Whether this layer's resolved configuration can fold epilogue ops
-  /// into the GEMM writeback: FP32 precision and an algorithm that writes
-  /// C through the GEMM engine (implicit, im2col-GEMM, or the pointwise
-  /// fast path — everything but naive direct loops).
-  bool CanFuseEpilogue() const;
-
   const Options& options() const { return opts_; }
   Param& weight() { return weight_; }
-  /// The algorithm actually used (kAuto resolved through
-  /// DefaultConvAlgorithm) — the equivalent of the cuDNN API tracing of
-  /// Sec VI.
+  /// The algorithm the geometry selects (kDirect for pointwise, else
+  /// kImplicitGemm) — the equivalent of the cuDNN API tracing of Sec VI.
   ConvAlgorithm chosen_algorithm() const;
 
  private:

@@ -2,62 +2,42 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/alloc_tracker.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
 namespace exaclim {
 namespace {
 
-std::atomic<bool>& BatchParallelFlag() {
-  static std::atomic<bool> flag([] {
-    const char* env = std::getenv("EXACLIM_CONV_SERIAL");
-    return env == nullptr || !ParseEnvSwitch("EXACLIM_CONV_SERIAL", env);
-  }());
-  return flag;
-}
+// Upper bound on the shards a batch is split into. It fixes the weight-
+// gradient reduction tree, so changing it changes FP rounding.
+constexpr std::int64_t kMaxConvShards = 16;
 
-std::atomic<bool>& FusionFlag() {
-  static std::atomic<bool> flag([] {
-    const char* env = std::getenv("EXACLIM_CONV_FUSE");
-    return env == nullptr || ParseEnvSwitch("EXACLIM_CONV_FUSE", env);
-  }());
-  return flag;
-}
-
-std::int64_t MaxShardsKnob() {
-  static const std::int64_t knob = [] {
-    const char* env = std::getenv("EXACLIM_CONV_SHARDS");
-    return env == nullptr ? std::int64_t{16}
-                          : ParseEnvPositiveInt("EXACLIM_CONV_SHARDS", env);
-  }();
-  return knob;
-}
+std::atomic<bool> g_batch_parallel{true};
+std::atomic<bool> g_fusion{true};
 
 }  // namespace
 
 bool ConvBatchParallelEnabled() {
-  return BatchParallelFlag().load(std::memory_order_relaxed);
+  return g_batch_parallel.load(std::memory_order_relaxed);
 }
 
 void SetConvBatchParallel(bool enabled) {
-  BatchParallelFlag().store(enabled, std::memory_order_relaxed);
+  g_batch_parallel.store(enabled, std::memory_order_relaxed);
 }
 
 bool ConvFusionEnabled() {
-  return FusionFlag().load(std::memory_order_relaxed);
+  return g_fusion.load(std::memory_order_relaxed);
 }
 
 void SetConvFusion(bool enabled) {
-  FusionFlag().store(enabled, std::memory_order_relaxed);
+  g_fusion.store(enabled, std::memory_order_relaxed);
 }
 
 std::int64_t ConvGradShards(std::int64_t n) {
-  return std::max<std::int64_t>(1, std::min(n, MaxShardsKnob()));
+  return std::max<std::int64_t>(1, std::min(n, kMaxConvShards));
 }
 
 ConvShardRange ShardImageRange(std::int64_t n, std::int64_t shards,

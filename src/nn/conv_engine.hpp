@@ -5,10 +5,10 @@
 // The conv/deconv/pool layers decompose each batch into contiguous image
 // shards and run the shards through ThreadPool::Global(). The shard
 // partition and the weight-gradient reduction tree depend only on the
-// batch size (plus the EXACLIM_CONV_SHARDS knob) — never on the thread
-// count or on scheduling — so the batch-parallel backward pass produces
-// bit-identical gradients to the serial batch walk. Nested GEMMs issued
-// from inside a shard run inline via the pool's nesting policy.
+// batch size — never on the thread count or on scheduling — so the
+// batch-parallel backward pass produces bit-identical gradients to the
+// serial batch walk. Nested GEMMs issued from inside a shard run inline
+// via the pool's nesting policy.
 
 #include <cstdint>
 
@@ -19,32 +19,27 @@
 namespace exaclim {
 
 /// Whether conv-family layers run their batch shards on the global pool.
-/// Defaults to on; EXACLIM_CONV_SERIAL=on|1|true forces the serial batch
-/// walk, off|0|false keeps the default, anything else fails (read once,
-/// common/env.hpp). Either mode computes the exact same floating-point
+/// Defaults to on. Either mode computes the exact same floating-point
 /// operation sequence per gradient element.
 bool ConvBatchParallelEnabled();
 
-/// Programmatic override of the EXACLIM_CONV_SERIAL default (benches and
-/// the serial-vs-parallel bit-exactness tests flip this per run).
+/// Switches to the serial batch walk and back (benches and the
+/// serial-vs-parallel bit-exactness tests use the serial walk as the
+/// reference).
 void SetConvBatchParallel(bool enabled);
 
 /// Whether Sequential fuses Conv2d→BatchNorm2d→ReLU chains and the conv
 /// layers fold their bias into the packed GEMM epilogue (DESIGN §15).
-/// Defaults to on; EXACLIM_CONV_FUSE=off|0|false disables, on|1|true
-/// keeps it, anything else fails. Fused and unfused execution are
-/// bit-identical — this is a pure perf A/B knob.
+/// Defaults to on. Fused and unfused execution are bit-identical.
 bool ConvFusionEnabled();
 
-/// Programmatic override of the EXACLIM_CONV_FUSE default.
+/// Switches fusion off and back (benches and the fused-vs-unfused
+/// bit-exactness tests use the unfused walk as the reference).
 void SetConvFusion(bool enabled);
 
 /// Number of shards a batch of `n` images is decomposed into:
-/// min(n, EXACLIM_CONV_SHARDS), knob default 16; the knob must be a
-/// positive integer (it fixes the gradient reduction tree, so a typo must
-/// fail rather than silently change the rounding). Fixed for a given batch
-/// size, so the gradient reduction tree is reproducible across machines
-/// with different core counts.
+/// min(n, 16). Fixed for a given batch size, so the gradient reduction
+/// tree is reproducible across machines with different core counts.
 std::int64_t ConvGradShards(std::int64_t n);
 
 /// Contiguous image range [lo, hi) owned by `shard` under the

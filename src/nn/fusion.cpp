@@ -28,12 +28,10 @@ std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
     }
     return 2;
   }
-  if (auto* relu = dynamic_cast<ReLU*>(next); relu && IsFp32(*relu)) {
-    // Without a BN sweep to piggyback on, the ReLU can only ride the
-    // conv's GEMM epilogue.
-    return conv->CanFuseEpilogue() ? 2 : 0;
-  }
-  return 0;
+  // Conv2d→ReLU: with no BN sweep to piggyback on, the ReLU rides the
+  // conv's GEMM epilogue.
+  auto* relu = dynamic_cast<ReLU*>(next);
+  return relu != nullptr && IsFp32(*relu) ? 2 : 0;
 }
 
 Tensor ForwardFusedChain(const std::vector<LayerPtr>& layers, std::size_t i,
@@ -52,7 +50,7 @@ Tensor ForwardFusedChain(const std::vector<LayerPtr>& layers, std::size_t i,
 
   auto* relu = len == 3 ? static_cast<ReLU*>(layers[i + 2].get()) : nullptr;
 
-  if (!train && conv->CanFuseEpilogue()) {
+  if (!train) {
     // Inference: fold the BN affine (from running stats) and the ReLU
     // into the GEMM epilogue — one pass over C, no BN sweep at all. The
     // epilogue also fills both layers' backward caches (x_hat through
@@ -74,10 +72,9 @@ Tensor ForwardFusedChain(const std::vector<LayerPtr>& layers, std::size_t i,
     return conv->ForwardFused(input, train, ops);
   }
 
-  // Training (or a conv that can't take an epilogue): run the conv —
-  // ForwardFused folds its bias into the GEMM writeback internally when
-  // it can — then normalise in place over the conv output, applying the
-  // trailing ReLU (and filling its mask) in the same sweep.
+  // Training: run the conv — ForwardFused folds its bias into the GEMM
+  // writeback internally — then normalise in place over the conv output,
+  // applying the trailing ReLU (and filling its mask) in the same sweep.
   Tensor y = conv->Forward(input, train);
   bn->ForwardFusedInPlace(y, train, relu);
   return y;

@@ -7,7 +7,7 @@
 // Fusion is bitwise-transparent: the fused chain produces the exact same
 // output tensor AND leaves the member layers with the exact same backward
 // caches (x_hat, inv_std, the ReLU mask) as the unfused walk, so Backward
-// is completely unaware of it. EXACLIM_CONV_FUSE=off restores the plain
+// is completely unaware of it. SetConvFusion(false) restores the plain
 // walk (tests/test_conv_engine.cpp holds the two modes bit-identical).
 
 #include <cstddef>
@@ -21,18 +21,16 @@ namespace exaclim {
 /// Conv2d→BatchNorm2d→ReLU, 2 for Conv2d→BatchNorm2d or Conv2d→ReLU,
 /// 0 when layers[i] starts no fusable chain. All member layers must be
 /// FP32 (FP16 emulation quantises between layers, which fusion would
-/// skip) and a conv→ReLU pair additionally needs the conv's GEMM
-/// epilogue (CanFuseEpilogue) since there is no BN sweep to apply the
-/// ReLU in.
+/// skip); every FP32 conv writes C through the GEMM engine, so its
+/// epilogue can always take the BN affine and the ReLU.
 std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
                            std::size_t i);
 
 /// Executes the `len`-layer chain starting at layers[i] (len from
 /// FusableChainAt, >= 2) as one fused pass. Eval-mode conv→BN(→ReLU)
-/// chains with a GEMM-capable conv fold the whole epilogue into the
-/// packed GEMM writeback; train-mode chains run the conv (bias folded
-/// into the epilogue) and then one in-place BN sweep that also fills the
-/// ReLU mask. Bit-identical to calling each layer's Forward in turn.
+/// chains fold the whole epilogue into the packed GEMM writeback;
+/// train-mode chains run the conv (bias folded into the epilogue) and
+/// then one in-place BN sweep that also fills the ReLU mask. Bit-identical to calling each layer's Forward in turn.
 Tensor ForwardFusedChain(const std::vector<LayerPtr>& layers, std::size_t i,
                          std::size_t len, const Tensor& input, bool train);
 

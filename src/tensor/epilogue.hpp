@@ -7,7 +7,7 @@
 //
 // The fused GEMM epilogue (tensor/gemm_kernel.cpp) and the standalone
 // BatchNorm2d / ReLU layers (nn/norm.cpp, nn/activation.cpp) must produce
-// bit-identical results so EXACLIM_CONV_FUSE is a pure perf knob. Both
+// bit-identical results so SetConvFusion is a pure perf switch. Both
 // sides therefore evaluate the pointwise math through these SAME inline
 // definitions, compiled in TUs with identical flags — never the -mfma
 // AVX2 kernel TU, whose contraction rules differ from the baseline ISA.

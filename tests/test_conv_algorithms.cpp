@@ -1,7 +1,9 @@
-// Property sweeps over the convolution algorithm variants (Sec VI:
-// cuDNN's dynamic algorithm choice is the reason the paper traced the
-// API to count FLOPs): every algorithm must produce the same output,
-// matching an independent naive reference, for all geometry corners.
+// Property sweep over the convolution geometries (Sec VI: cuDNN's
+// dynamic algorithm choice is the reason the paper traced the API to
+// count FLOPs): whichever algorithm the geometry selects must match an
+// independent naive reference, for all geometry corners, under every
+// execution walk (batch-parallel or serial shards, bias folded into the
+// GEMM epilogue or added in a separate pass).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include <tuple>
 
 #include "nn/conv.hpp"
+#include "nn/conv_engine.hpp"
 
 namespace exaclim {
 namespace {
@@ -16,7 +19,7 @@ namespace {
 // Independent reference implementation (straight from the definition,
 // sharing no code with nn/conv.cpp or nn/im2col.cpp).
 Tensor ReferenceConv(const Tensor& input, const Tensor& weight,
-                     const Conv2d::Options& o) {
+                     const Tensor* bias, const Conv2d::Options& o) {
   const std::int64_t n = input.shape().n(), h = input.shape().h(),
                      w = input.shape().w();
   const std::int64_t pad =
@@ -29,7 +32,8 @@ Tensor ReferenceConv(const Tensor& input, const Tensor& weight,
     for (std::int64_t oc = 0; oc < o.out_c; ++oc) {
       for (std::int64_t oy = 0; oy < oh; ++oy) {
         for (std::int64_t ox = 0; ox < ow; ++ox) {
-          double acc = 0.0;
+          double acc =
+              bias ? (*bias)[static_cast<std::size_t>(oc)] : 0.0;
           for (std::int64_t ic = 0; ic < o.in_c; ++ic) {
             for (std::int64_t ky = 0; ky < o.kernel; ++ky) {
               for (std::int64_t kx = 0; kx < o.kernel; ++kx) {
@@ -57,29 +61,53 @@ struct GeometryCase {
   std::int64_t h, w;
 };
 
+/// One forward execution walk: shards on the pool or serially, bias in
+/// the GEMM epilogue or in its own pass.
+struct Walk {
+  bool parallel;
+  bool fuse;
+};
+
+/// Restores the engine walk on scope exit so cases cannot leak state.
+struct WalkGuard {
+  bool parallel = ConvBatchParallelEnabled();
+  bool fuse = ConvFusionEnabled();
+  ~WalkGuard() {
+    SetConvBatchParallel(parallel);
+    SetConvFusion(fuse);
+  }
+};
+
 class ConvAlgorithmParity
-    : public ::testing::TestWithParam<std::tuple<GeometryCase, int>> {};
+    : public ::testing::TestWithParam<std::tuple<GeometryCase, Walk>> {};
 
 TEST_P(ConvAlgorithmParity, MatchesNaiveReference) {
-  const auto [geo, algo_idx] = GetParam();
-  const auto algo = static_cast<ConvAlgorithm>(algo_idx);
+  const auto [geo, walk] = GetParam();
+  WalkGuard guard;
+  SetConvBatchParallel(walk.parallel);
+  SetConvFusion(walk.fuse);
   Conv2d::Options opts{.in_c = geo.in_c, .out_c = geo.out_c,
                        .kernel = geo.kernel, .stride = geo.stride,
                        .pad = geo.pad, .dilation = geo.dilation,
-                       .bias = false, .algorithm = algo};
+                       .bias = true};
   Rng rng(7);
   Conv2d conv("c", opts, rng);
+  // A non-zero bias, so both the epilogue fold and the separate pass
+  // have something to get wrong.
+  Rng brng(13);
+  Tensor& bias = conv.Params().at(1)->value;
+  bias = Tensor::Uniform(TensorShape{geo.out_c}, brng, -1.0f, 1.0f);
   Rng xrng(11);
   const Tensor x = Tensor::Uniform(
       TensorShape::NCHW(2, geo.in_c, geo.h, geo.w), xrng, -1.0f, 1.0f);
 
-  const Tensor expected = ReferenceConv(x, conv.weight().value, opts);
+  const Tensor expected = ReferenceConv(x, conv.weight().value, &bias, opts);
   const Tensor actual = conv.Forward(x, false);
   ASSERT_EQ(actual.shape(), expected.shape());
   for (std::int64_t i = 0; i < actual.NumElements(); ++i) {
     EXPECT_NEAR(actual[static_cast<std::size_t>(i)],
                 expected[static_cast<std::size_t>(i)], 2e-4f)
-        << ToString(algo) << " i=" << i;
+        << ToString(conv.chosen_algorithm()) << " i=" << i;
   }
 }
 
@@ -95,11 +123,13 @@ INSTANTIATE_TEST_SUITE_P(
             GeometryCase{2, 2, 3, 1, -1, 4, 10, 9},  // atrous d=4 def. pad
             GeometryCase{1, 2, 5, 1, 2, 1, 10, 10},  // 5x5 (Tiramisu mod)
             GeometryCase{3, 3, 7, 2, 3, 1, 14, 14},  // stem 7x7/2
-            GeometryCase{2, 2, 3, 1, 6, 6, 9, 9}),   // extreme dilation
-        ::testing::Values(static_cast<int>(ConvAlgorithm::kAuto),
-                          static_cast<int>(ConvAlgorithm::kIm2Col),
-                          static_cast<int>(ConvAlgorithm::kImplicitGemm),
-                          static_cast<int>(ConvAlgorithm::kDirect))));
+            GeometryCase{2, 2, 3, 1, 6, 6, 9, 9},    // extreme dilation
+            GeometryCase{2, 3, 1, 2, 0, 1, 9, 9},    // strided 1x1
+            GeometryCase{2, 3, 1, 1, 1, 1, 6, 6}),   // padded 1x1
+        ::testing::Values(Walk{.parallel = true, .fuse = true},
+                          Walk{.parallel = true, .fuse = false},
+                          Walk{.parallel = false, .fuse = true},
+                          Walk{.parallel = false, .fuse = false})));
 
 TEST(ConvAlgorithm, AutoSelectsDirectForPointwise) {
   Rng rng(1);
@@ -108,57 +138,21 @@ TEST(ConvAlgorithm, AutoSelectsDirectForPointwise) {
   EXPECT_EQ(pointwise.chosen_algorithm(), ConvAlgorithm::kDirect);
   Conv2d spatial("s", {.in_c = 4, .out_c = 4, .kernel = 3}, rng);
   EXPECT_EQ(spatial.chosen_algorithm(), ConvAlgorithm::kImplicitGemm);
-  Conv2d forced("f",
-                {.in_c = 4, .out_c = 4, .kernel = 3,
-                 .algorithm = ConvAlgorithm::kDirect},
-                rng);
-  EXPECT_EQ(forced.chosen_algorithm(), ConvAlgorithm::kDirect);
-}
-
-TEST(ConvAlgorithm, BackwardAgreesAcrossForwardAlgorithms) {
-  // The backward pass must produce identical gradients regardless of
-  // which forward algorithm ran.
-  std::vector<std::vector<float>> weight_grads;
-  for (const auto algo : {ConvAlgorithm::kImplicitGemm,
-                          ConvAlgorithm::kIm2Col, ConvAlgorithm::kDirect}) {
-    Rng rng(5);
-    Conv2d conv("c",
-                {.in_c = 3, .out_c = 2, .kernel = 3, .bias = false,
-                 .algorithm = algo},
-                rng);
-    Rng xrng(6);
-    const Tensor x = Tensor::Uniform(TensorShape::NCHW(1, 3, 6, 6), xrng,
-                                     -1.0f, 1.0f);
-    const Tensor y = conv.Forward(x, true);
-    Rng grng(8);
-    const Tensor g = Tensor::Uniform(y.shape(), grng, -1.0f, 1.0f);
-    (void)conv.Backward(g);
-    weight_grads.emplace_back(conv.weight().grad.Data().begin(),
-                              conv.weight().grad.Data().end());
-  }
-  for (std::size_t v = 1; v < weight_grads.size(); ++v) {
-    ASSERT_EQ(weight_grads[0].size(), weight_grads[v].size());
-    for (std::size_t i = 0; i < weight_grads[0].size(); ++i) {
-      EXPECT_NEAR(weight_grads[0][i], weight_grads[v][i], 1e-4f);
-    }
-  }
+  // A 1x1 kernel that strides or pads is not pointwise: the activation
+  // map is not its patch matrix.
+  Conv2d strided("t", {.in_c = 4, .out_c = 4, .kernel = 1, .stride = 2,
+                       .pad = 0},
+                 rng);
+  EXPECT_EQ(strided.chosen_algorithm(), ConvAlgorithm::kImplicitGemm);
+  Conv2d padded("q", {.in_c = 4, .out_c = 4, .kernel = 1, .pad = 1}, rng);
+  EXPECT_EQ(padded.chosen_algorithm(), ConvAlgorithm::kImplicitGemm);
 }
 
 TEST(ConvAlgorithm, ToStringNames) {
   EXPECT_STREQ(ToString(ConvAlgorithm::kAuto), "auto");
-  EXPECT_STREQ(ToString(ConvAlgorithm::kIm2Col), "im2col");
   EXPECT_STREQ(ToString(ConvAlgorithm::kImplicitGemm), "implicit-gemm");
   EXPECT_STREQ(ToString(ConvAlgorithm::kDirect), "direct");
-}
-
-TEST(ConvAlgorithm, ParseNames) {
-  EXPECT_EQ(ParseConvAlgorithm("auto"), ConvAlgorithm::kAuto);
-  EXPECT_EQ(ParseConvAlgorithm("im2col"), ConvAlgorithm::kIm2Col);
-  EXPECT_EQ(ParseConvAlgorithm("implicit"), ConvAlgorithm::kImplicitGemm);
-  EXPECT_EQ(ParseConvAlgorithm("implicit-gemm"),
-            ConvAlgorithm::kImplicitGemm);
-  EXPECT_EQ(ParseConvAlgorithm("direct"), ConvAlgorithm::kDirect);
-  EXPECT_EQ(ParseConvAlgorithm("winograd"), std::nullopt);
+  EXPECT_EQ(DefaultConvAlgorithm(), ConvAlgorithm::kAuto);
 }
 
 }  // namespace

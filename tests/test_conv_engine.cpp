@@ -19,6 +19,7 @@
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/conv_engine.hpp"
+#include "nn/im2col.hpp"
 #include "nn/norm.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/gemm.hpp"
@@ -257,31 +258,70 @@ struct ImplicitGeo {
 
 class ConvImplicitBitExact : public ::testing::TestWithParam<ImplicitGeo> {};
 
+/// The materialized im2col lowering, composed from the library pieces the
+/// conv backward pass uses: per image, Im2ColFromRows into a col buffer,
+/// then out = W @ col through the same prepacked weight panels, then a
+/// separate bias pass. Serial and unfused — the oracle the implicit
+/// gather (and the bias epilogue fold) must reproduce bit-for-bit.
+Tensor ComposedIm2ColForward(Conv2d& conv, const Tensor& x) {
+  const Conv2d::Options& o = conv.options();
+  ConvGeometry g;
+  g.in_c = o.in_c;
+  g.in_h = x.shape().h();
+  g.in_w = x.shape().w();
+  g.k_h = g.k_w = o.kernel;
+  g.stride = o.stride;
+  g.pad = o.pad;
+  g.dilation = o.dilation;
+  std::vector<GemmImplicitRow> rows(static_cast<std::size_t>(g.PatchSize()));
+  BuildImplicitRows(g, rows.data());
+  std::vector<float> col(static_cast<std::size_t>(g.PatchSize() *
+                                                  g.OutPixels()));
+  PackedGemmA packed;
+  packed.Pack(false, o.out_c, g.PatchSize(), 1.0f,
+              conv.weight().value.Raw());
+  Tensor out(conv.OutputShape(x.shape()));
+  const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
+  const std::int64_t out_stride = o.out_c * g.OutPixels();
+  const Tensor& bias = conv.Params().at(1)->value;
+  for (std::int64_t n = 0; n < x.shape().n(); ++n) {
+    float* out_n = out.Raw() + n * out_stride;
+    Im2ColFromRows(g, rows.data(), x.Raw() + n * in_stride, col.data());
+    GemmPackedWithA(packed, false, g.OutPixels(), col.data(), 0.0f, out_n);
+    for (std::int64_t c = 0; c < o.out_c; ++c) {
+      for (std::int64_t p = 0; p < g.OutPixels(); ++p) {
+        out_n[c * g.OutPixels() + p] += bias[static_cast<std::size_t>(c)];
+      }
+    }
+  }
+  return out;
+}
+
 // The implicit B-panel gather must reproduce the materialized im2col
 // lowering bit-for-bit — same packed panels, same contraction order —
 // with and without the bias epilogue fold.
 TEST_P(ConvImplicitBitExact, ForwardMatchesIm2ColBitwise) {
   FusionGuard guard;
   const ImplicitGeo g = GetParam();
+  Rng rng(71);
+  Conv2d conv("c",
+              {.in_c = g.in_c, .out_c = g.out_c, .kernel = g.kernel,
+               .stride = g.stride, .pad = g.pad, .dilation = g.dilation,
+               .bias = true},
+              rng);
+  // A non-zero bias, so the epilogue fold has something to get wrong.
+  Rng brng(72);
+  conv.Params().at(1)->value =
+      Tensor::Uniform(TensorShape{g.out_c}, brng, -1.0f, 1.0f);
+  Rng xrng(73);
+  const Tensor x = Tensor::Uniform(
+      TensorShape::NCHW(2, g.in_c, g.h, g.w), xrng, -1.0f, 1.0f);
+  const Tensor yc = ComposedIm2ColForward(conv, x);
   for (const bool fuse : {false, true}) {
     SetConvFusion(fuse);
-    Conv2d::Options opts{.in_c = g.in_c, .out_c = g.out_c,
-                         .kernel = g.kernel, .stride = g.stride,
-                         .pad = g.pad, .dilation = g.dilation,
-                         .bias = true,
-                         .algorithm = ConvAlgorithm::kImplicitGemm};
-    Rng r1(71);
-    Conv2d implicit_conv("i", opts, r1);
-    opts.algorithm = ConvAlgorithm::kIm2Col;
-    Rng r2(71);
-    Conv2d col_conv("c", opts, r2);
-    Rng xrng(73);
-    const Tensor x = Tensor::Uniform(
-        TensorShape::NCHW(2, g.in_c, g.h, g.w), xrng, -1.0f, 1.0f);
-    const Tensor yi = implicit_conv.Forward(x, false);
-    const Tensor yc = col_conv.Forward(x, false);
+    const Tensor yi = conv.Forward(x, false);
     ASSERT_EQ(yi.shape(), yc.shape());
-    ExpectBitIdentical(Snapshot(yi), Snapshot(yc),
+    ExpectBitIdentical(Snapshot(yc), Snapshot(yi),
                        fuse ? "fused forward" : "unfused forward");
   }
 }
@@ -338,10 +378,6 @@ GradSnapshot RunChainStep(bool fuse, bool with_bn, bool with_relu,
 constexpr Conv2d::Options kChain3x3{.in_c = 3, .out_c = 4};
 constexpr Conv2d::Options kChainPointwise{.in_c = 3, .out_c = 4,
                                           .kernel = 1, .pad = 0};
-constexpr Conv2d::Options kChainDirect{.in_c = 3, .out_c = 4,
-                                       .algorithm = ConvAlgorithm::kDirect};
-constexpr Conv2d::Options kChainIm2Col{.in_c = 3, .out_c = 4,
-                                       .algorithm = ConvAlgorithm::kIm2Col};
 
 void ExpectChainBitIdentical(bool with_bn, bool with_relu,
                              const Conv2d::Options& copts, bool train) {
@@ -381,31 +417,13 @@ TEST(ConvFusion, ConvReluChainMatchesUnfused) {
                           /*train=*/false);
 }
 
-// The pointwise fast path (auto → direct 1x1) writes C through the packed
-// engine too, so the full eval fold applies there.
+// The pointwise fast path (direct 1x1 GEMM on the activation map) writes C
+// through the packed engine too, so the full eval fold applies there.
 TEST(ConvFusion, PointwiseFastPathFusesBitExact) {
   ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
                           kChainPointwise, /*train=*/true);
   ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
                           kChainPointwise, /*train=*/false);
-}
-
-// The materialized-col algorithm writes C through the same packed engine,
-// so the epilogue fold must hold there too.
-TEST(ConvFusion, Im2ColAlgorithmFusesBitExact) {
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainIm2Col, /*train=*/true);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainIm2Col, /*train=*/false);
-}
-
-// A forced-direct 3x3 conv has no GEMM epilogue: fusion reduces to the
-// in-place BN+ReLU sweep, which must still be bit-identical.
-TEST(ConvFusion, DirectAlgorithmFallsBackToBnSweep) {
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainDirect, /*train=*/true);
-  ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
-                          kChainDirect, /*train=*/false);
 }
 
 // ------------- TSan stress: the fused path's threaded writebacks --------

@@ -16,6 +16,11 @@ or `// lint:allow(rule-id)` / `// lint:allow(rule-a,rule-b)` to suppress
 only the named rules. File-scoped rules (pragma-once, guarded-include,
 alloc-guard-include) are structural and cannot be line-suppressed.
 
+Repo-scoped rules (env-documented) also cross-check the tree against
+README.md once every file has been linted; they run only on the default
+full-tree walk, since a partial walk cannot tell a stale README row from
+a file it skipped.
+
 Hot-path regions: code between `// hot-path: begin` and
 `// hot-path: end` markers — plus every file listed in
 tools/hot_path_manifest.txt — is subject to the hot-path-alloc rule.
@@ -173,6 +178,8 @@ class Linter:
                  hot_manifest: set[str] | None = None) -> None:
         self.root = root
         self.findings: list[str] = []
+        # Per-run state of repo-scoped rules, keyed by rule id.
+        self.rule_state: dict[str, object] = {}
         if hot_manifest is None:
             hot_manifest = load_hot_manifest(HOT_PATH_MANIFEST)
         self.hot_manifest = hot_manifest
@@ -223,6 +230,11 @@ class Linter:
         for rule in RULES:
             rule.check(ctx, self)
 
+    def finish(self) -> None:
+        """Runs the repo-scoped passes after every file was linted."""
+        for rule in RULES:
+            rule.finish(self)
+
 
 # ------------------------------------------------------------------ rules --
 
@@ -235,6 +247,9 @@ class Rule:
 
     def check(self, ctx: FileContext, linter: Linter) -> None:
         raise NotImplementedError
+
+    def finish(self, linter: Linter) -> None:
+        """Repo-scoped pass after every file was linted (default: none)."""
 
 
 class PragmaOnceRule(Rule):
@@ -470,6 +485,47 @@ class EnvPrefixRule(Rule):
                         "EXACLIM_-prefixed")
 
 
+class EnvDocumentedRule(Rule):
+    id = "env-documented"
+    doc = ("every getenv(\"EXACLIM_...\") under src/ has a row in the "
+           "README knob table, and every row names a knob src/ reads.")
+
+    RE = EnvPrefixRule.RE
+    ROW_RE = re.compile(r"^\|\s*`(EXACLIM_[A-Z0-9_]+)`\s*\|")
+
+    def check(self, ctx: FileContext, linter: Linter) -> None:
+        if ctx.rel.parts[0] != "src":
+            return
+        reads = linter.rule_state.setdefault(self.id, {})
+        for lineno, raw in enumerate(ctx.raw_lines, 1):
+            if suppressed(raw, self.id):
+                continue
+            code = strip_comments_keep_strings(raw)
+            for m in self.RE.finditer(code):
+                if m.group(1).startswith("EXACLIM_"):
+                    reads.setdefault(m.group(1), (ctx.rel, lineno))
+
+    def finish(self, linter: Linter) -> None:
+        reads = linter.rule_state.get(self.id, {})
+        readme = linter.root / "README.md"
+        rows: dict[str, int] = {}
+        if readme.is_file():
+            lines = readme.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, 1):
+                m = self.ROW_RE.match(line)
+                if m:
+                    rows.setdefault(m.group(1), lineno)
+        for name, (rel, lineno) in sorted(reads.items()):
+            if name not in rows:
+                linter.report(rel, lineno, self.id,
+                              f"{name} has no row in the README knob table")
+        for name, lineno in sorted(rows.items()):
+            if name not in reads:
+                linter.report(Path("README.md"), lineno, self.id,
+                              f"README knob table lists {name}, which "
+                              "nothing under src/ reads")
+
+
 class AllocGuardIncludeRule(Rule):
     id = "alloc-guard-include"
     doc = ("files using EXACLIM_ASSERT_NO_ALLOC (or the census macros) "
@@ -501,6 +557,7 @@ RULES: list[Rule] = [
     HotPathAllocRule(),
     HotPathVectorRule(),
     EnvPrefixRule(),
+    EnvDocumentedRule(),
     AllocGuardIncludeRule(),
 ]
 
@@ -555,6 +612,8 @@ def main() -> int:
     files = iter_files(args.paths)
     for path in files:
         linter.lint_file(path)
+    if not args.paths:
+        linter.finish()
 
     if linter.findings:
         for finding in linter.findings:

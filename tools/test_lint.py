@@ -31,6 +31,7 @@ def run_lint(files: dict[str, str],
         for rel in sorted(files):
             if Path(rel).suffix in lint.CPP_SUFFIXES:
                 linter.lint_file(root / rel)
+        linter.finish()
         return linter.findings
 
 
@@ -52,7 +53,7 @@ class RegistryTest(unittest.TestCase):
             {"pragma-once", "endl", "raw-mutex", "naked-new",
              "unbounded-recv", "include-path", "guarded-include",
              "hot-path-alloc", "hot-path-vector", "env-prefix",
-             "alloc-guard-include"})
+             "env-documented", "alloc-guard-include"})
 
 
 class PragmaOnceTest(unittest.TestCase):
@@ -315,6 +316,48 @@ class EnvPrefixTest(unittest.TestCase):
         f = run_lint({"src/a.cpp":
                       'std::getenv("HOME");  // lint:allow(env-prefix)\n'})
         self.assertNotIn("env-prefix", rules_fired(f))
+
+
+class EnvDocumentedTest(unittest.TestCase):
+    README = ("| variable | default | effect |\n"
+              "|---|---|---|\n"
+              "| `EXACLIM_THREADS` | all cores | pool width |\n")
+    READ = 'const char* e = std::getenv("EXACLIM_THREADS");\n'
+
+    def test_documented_read_clean(self):
+        f = run_lint({"README.md": self.README, "src/a.cpp": self.READ})
+        self.assertNotIn("env-documented", rules_fired(f))
+
+    def test_undocumented_read_fires(self):
+        f = run_lint({"README.md": self.README,
+                      "src/a.cpp": self.READ +
+                      'const char* p = std::getenv("EXACLIM_POOL");\n'})
+        self.assertIn("src/a.cpp:2: [env-documented] EXACLIM_POOL", f[0])
+        self.assertEqual(len(f), 1)
+
+    def test_stale_row_fires(self):
+        f = run_lint({"README.md": self.README,
+                      "src/a.cpp": "int x;\n"})
+        self.assertEqual(len(f), 1)
+        self.assertIn("README.md:3: [env-documented]", f[0])
+        self.assertIn("EXACLIM_THREADS", f[0])
+
+    def test_reads_outside_src_do_not_count(self):
+        f = run_lint({"README.md": self.README, "src/a.cpp": self.READ,
+                      "bench/b.cpp":
+                      'const char* d = std::getenv("EXACLIM_OTHER");\n'})
+        self.assertNotIn("env-documented", rules_fired(f))
+
+    def test_comment_ignored(self):
+        f = run_lint({"README.md": self.README, "src/a.cpp": self.READ +
+                      '// see getenv("EXACLIM_GONE")\n'})
+        self.assertNotIn("env-documented", rules_fired(f))
+
+    def test_suppressed(self):
+        f = run_lint({"README.md": self.README, "src/a.cpp": self.READ +
+                      'std::getenv("EXACLIM_X");'
+                      '  // lint:allow(env-documented)\n'})
+        self.assertNotIn("env-documented", rules_fired(f))
 
 
 class AllocGuardIncludeTest(unittest.TestCase):
