@@ -56,11 +56,11 @@ int Main() {
 
   const RunStats ring = TimeCollective(
       ranks, elems, [](Communicator& comm, std::vector<float>& data) {
-        Allreduce(comm, data, AllreduceAlgo::kRing);
+        GroupAllreduceRing(comm, RankGroup::World(comm), data, 1500);
       });
   const RunStats tree = TimeCollective(
       ranks, elems, [](Communicator& comm, std::vector<float>& data) {
-        Allreduce(comm, data, AllreduceAlgo::kTree);
+        GroupAllreduceTree(comm, RankGroup::World(comm), data, 1500);
       });
   const RunStats hybrid = TimeCollective(
       ranks, elems, [](Communicator& comm, std::vector<float>& data) {

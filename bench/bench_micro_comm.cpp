@@ -37,7 +37,7 @@ void BM_AllreduceRing(benchmark::State& state) {
   for (auto _ : state) {
     world.Run([](Communicator& comm) {
       std::vector<float> data(1 << 16, 1.0f);
-      Allreduce(comm, data, AllreduceAlgo::kRing);
+      GroupAllreduceRing(comm, RankGroup::World(comm), data, 1500);
     });
   }
   state.SetBytesProcessed(state.iterations() * ranks *

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/workspace.hpp"
@@ -14,95 +15,42 @@ void AddInto(std::span<float> acc, std::span<const float> other) {
   for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += other[i];
 }
 
-/// Builds the failure result for a receive that did not complete. A
-/// kTimeout while waiting on a *live* neighbour is usually a cascade —
-/// that neighbour is itself stuck on the dead rank — so scan liveness
-/// and name the actual culprit instead of the messenger.
-CollectiveResult Fail(Communicator& comm, int waited_src,
-                      RecvStatus status) {
-  CollectiveResult result;
-  result.suspect_rank = waited_src;
-  result.status = status == RecvStatus::kPeerDead
-                      ? CollectiveStatus::kPeerDead
-                      : CollectiveStatus::kTimeout;
-  if (result.status == CollectiveStatus::kTimeout) {
-    for (int r = 0; r < comm.size(); ++r) {
-      if (comm.PeerDead(r)) {
-        result.status = CollectiveStatus::kPeerDead;
-        result.suspect_rank = r;
-        break;
-      }
-    }
-  }
-  return result;
-}
-
-/// How often a waiting rank re-checks liveness. A world collective can
-/// only complete if every rank participates, so a death *anywhere*
-/// should fail it promptly — not after the whole deadline — even when
-/// this rank's wait edge is with a live peer that is itself stuck on
-/// the dead rank (e.g. the far side of a broken ring).
+/// How often a waiting rank re-checks liveness: a death fails a bounded
+/// collective within one slice instead of after the whole deadline.
 constexpr double kDeadScanSlice = 0.025;
 
-/// Receive from `src` in short slices, scanning the world for dead
-/// ranks in between. On the healthy path this consumes exactly the same
-/// messages as one long wait; on a death it returns kPeerDead within
-/// one slice with `src` set to the culprit.
-RecvResult RecvScanningForDead(Communicator& comm, int src, int tag,
-                               const Deadline& deadline) {
-  for (;;) {
-    const double remaining = deadline.Remaining();
-    const double slice = remaining == kNoTimeout
-                             ? kDeadScanSlice
-                             : std::min(kDeadScanSlice, remaining);
-    RecvResult r = comm.RecvTimeout(src, tag, slice);
-    if (r.status == RecvStatus::kPeerDead) {
-      r.src = src;
-      return r;
-    }
-    if (r.status == RecvStatus::kOk) return r;
+/// First dead rank in `scan`'s scope, or -1.
+int FirstDead(const Communicator& comm, const RankGroup& group,
+              DeadScan scan) {
+  if (scan == DeadScan::kWorld) {
     for (int rank = 0; rank < comm.size(); ++rank) {
-      if (comm.PeerDead(rank)) {
-        r.status = RecvStatus::kPeerDead;
-        r.src = rank;
-        return r;
-      }
+      if (comm.PeerDead(rank)) return rank;
     }
-    if (deadline.Expired()) return r;
+    return -1;
   }
+  for (int i = 0; i < group.size(); ++i) {
+    if (comm.PeerDead(group.WorldRank(i))) return group.WorldRank(i);
+  }
+  return -1;
 }
 
-/// Timed receive of exactly data.size() floats from src. kOk fills
-/// `data`; anything else leaves it untouched and reports the suspect.
-CollectiveResult TimedRecvFloats(Communicator& comm, int src, int tag,
-                                 std::span<float> data,
-                                 const Deadline& deadline) {
-  RecvResult r = RecvScanningForDead(comm, src, tag, deadline);
-  if (!r.ok()) {
-    return Fail(comm, r.status == RecvStatus::kPeerDead ? r.src : src,
-                r.status);
-  }
-  EXACLIM_CHECK(r.payload.size() == data.size() * sizeof(float),
+/// Receive of exactly data.size() floats encoded per `wire` from the
+/// world rank `src`. kOk fills `data`; anything else leaves it untouched
+/// and reports the suspect.
+CollectiveResult TimedRecvFloats(Communicator& comm, const RankGroup& group,
+                                 int src, int tag, std::span<float> data,
+                                 const Deadline& deadline, DeadScan scan,
+                                 WireFormat wire) {
+  const RecvResult r =
+      RecvScanningForDead(comm, group, src, tag, deadline, scan);
+  if (!r.ok()) return FailedRecv(comm, group, r.src, r.status, scan);
+  EXACLIM_CHECK(r.payload.size() == WireBytes(data.size(), wire),
                 "collective recv size mismatch: got "
                     << r.payload.size() << " expected "
-                    << data.size() * sizeof(float) << " (tag " << tag
-                    << ")");
-  if (!r.payload.empty()) {
-    std::memcpy(data.data(), r.payload.data(), r.payload.size());
-  }
+                    << WireBytes(data.size(), wire) << " (tag " << tag
+                    << ", wire " << ToString(wire) << ")");
+  DecodeFloats(r.payload, data, wire);
   return {};
-}
-
-/// Throws on a failed blocking collective — the pre-elastic contract
-/// (unbounded Recv from a dead peer threw exaclim::Error).
-void Require(Communicator& comm, const char* what,
-             const CollectiveResult& result) {
-  EXACLIM_CHECK(result.ok(),
-                "rank " << comm.rank() << ": blocking " << what
-                        << " cannot complete: rank " << result.suspect_rank
-                        << (result.status == CollectiveStatus::kPeerDead
-                                ? " is dead"
-                                : " is unresponsive"));
 }
 
 }  // namespace
@@ -116,95 +64,76 @@ const char* ToString(CollectiveStatus status) {
   return "?";
 }
 
-CollectiveResult TryBarrier(Communicator& comm, const Deadline& deadline,
-                            int tag) {
-  const int n = comm.size();
-  const char token = 1;
-  for (int k = 1; k < n; k <<= 1) {
-    const int dst = (comm.rank() + k) % n;
-    const int src = (comm.rank() - k % n + n) % n;
-    comm.SendValue(dst, tag, token);
-    const RecvResult r = RecvScanningForDead(comm, src, tag, deadline);
-    if (!r.ok()) {
-      return Fail(comm, r.status == RecvStatus::kPeerDead ? r.src : src,
-                  r.status);
+void RequireCollective(const Communicator& comm, const char* what,
+                       const CollectiveResult& result) {
+  EXACLIM_CHECK(result.ok(),
+                "rank " << comm.rank() << ": blocking " << what
+                        << " cannot complete: rank " << result.suspect_rank
+                        << (result.status == CollectiveStatus::kPeerDead
+                                ? " is dead"
+                                : " is unresponsive"));
+}
+
+RankGroup::RankGroup(std::span<const int> ranks, int my_world_rank)
+    : ranks_(ranks.begin(), ranks.end()), my_index_(-1) {
+  EXACLIM_CHECK(!ranks_.empty(), "empty rank group");
+  for (std::size_t i = 0; i < ranks_.size(); ++i) {
+    if (ranks_[i] == my_world_rank) {
+      my_index_ = static_cast<int>(i);
     }
   }
-  return {};
+  EXACLIM_CHECK(my_index_ >= 0,
+                "rank " << my_world_rank << " not a member of the group");
 }
 
-void Barrier(Communicator& comm, int tag) {
-  Require(comm, "Barrier", TryBarrier(comm, Deadline(kNoTimeout), tag));
+RankGroup RankGroup::World(const Communicator& comm) {
+  std::vector<int> ranks(static_cast<std::size_t>(comm.size()));
+  std::iota(ranks.begin(), ranks.end(), 0);
+  return RankGroup(ranks, comm.rank());
 }
 
-CollectiveResult TryBroadcast(Communicator& comm, int root,
-                              std::span<float> data,
-                              const Deadline& deadline, int tag) {
-  const int n = comm.size();
-  if (n == 1) return {};
-  // Virtual rank with root at 0; binomial tree over virtual ranks.
-  const int vrank = (comm.rank() - root + n) % n;
-  // Receive from parent (highest set bit), unless root.
-  if (vrank != 0) {
-    int mask = 1;
-    while (mask <= vrank) mask <<= 1;
-    mask >>= 1;
-    const int vparent = vrank - mask;
-    const int parent = (vparent + root) % n;
-    CollectiveResult r = TimedRecvFloats(comm, parent, tag, data, deadline);
-    if (!r.ok()) return r;
-  }
-  // Forward to children.
-  int mask = 1;
-  while (mask <= vrank) mask <<= 1;
-  for (; mask < n; mask <<= 1) {
-    const int vchild = vrank + mask;
-    if (vchild >= n) break;
-    const int child = (vchild + root) % n;
-    comm.SendT(child, tag, std::span<const float>(data.data(), data.size()));
-  }
-  return {};
-}
-
-void Broadcast(Communicator& comm, int root, std::span<float> data,
-               int tag) {
-  Require(comm, "Broadcast",
-          TryBroadcast(comm, root, data, Deadline(kNoTimeout), tag));
-}
-
-CollectiveResult TryReduce(Communicator& comm, int root,
-                           std::span<float> data, const Deadline& deadline,
-                           int tag) {
-  const int n = comm.size();
-  if (n == 1) return {};
-  const int vrank = (comm.rank() - root + n) % n;
-  std::vector<float> incoming(data.size());
-  // Binomial tree: in round k, virtual ranks with bit k set send to
-  // (vrank - 2^k); receivers accumulate.
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if (vrank & mask) {
-      const int vdst = vrank - mask;
-      const int dst = (vdst + root) % n;
-      comm.SendT(dst, tag,
-                 std::span<const float>(data.data(), data.size()));
-      return {};  // this rank is done after sending
+RecvResult RecvScanningForDead(Communicator& comm, const RankGroup& group,
+                               int src, int tag, const Deadline& deadline,
+                               DeadScan scan) {
+  for (;;) {
+    const double remaining = deadline.Remaining();
+    const double slice = remaining == kNoTimeout
+                             ? kDeadScanSlice
+                             : std::min(kDeadScanSlice, remaining);
+    RecvResult r = comm.RecvTimeout(src, tag, slice);
+    if (r.ok()) return r;
+    if (r.status == RecvStatus::kPeerDead) {
+      r.src = src;
+      return r;
     }
-    const int vsrc = vrank + mask;
-    if (vsrc < n) {
-      const int src = (vsrc + root) % n;
-      CollectiveResult r =
-          TimedRecvFloats(comm, src, tag, std::span<float>(incoming),
-                          deadline);
-      if (!r.ok()) return r;
-      AddInto(data, incoming);
+    const int dead = FirstDead(comm, group, scan);
+    if (dead >= 0) {
+      r.status = RecvStatus::kPeerDead;
+      r.src = dead;
+      return r;
+    }
+    if (deadline.Expired()) {
+      r.src = src;
+      return r;
     }
   }
-  return {};
 }
 
-void Reduce(Communicator& comm, int root, std::span<float> data, int tag) {
-  Require(comm, "Reduce",
-          TryReduce(comm, root, data, Deadline(kNoTimeout), tag));
+CollectiveResult FailedRecv(const Communicator& comm, const RankGroup& group,
+                            int waited, RecvStatus status, DeadScan scan) {
+  CollectiveResult result;
+  result.suspect_rank = waited;
+  result.status = status == RecvStatus::kPeerDead
+                      ? CollectiveStatus::kPeerDead
+                      : CollectiveStatus::kTimeout;
+  if (result.status == CollectiveStatus::kTimeout) {
+    const int dead = FirstDead(comm, group, scan);
+    if (dead >= 0) {
+      result.status = CollectiveStatus::kPeerDead;
+      result.suspect_rank = dead;
+    }
+  }
+  return result;
 }
 
 std::vector<ShardExtent> ComputeShards(std::size_t n, int parts) {
@@ -220,172 +149,6 @@ std::vector<ShardExtent> ComputeShards(std::size_t n, int parts) {
     offset += count;
   }
   return shards;
-}
-
-CollectiveResult TryReduceScatterRing(Communicator& comm,
-                                      std::span<float> data,
-                                      const Deadline& deadline, int tag) {
-  const int n = comm.size();
-  if (n == 1) return {};
-  const auto shards = ComputeShards(data.size(), n);
-  const int rank = comm.rank();
-  const int next = (rank + 1) % n;
-  const int prev = (rank - 1 + n) % n;
-  std::vector<float> incoming(data.size());
-
-  // Round k: send shard (rank - k), receive and accumulate shard
-  // (rank - k - 1). After n-1 rounds rank r holds the full sum of shard
-  // (r+1) mod n.
-  for (int k = 0; k < n - 1; ++k) {
-    const int send_shard = ((rank - k) % n + n) % n;
-    const int recv_shard = ((rank - k - 1) % n + n) % n;
-    const auto& s = shards[static_cast<std::size_t>(send_shard)];
-    const auto& r = shards[static_cast<std::size_t>(recv_shard)];
-    comm.SendT(next, tag + k,
-               std::span<const float>(data.data() + s.offset, s.count));
-    CollectiveResult recv = TimedRecvFloats(
-        comm, prev, tag + k, std::span<float>(incoming.data(), r.count),
-        deadline);
-    if (!recv.ok()) return recv;
-    AddInto(std::span<float>(data.data() + r.offset, r.count),
-            std::span<const float>(incoming.data(), r.count));
-  }
-  return {};
-}
-
-void ReduceScatterRing(Communicator& comm, std::span<float> data, int tag) {
-  Require(comm, "ReduceScatterRing",
-          TryReduceScatterRing(comm, data, Deadline(kNoTimeout), tag));
-}
-
-CollectiveResult TryAllgatherRing(Communicator& comm, std::span<float> data,
-                                  const Deadline& deadline, int tag) {
-  const int n = comm.size();
-  if (n == 1) return {};
-  const auto shards = ComputeShards(data.size(), n);
-  const int rank = comm.rank();
-  const int next = (rank + 1) % n;
-  const int prev = (rank - 1 + n) % n;
-
-  // Round k: send shard (rank + 1 - k), receive shard (rank - k).
-  for (int k = 0; k < n - 1; ++k) {
-    const int send_shard = ((rank + 1 - k) % n + n) % n;
-    const int recv_shard = ((rank - k) % n + n) % n;
-    const auto& s = shards[static_cast<std::size_t>(send_shard)];
-    const auto& r = shards[static_cast<std::size_t>(recv_shard)];
-    comm.SendT(next, tag + k,
-               std::span<const float>(data.data() + s.offset, s.count));
-    CollectiveResult recv = TimedRecvFloats(
-        comm, prev, tag + k,
-        std::span<float>(data.data() + r.offset, r.count), deadline);
-    if (!recv.ok()) return recv;
-  }
-  return {};
-}
-
-void AllgatherRing(Communicator& comm, std::span<float> data, int tag) {
-  Require(comm, "AllgatherRing",
-          TryAllgatherRing(comm, data, Deadline(kNoTimeout), tag));
-}
-
-const char* ToString(AllreduceAlgo algo) {
-  switch (algo) {
-    case AllreduceAlgo::kRing: return "ring";
-    case AllreduceAlgo::kTree: return "tree";
-    case AllreduceAlgo::kRecursiveDoubling: return "recursive-doubling";
-  }
-  return "?";
-}
-
-namespace {
-
-bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
-
-CollectiveResult TryAllreduceRecursiveDoubling(Communicator& comm,
-                                               std::span<float> data,
-                                               const Deadline& deadline,
-                                               int tag) {
-  const int n = comm.size();
-  std::vector<float> incoming(data.size());
-  int round = 0;
-  for (int mask = 1; mask < n; mask <<= 1, ++round) {
-    const int partner = comm.rank() ^ mask;
-    comm.SendT(partner, tag + round,
-               std::span<const float>(data.data(), data.size()));
-    CollectiveResult r = TimedRecvFloats(
-        comm, partner, tag + round, std::span<float>(incoming), deadline);
-    if (!r.ok()) return r;
-    AddInto(data, incoming);
-  }
-  return {};
-}
-
-}  // namespace
-
-CollectiveResult TryAllreduce(Communicator& comm, std::span<float> data,
-                              AllreduceAlgo algo, const Deadline& deadline,
-                              int tag) {
-  switch (algo) {
-    case AllreduceAlgo::kRing: {
-      // For tiny payloads relative to rank count the ring degenerates;
-      // still correct, and netsim models the latency cost.
-      CollectiveResult r = TryReduceScatterRing(comm, data, deadline, tag);
-      if (!r.ok()) return r;
-      return TryAllgatherRing(comm, data, deadline, tag + comm.size());
-    }
-    case AllreduceAlgo::kTree: {
-      CollectiveResult r = TryReduce(comm, 0, data, deadline, tag);
-      if (!r.ok()) return r;
-      return TryBroadcast(comm, 0, data, deadline, tag + 1);
-    }
-    case AllreduceAlgo::kRecursiveDoubling: {
-      if (IsPowerOfTwo(comm.size())) {
-        return TryAllreduceRecursiveDoubling(comm, data, deadline, tag);
-      }
-      CollectiveResult r = TryReduce(comm, 0, data, deadline, tag);
-      if (!r.ok()) return r;
-      return TryBroadcast(comm, 0, data, deadline, tag + 1);
-    }
-  }
-  return {};
-}
-
-void Allreduce(Communicator& comm, std::span<float> data, AllreduceAlgo algo,
-               int tag) {
-  Require(comm, "Allreduce",
-          TryAllreduce(comm, data, algo, Deadline(kNoTimeout), tag));
-}
-
-CollectiveResult TryGather(Communicator& comm, int root,
-                           std::span<const float> data, std::span<float> out,
-                           const Deadline& deadline, int tag) {
-  const int n = comm.size();
-  if (comm.rank() == root) {
-    EXACLIM_CHECK(out.size() == data.size() * static_cast<std::size_t>(n),
-                  "gather output buffer size mismatch");
-    std::copy(data.begin(), data.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                data.size() * static_cast<std::size_t>(root)));
-    for (int r = 0; r < n; ++r) {
-      if (r == root) continue;
-      CollectiveResult recv = TimedRecvFloats(
-          comm, r, tag,
-          std::span<float>(out.data() + data.size() *
-                                            static_cast<std::size_t>(r),
-                           data.size()),
-          deadline);
-      if (!recv.ok()) return recv;
-    }
-  } else {
-    comm.SendT(root, tag, data);
-  }
-  return {};
-}
-
-void Gather(Communicator& comm, int root, std::span<const float> data,
-            std::span<float> out, int tag) {
-  Require(comm, "Gather",
-          TryGather(comm, root, data, out, Deadline(kNoTimeout), tag));
 }
 
 const char* ToString(WireFormat wire) {
@@ -428,6 +191,163 @@ void DecodeFloats(std::span<const std::byte> payload, std::span<float> out,
                  reinterpret_cast<const std::uint16_t*>(payload.data()),
                  out.size()),
              out);
+}
+
+CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
+                                   int root_index, std::span<float> data,
+                                   const Deadline& deadline, int tag,
+                                   DeadScan scan, WireFormat wire) {
+  const int n = group.size();
+  if (n == 1) return {};
+  const int vrank = (group.my_index() - root_index + n) % n;
+  if (vrank != 0) {
+    int mask = 1;
+    while (mask <= vrank) mask <<= 1;
+    mask >>= 1;
+    const int parent = group.WorldRank(((vrank - mask) + root_index) % n);
+    CollectiveResult r = TimedRecvFloats(comm, group, parent, tag, data,
+                                         deadline, scan, wire);
+    if (!r.ok()) return r;
+  } else if (wire == WireFormat::kFP16) {
+    // Quantise what the root keeps to match what everyone receives off
+    // the packed wire (receivers forward already-quantised data, a
+    // bit-exact pack/unpack round trip).
+    RoundTripHalf(data);
+  }
+  int mask = 1;
+  while (mask <= vrank) mask <<= 1;
+  for (; mask < n; mask <<= 1) {
+    const int vchild = vrank + mask;
+    if (vchild >= n) break;
+    SendFloats(comm, group.WorldRank((vchild + root_index) % n), tag,
+               std::span<const float>(data.data(), data.size()), wire);
+  }
+  return {};
+}
+
+void GroupBroadcast(Communicator& comm, const RankGroup& group,
+                    int root_index, std::span<float> data, int tag) {
+  RequireCollective(comm, "GroupBroadcast",
+                    TryGroupBroadcast(comm, group, root_index, data,
+                                      Deadline(kNoTimeout), tag));
+}
+
+CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
+                                int root_index, std::span<float> data,
+                                const Deadline& deadline, int tag,
+                                DeadScan scan, WireFormat wire) {
+  const int n = group.size();
+  if (n == 1) return {};
+  const int vrank = (group.my_index() - root_index + n) % n;
+  // Pooled per-thread receive buffer: the binomial rounds run strictly
+  // sequentially on this thread, so one slot serves every round without
+  // a heap allocation per call (DESIGN §12).
+  std::span<float> incoming(
+      AcquireScratch(ScratchSlot::kGroupIncoming, data.size()), data.size());
+  for (int mask = 1; mask < n; mask <<= 1) {
+    if (vrank & mask) {
+      const int dst = group.WorldRank(((vrank - mask) + root_index) % n);
+      SendFloats(comm, dst, tag,
+                 std::span<const float>(data.data(), data.size()), wire);
+      return {};
+    }
+    const int vsrc = vrank + mask;
+    if (vsrc < n) {
+      CollectiveResult r = TimedRecvFloats(
+          comm, group, group.WorldRank((vsrc + root_index) % n), tag,
+          incoming, deadline, scan, wire);
+      if (!r.ok()) return r;
+      AddInto(data, incoming);
+    }
+  }
+  return {};
+}
+
+void GroupReduce(Communicator& comm, const RankGroup& group, int root_index,
+                 std::span<float> data, int tag) {
+  RequireCollective(comm, "GroupReduce",
+                    TryGroupReduce(comm, group, root_index, data,
+                                   Deadline(kNoTimeout), tag));
+}
+
+CollectiveResult TryGroupAllreduceRing(Communicator& comm,
+                                       const RankGroup& group,
+                                       std::span<float> data,
+                                       const Deadline& deadline, int tag,
+                                       DeadScan scan, WireFormat wire) {
+  const int n = group.size();
+  if (n == 1) return {};
+  const auto shards = ComputeShards(data.size(), n);
+  const int idx = group.my_index();
+  const int next = group.WorldRank((idx + 1) % n);
+  const int prev = group.WorldRank((idx - 1 + n) % n);
+  // Pooled per-thread receive buffer (see TryGroupReduce).
+  float* incoming = AcquireScratch(ScratchSlot::kGroupIncoming, data.size());
+
+  for (int k = 0; k < n - 1; ++k) {
+    const int send_shard = ((idx - k) % n + n) % n;
+    const int recv_shard = ((idx - k - 1) % n + n) % n;
+    const auto& s = shards[static_cast<std::size_t>(send_shard)];
+    const auto& r = shards[static_cast<std::size_t>(recv_shard)];
+    SendFloats(comm, next, tag + k,
+               std::span<const float>(data.data() + s.offset, s.count),
+               wire);
+    CollectiveResult recv = TimedRecvFloats(
+        comm, group, prev, tag + k, std::span<float>(incoming, r.count),
+        deadline, scan, wire);
+    if (!recv.ok()) return recv;
+    AddInto(std::span<float>(data.data() + r.offset, r.count),
+            std::span<const float>(incoming, r.count));
+  }
+  if (wire == WireFormat::kFP16) {
+    // After the reduce-scatter this rank owns the fully reduced shard
+    // (idx+1) mod n. Quantise it before the allgather so the copy this
+    // rank keeps matches the packed copy every peer receives; forwarded
+    // shards are already quantised, so their pack hop is bit-exact.
+    const auto& own = shards[static_cast<std::size_t>((idx + 1) % n)];
+    RoundTripHalf(std::span<float>(data.data() + own.offset, own.count));
+  }
+  for (int k = 0; k < n - 1; ++k) {
+    const int send_shard = ((idx + 1 - k) % n + n) % n;
+    const int recv_shard = ((idx - k) % n + n) % n;
+    const auto& s = shards[static_cast<std::size_t>(send_shard)];
+    const auto& r = shards[static_cast<std::size_t>(recv_shard)];
+    SendFloats(comm, next, tag + n + k,
+               std::span<const float>(data.data() + s.offset, s.count),
+               wire);
+    CollectiveResult recv = TimedRecvFloats(
+        comm, group, prev, tag + n + k,
+        std::span<float>(data.data() + r.offset, r.count), deadline, scan,
+        wire);
+    if (!recv.ok()) return recv;
+  }
+  return {};
+}
+
+void GroupAllreduceRing(Communicator& comm, const RankGroup& group,
+                        std::span<float> data, int tag) {
+  RequireCollective(comm, "GroupAllreduceRing",
+                    TryGroupAllreduceRing(comm, group, data,
+                                          Deadline(kNoTimeout), tag));
+}
+
+CollectiveResult TryGroupAllreduceTree(Communicator& comm,
+                                       const RankGroup& group,
+                                       std::span<float> data,
+                                       const Deadline& deadline, int tag,
+                                       DeadScan scan, WireFormat wire) {
+  CollectiveResult r =
+      TryGroupReduce(comm, group, 0, data, deadline, tag, scan, wire);
+  if (!r.ok()) return r;
+  return TryGroupBroadcast(comm, group, 0, data, deadline, tag + 1, scan,
+                           wire);
+}
+
+void GroupAllreduceTree(Communicator& comm, const RankGroup& group,
+                        std::span<float> data, int tag) {
+  RequireCollective(comm, "GroupAllreduceTree",
+                    TryGroupAllreduceTree(comm, group, data,
+                                          Deadline(kNoTimeout), tag));
 }
 
 }  // namespace exaclim

@@ -11,8 +11,12 @@ namespace exaclim {
 
 /// Collective algorithms implemented over point-to-point messaging —
 /// the building blocks the paper's hybrid all-reduce composes (Sec
-/// V-A3). All reductions are float sums with deterministic combining
-/// order (independent of thread timing), so data-parallel replicas stay
+/// V-A3), where different operations run over "the 6 GPUs of a node"
+/// (NCCL scope) and "rank k of every node" (MPI scope). Every algorithm
+/// therefore runs over a RankGroup, an arbitrary subset of world ranks;
+/// the whole world is one group among others (RankGroup::World). All
+/// reductions are float sums with deterministic combining order
+/// (independent of thread timing), so data-parallel replicas stay
 /// bit-identical.
 ///
 /// Each call takes a `tag` namespace; sequential collectives on the same
@@ -43,69 +47,65 @@ struct CollectiveResult {
   bool ok() const { return status == CollectiveStatus::kOk; }
 };
 
-/// Dissemination barrier: ceil(log2 n) rounds.
-void Barrier(Communicator& comm, int tag = 1000);
-CollectiveResult TryBarrier(Communicator& comm, const Deadline& deadline,
-                            int tag = 1000);
+/// Throws exaclim::Error naming the culprit when the blocking operation
+/// `what` failed — the pre-elastic contract (an unbounded receive from
+/// a dead peer threw).
+void RequireCollective(const Communicator& comm, const char* what,
+                       const CollectiveResult& result);
 
-/// Binomial-tree broadcast from root.
-void Broadcast(Communicator& comm, int root, std::span<float> data,
-               int tag = 1100);
-CollectiveResult TryBroadcast(Communicator& comm, int root,
-                              std::span<float> data,
-                              const Deadline& deadline, int tag = 1100);
+/// The participating world ranks of a collective; the calling rank must
+/// be a member. All members must call with an identical group and tag.
+class RankGroup {
+ public:
+  RankGroup(std::span<const int> ranks, int my_world_rank);
 
-/// Binomial-tree sum-reduction to root (other ranks' buffers untouched).
-void Reduce(Communicator& comm, int root, std::span<float> data,
-            int tag = 1200);
-CollectiveResult TryReduce(Communicator& comm, int root,
-                           std::span<float> data, const Deadline& deadline,
-                           int tag = 1200);
+  /// Every world rank in order: member i is world rank i.
+  static RankGroup World(const Communicator& comm);
 
-/// Ring reduce-scatter: on return, rank r owns the fully reduced shard
-/// (r+1) mod n (the classic systolic-ring layout, matched by
-/// AllgatherRing). Shards partition [0, n) as evenly as possible via
-/// ComputeShards. This is the NCCL-style pattern of Sec V-A3.
+  int size() const { return static_cast<int>(ranks_.size()); }
+  int my_index() const { return my_index_; }
+  int WorldRank(int index) const { return ranks_.at(static_cast<std::size_t>(index)); }
+
+ private:
+  std::vector<int> ranks_;
+  int my_index_;
+};
+
+/// Scope of the liveness scan a waiting rank runs inside a bounded
+/// collective, and of the scan that upgrades its timeout to a death.
+/// kGroup (the default) only aborts on a dead *member* — elastic
+/// generations deliberately keep collectives alive while ex-members stay
+/// dead in the world. kWorld aborts on a death anywhere; correct only
+/// when the caller knows any death dooms the operation, e.g. the hybrid
+/// allreduce whose subgroup phases require the entire generation-0 world.
+/// Over RankGroup::World the two scopes coincide.
+enum class DeadScan { kGroup, kWorld };
+
+/// Receives from `src` (a world rank, or kAnySource) in short slices,
+/// scanning `scan`'s scope for dead ranks in between, so a death fails
+/// the wait within one slice even when this rank's wait edge is with a
+/// live peer that is itself stuck on the dead one. On the healthy path
+/// this consumes exactly the same messages as one long wait. On failure
+/// `src` of the result names the dead rank (kPeerDead) or echoes the
+/// waited-on source (kTimeout).
+RecvResult RecvScanningForDead(Communicator& comm, const RankGroup& group,
+                               int src, int tag, const Deadline& deadline,
+                               DeadScan scan = DeadScan::kGroup);
+
+/// Failure result for a receive from `waited` that ended with `status`.
+/// A kTimeout while a rank in `scan`'s scope is dead names that rank:
+/// the timeout is its cascade. Otherwise the timeout names `waited`.
+CollectiveResult FailedRecv(const Communicator& comm, const RankGroup& group,
+                            int waited, RecvStatus status,
+                            DeadScan scan = DeadScan::kGroup);
+
+/// Even partition of [0, n) into `parts` contiguous shards — the ring's
+/// reduce-scatter layout and the hybrid's per-MPI-rank split.
 struct ShardExtent {
   std::size_t offset;
   std::size_t count;
 };
 std::vector<ShardExtent> ComputeShards(std::size_t n, int parts);
-void ReduceScatterRing(Communicator& comm, std::span<float> data,
-                       int tag = 1300);
-CollectiveResult TryReduceScatterRing(Communicator& comm,
-                                      std::span<float> data,
-                                      const Deadline& deadline,
-                                      int tag = 1300);
-
-/// Ring allgather of the per-rank shards produced by ReduceScatterRing.
-void AllgatherRing(Communicator& comm, std::span<float> data,
-                   int tag = 1400);
-CollectiveResult TryAllgatherRing(Communicator& comm, std::span<float> data,
-                                  const Deadline& deadline, int tag = 1400);
-
-enum class AllreduceAlgo {
-  kRing,               // reduce-scatter + allgather (bandwidth-optimal)
-  kTree,               // reduce to root + broadcast (latency-friendly)
-  kRecursiveDoubling,  // power-of-two butterfly (MPI-style)
-};
-
-const char* ToString(AllreduceAlgo algo);
-
-/// In-place sum all-reduce with the chosen algorithm. Recursive doubling
-/// falls back to tree for non-power-of-two sizes.
-void Allreduce(Communicator& comm, std::span<float> data,
-               AllreduceAlgo algo = AllreduceAlgo::kRing, int tag = 1500);
-CollectiveResult TryAllreduce(Communicator& comm, std::span<float> data,
-                              AllreduceAlgo algo, const Deadline& deadline,
-                              int tag = 1500);
-
-/// Gathers `data` from every rank to root (concatenated rank-major).
-void Gather(Communicator& comm, int root, std::span<const float> data,
-            std::span<float> out, int tag = 1600);
-CollectiveResult TryGather(Communicator& comm, int root,
-                           std::span<const float> data, std::span<float> out,
-                           const Deadline& deadline, int tag = 1600);
 
 /// On-the-wire encoding of a float payload. kFP32 sends raw floats;
 /// kFP16 packs each element through IEEE binary16 (PackHalf), halving
@@ -136,5 +136,56 @@ void SendFloats(Communicator& comm, int dst, int tag,
 /// WireBytes(out.size(), wire) — callers check before decoding.
 void DecodeFloats(std::span<const std::byte> payload, std::span<float> out,
                   WireFormat wire);
+
+/// `wire` selects the on-the-wire encoding: under WireFormat::kFP16
+/// every message moves packed binary16 words (half the bytes) while
+/// accumulation stays FP32. The algorithms quantise *kept* data at the
+/// same points the wire quantises *sent* data — the ring quantises each
+/// owner's fully reduced shard before the allgather, the tree's root
+/// quantises before broadcasting — so every member still finishes with
+/// bit-identical buffers. kFP32 (the default) sends raw floats.
+
+/// Binomial-tree broadcast from the member at `root_index`.
+void GroupBroadcast(Communicator& comm, const RankGroup& group,
+                    int root_index, std::span<float> data, int tag);
+CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
+                                   int root_index, std::span<float> data,
+                                   const Deadline& deadline, int tag,
+                                   DeadScan scan = DeadScan::kGroup,
+                                   WireFormat wire = WireFormat::kFP32);
+
+/// Binomial-tree sum-reduction to the member at `root_index` (other
+/// members' buffers hold partial sums afterwards).
+void GroupReduce(Communicator& comm, const RankGroup& group, int root_index,
+                 std::span<float> data, int tag);
+CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
+                                int root_index, std::span<float> data,
+                                const Deadline& deadline, int tag,
+                                DeadScan scan = DeadScan::kGroup,
+                                WireFormat wire = WireFormat::kFP32);
+
+/// Ring reduce-scatter + allgather within the group (in-place sum; the
+/// NCCL pattern of Sec V-A3). Uses tags [tag, tag + 2·size). After the
+/// reduce-scatter member i owns the fully reduced shard (i+1) mod size
+/// of ComputeShards(data.size(), size).
+void GroupAllreduceRing(Communicator& comm, const RankGroup& group,
+                        std::span<float> data, int tag);
+CollectiveResult TryGroupAllreduceRing(Communicator& comm,
+                                       const RankGroup& group,
+                                       std::span<float> data,
+                                       const Deadline& deadline, int tag,
+                                       DeadScan scan = DeadScan::kGroup,
+                                       WireFormat wire = WireFormat::kFP32);
+
+/// Tree (reduce to member 0 at `tag` + broadcast at `tag + 1`)
+/// all-reduce within the group.
+void GroupAllreduceTree(Communicator& comm, const RankGroup& group,
+                        std::span<float> data, int tag);
+CollectiveResult TryGroupAllreduceTree(Communicator& comm,
+                                       const RankGroup& group,
+                                       std::span<float> data,
+                                       const Deadline& deadline, int tag,
+                                       DeadScan scan = DeadScan::kGroup,
+                                       WireFormat wire = WireFormat::kFP32);
 
 }  // namespace exaclim

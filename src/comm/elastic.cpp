@@ -33,27 +33,6 @@ MsgHeader GetHeader(const std::vector<std::byte>& buf) {
   return header;
 }
 
-/// Failure result for a consensus receive; a timeout while a member is
-/// dead names the dead member (the timeout is its cascade).
-CollectiveResult ConsensusFail(Communicator& comm, int waited_world_rank,
-                               RecvStatus status) {
-  CollectiveResult result;
-  result.suspect_rank = waited_world_rank;
-  result.status = status == RecvStatus::kPeerDead
-                      ? CollectiveStatus::kPeerDead
-                      : CollectiveStatus::kTimeout;
-  if (result.status == CollectiveStatus::kTimeout) {
-    for (int r = 0; r < comm.size(); ++r) {
-      if (comm.PeerDead(r)) {
-        result.status = CollectiveStatus::kPeerDead;
-        result.suspect_rank = r;
-        break;
-      }
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 ElasticOptions ElasticOptions::FromEnv(ElasticOptions base) {
@@ -117,6 +96,7 @@ CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
         live[static_cast<std::size_t>(pos)])];
   };
 
+  const RankGroup group(members, comm_->rank());
   const Deadline deadline(options_.rebuild_timeout_s);
   const int radix = options_.control_radix;
   const std::vector<int> child_positions =
@@ -124,13 +104,14 @@ CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
 
   // Receives a consensus message from `src`, rejecting stale
   // (generation, attempt) stamps — a retried attempt's leftovers or a
-  // pre-rebuild straggler must not steer this round.
+  // pre-rebuild straggler must not steer this round. A timeout names a
+  // dead member of this view, never a long-dead ex-member.
   const auto recv_checked =
       [&](int src, int tag,
           std::vector<std::byte>* payload) -> CollectiveResult {
     for (;;) {
       RecvResult r = comm_->RecvTimeout(src, tag, deadline.Remaining());
-      if (!r.ok()) return ConsensusFail(*comm_, src, r.status);
+      if (!r.ok()) return FailedRecv(*comm_, group, src, r.status);
       const MsgHeader header = GetHeader(r.payload);
       if (header.generation != gen || header.attempt != attempt) {
         ++stale_rejected_;

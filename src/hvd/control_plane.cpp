@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -29,86 +28,15 @@ void DCheckIsPermutation([[maybe_unused]] std::span<const int> ready_ids,
 #endif
 }
 
-/// Failure result for a control-plane receive. With kAnySource there is
-/// no single waited-on rank, so the dead-member scan does the naming.
-CollectiveResult PlaneFail(Communicator& comm, const RankGroup& group,
-                           int waited_world_rank, RecvStatus status) {
-  CollectiveResult result;
-  result.suspect_rank = waited_world_rank;
-  result.status = status == RecvStatus::kPeerDead
-                      ? CollectiveStatus::kPeerDead
-                      : CollectiveStatus::kTimeout;
-  if (result.status == CollectiveStatus::kTimeout) {
-    for (int i = 0; i < group.size(); ++i) {
-      if (comm.PeerDead(group.WorldRank(i))) {
-        result.status = CollectiveStatus::kPeerDead;
-        result.suspect_rank = group.WorldRank(i);
-        return result;
-      }
-    }
-    for (int r = 0; r < comm.size(); ++r) {
-      if (comm.PeerDead(r)) {
-        result.status = CollectiveStatus::kPeerDead;
-        result.suspect_rank = r;
-        break;
-      }
-    }
-  }
-  return result;
-}
-
-/// How often a waiting rank re-checks member liveness. Scoped to the
-/// negotiation group (elastic generations run with ex-members dead in
-/// the world); keeps controller/worker failure detection at one slice
-/// instead of the whole deadline — the kAnySource readiness wait has no
-/// single source whose death could wake it early.
-constexpr double kDeadScanSlice = 0.025;
-
-/// Receive from `src` (may be kAnySource) in short slices, scanning the
-/// group for dead members in between. On a death, returns kPeerDead
-/// with `src` naming the dead member.
-RecvResult RecvScanningForDeadMember(Communicator& comm,
-                                     const RankGroup& group, int src,
-                                     int tag, const Deadline& deadline) {
-  for (;;) {
-    const double remaining = deadline.Remaining();
-    const double slice = remaining == kNoTimeout
-                             ? kDeadScanSlice
-                             : std::min(kDeadScanSlice, remaining);
-    RecvResult r = comm.RecvTimeout(src, tag, slice);
-    if (r.status == RecvStatus::kPeerDead) {
-      r.src = src;
-      return r;
-    }
-    if (r.status == RecvStatus::kOk) return r;
-    for (int i = 0; i < group.size(); ++i) {
-      if (comm.PeerDead(group.WorldRank(i))) {
-        r.status = RecvStatus::kPeerDead;
-        r.src = group.WorldRank(i);
-        return r;
-      }
-    }
-    if (deadline.Expired()) return r;
-  }
-}
-
 }  // namespace
 
 std::vector<int> ControlPlane::NegotiateOrder(Communicator& comm,
                                               std::span<const int> ready_ids) {
-  std::vector<int> world(static_cast<std::size_t>(comm.size()));
-  std::iota(world.begin(), world.end(), 0);
-  const RankGroup group(world, comm.rank());
   std::vector<int> order;
-  const CollectiveResult result = TryNegotiateOrder(
-      comm, group, ready_ids, Deadline(kNoTimeout), /*tag_salt=*/0, &order);
-  EXACLIM_CHECK(result.ok(),
-                "rank " << comm.rank()
-                        << ": blocking NegotiateOrder cannot complete: rank "
-                        << result.suspect_rank
-                        << (result.status == CollectiveStatus::kPeerDead
-                                ? " is dead"
-                                : " is unresponsive"));
+  RequireCollective(comm, "NegotiateOrder",
+                    TryNegotiateOrder(comm, RankGroup::World(comm), ready_ids,
+                                      Deadline(kNoTimeout), /*tag_salt=*/0,
+                                      &order));
   return order;
 }
 
@@ -134,13 +62,9 @@ CollectiveResult FlatControlPlane::TryNegotiateOrder(
     // Stream one readiness message per tensor to the controller, in this
     // rank's local scheduling order.
     for (const int id : ready_ids) comm.SendValue(controller, tag_ready, id);
-    RecvResult r = RecvScanningForDeadMember(comm, group, controller,
-                                             tag_order, deadline);
-    if (!r.ok()) {
-      return PlaneFail(
-          comm, group,
-          r.status == RecvStatus::kPeerDead ? r.src : controller, r.status);
-    }
+    RecvResult r =
+        RecvScanningForDead(comm, group, controller, tag_order, deadline);
+    if (!r.ok()) return FailedRecv(comm, group, r.src, r.status);
     EXACLIM_CHECK(r.payload.size() ==
                       static_cast<std::size_t>(n) * sizeof(int),
                   "negotiated order has wrong wire size");
@@ -157,13 +81,9 @@ CollectiveResult FlatControlPlane::TryNegotiateOrder(
   for (const int id : ready_ids) counts[id] = 1;  // own readiness
   std::int64_t expected = static_cast<std::int64_t>(p - 1) * n;
   while (expected-- > 0) {
-    const RecvResult r = RecvScanningForDeadMember(comm, group, kAnySource,
-                                                   tag_ready, deadline);
-    if (!r.ok()) {
-      return PlaneFail(comm, group,
-                       r.status == RecvStatus::kPeerDead ? r.src : -1,
-                       r.status);
-    }
+    const RecvResult r =
+        RecvScanningForDead(comm, group, kAnySource, tag_ready, deadline);
+    if (!r.ok()) return FailedRecv(comm, group, r.src, r.status);
     EXACLIM_CHECK(r.payload.size() == sizeof(int),
                   "readiness report has wrong wire size");
     int id = 0;
@@ -221,13 +141,9 @@ CollectiveResult HierarchicalControlPlane::TryNegotiateOrder(
   }
   std::int64_t expected = static_cast<std::int64_t>(children.size()) * n;
   while (expected-- > 0) {
-    const RecvResult r = RecvScanningForDeadMember(comm, group, kAnySource,
-                                                   tag_ready, deadline);
-    if (!r.ok()) {
-      return PlaneFail(comm, group,
-                       r.status == RecvStatus::kPeerDead ? r.src : -1,
-                       r.status);
-    }
+    const RecvResult r =
+        RecvScanningForDead(comm, group, kAnySource, tag_ready, deadline);
+    if (!r.ok()) return FailedRecv(comm, group, r.src, r.status);
     EXACLIM_CHECK(r.payload.size() == sizeof(int),
                   "readiness report has wrong wire size");
     int id = 0;
@@ -242,12 +158,8 @@ CollectiveResult HierarchicalControlPlane::TryNegotiateOrder(
   } else {
     const int parent = group.WorldRank(TreeParent(index, radix_));
     RecvResult r =
-        RecvScanningForDeadMember(comm, group, parent, tag_order, deadline);
-    if (!r.ok()) {
-      return PlaneFail(comm, group,
-                       r.status == RecvStatus::kPeerDead ? r.src : parent,
-                       r.status);
-    }
+        RecvScanningForDead(comm, group, parent, tag_order, deadline);
+    if (!r.ok()) return FailedRecv(comm, group, r.src, r.status);
     EXACLIM_CHECK(r.payload.size() ==
                       static_cast<std::size_t>(n) * sizeof(int),
                   "negotiated order has wrong wire size");

@@ -7,7 +7,6 @@
 #include "comm/collectives.hpp"
 #include "comm/elastic.hpp"
 #include "comm/world.hpp"
-#include "hvd/group.hpp"
 
 namespace exaclim {
 

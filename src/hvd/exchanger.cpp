@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/workspace.hpp"
-#include "hvd/group.hpp"
 #include "obs/obs.hpp"
 
 namespace exaclim {
@@ -102,14 +101,7 @@ void GradientExchanger::Exchange(Communicator& comm,
   for (int i = 0; i < static_cast<int>(params.size()); ++i) {
     NotifyGradReady(i);
   }
-  const CollectiveResult result = WaitAll();
-  EXACLIM_CHECK(result.ok(),
-                "rank " << comm.rank()
-                        << ": blocking Exchange cannot complete: rank "
-                        << result.suspect_rank
-                        << (result.status == CollectiveStatus::kPeerDead
-                                ? " is dead"
-                                : " is unresponsive"));
+  RequireCollective(comm, "Exchange", WaitAll());
 }
 
 CollectiveResult GradientExchanger::ReduceFusedBucket(

@@ -4,7 +4,6 @@
 
 #include "comm/collectives.hpp"
 #include "common/error.hpp"
-#include "hvd/group.hpp"
 
 namespace exaclim {
 
@@ -83,15 +82,9 @@ CollectiveResult TryHybridAllreduce(Communicator& comm, std::span<float> data,
 void HybridAllreduce(Communicator& comm, std::span<float> data,
                      const HybridAllreduceOptions& opts, int tag,
                      WireFormat wire) {
-  const CollectiveResult result =
-      TryHybridAllreduce(comm, data, opts, Deadline(kNoTimeout), tag, wire);
-  EXACLIM_CHECK(result.ok(),
-                "rank " << comm.rank()
-                        << ": blocking HybridAllreduce cannot complete: rank "
-                        << result.suspect_rank
-                        << (result.status == CollectiveStatus::kPeerDead
-                                ? " is dead"
-                                : " is unresponsive"));
+  RequireCollective(
+      comm, "HybridAllreduce",
+      TryHybridAllreduce(comm, data, opts, Deadline(kNoTimeout), tag, wire));
 }
 
 }  // namespace exaclim

@@ -34,7 +34,7 @@ struct HybridAllreduceOptions {
 /// nodes. All ranks must call collectively. `wire` selects the message
 /// encoding (packed binary16 halves every phase's traffic; each phase
 /// quantises kept data exactly where it quantises sent data, so all
-/// ranks still finish bit-identical — see hvd/group.hpp).
+/// ranks still finish bit-identical — see comm/collectives.hpp).
 void HybridAllreduce(Communicator& comm, std::span<float> data,
                      const HybridAllreduceOptions& opts, int tag = 9500,
                      WireFormat wire = WireFormat::kFP32);

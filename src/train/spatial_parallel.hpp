@@ -18,7 +18,7 @@ namespace exaclim {
 /// the full image — the distributed forward/backward is numerically
 /// identical to the single-device computation (up to FP accumulation
 /// order). Weight gradients are partial sums over each slab; summing
-/// them across ranks (e.g. with comm's Allreduce) recovers the full
+/// them across ranks (e.g. with GroupAllreduceRing) recovers the full
 /// gradient, which is what a combined data+model-parallel training step
 /// would all-reduce.
 

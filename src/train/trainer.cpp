@@ -5,13 +5,13 @@
 #include <string>
 #include <thread>
 
+#include "comm/collectives.hpp"
 #include "common/alloc_tracker.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/pool.hpp"
 #include "common/sync.hpp"
-#include "hvd/group.hpp"
 #include "obs/obs.hpp"
 
 namespace exaclim {
@@ -163,13 +163,7 @@ RankTrainer::StepResult RankTrainer::StepImpl(
         return result;
       }
     } else {
-      EXACLIM_CHECK(r.ok(),
-                    "rank " << comm->rank()
-                            << ": blocking exchange cannot complete: rank "
-                            << r.suspect_rank
-                            << (r.status == CollectiveStatus::kPeerDead
-                                    ? " is dead"
-                                    : " is unresponsive"));
+      RequireCollective(*comm, "exchange", r);
     }
   }
 

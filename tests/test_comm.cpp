@@ -1,24 +1,29 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "comm/collectives.hpp"
 #include "comm/world.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "tensor/cast.hpp"
 
 namespace exaclim {
 namespace {
 
 // Per-rank payload: rank-dependent values so reductions are checkable.
+// The reciprocal term is not representable in binary16, so a kFP16 wire
+// really quantises.
 std::vector<float> RankPayload(int rank, std::size_t n) {
   std::vector<float> data(n);
   for (std::size_t i = 0; i < n; ++i) {
     data[i] = static_cast<float>(rank + 1) * 0.5f +
-              static_cast<float>(i) * 0.25f;
+              static_cast<float>(i) * 0.25f +
+              1.0f / static_cast<float>(rank + static_cast<int>(i) + 3);
   }
   return data;
 }
@@ -94,7 +99,11 @@ TEST(SimWorld, ExceptionOnOneRankPoisonsBlockedPeers) {
 TEST(SimWorld, ReusableAcrossRuns) {
   SimWorld world(3);
   for (int round = 0; round < 3; ++round) {
-    world.Run([](Communicator& comm) { Barrier(comm); });
+    world.Run([](Communicator& comm) {
+      std::vector<float> data(5, 1.0f);
+      GroupAllreduceRing(comm, RankGroup::World(comm), data, 1000);
+      for (const float v : data) EXPECT_EQ(v, 3.0f);
+    });
   }
   SUCCEED();
 }
@@ -111,101 +120,104 @@ TEST(SimWorld, RecvSizeMismatchThrows) {
                Error);
 }
 
-class CollectiveSizes : public ::testing::TestWithParam<int> {};
+// Every group collective over RankGroup::World, across world sizes and
+// wire formats.
+class CollectiveSizes
+    : public ::testing::TestWithParam<std::tuple<int, WireFormat>> {
+ protected:
+  int n() const { return std::get<0>(GetParam()); }
+  WireFormat wire() const { return std::get<1>(GetParam()); }
+  // Packed binary16 partial sums lose up to half an ulp per hop.
+  float Tolerance(float expected) const {
+    return wire() == WireFormat::kFP16
+               ? 1e-2f * std::max(1.0f, std::abs(expected))
+               : 1e-4f;
+  }
 
-TEST_P(CollectiveSizes, BarrierCompletes) {
-  SimWorld world(GetParam());
-  std::atomic<int> after{0};
-  world.Run([&](Communicator& comm) {
-    Barrier(comm);
-    after.fetch_add(1);
-  });
-  EXPECT_EQ(after.load(), GetParam());
-}
-
-TEST_P(CollectiveSizes, BroadcastDistributesRootData) {
-  const int n = GetParam();
-  SimWorld world(n);
-  const int root = n > 2 ? 2 : 0;
-  world.Run([&](Communicator& comm) {
-    std::vector<float> data(17, comm.rank() == root ? 3.5f : 0.0f);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      if (comm.rank() == root) data[i] += static_cast<float>(i);
-    }
-    Broadcast(comm, root, data);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      EXPECT_FLOAT_EQ(data[i], 3.5f + static_cast<float>(i));
-    }
-  });
-}
-
-TEST_P(CollectiveSizes, ReduceSumsToRoot) {
-  const int n = GetParam();
-  SimWorld world(n);
-  const auto expected = ExpectedSum(n, 23);
-  world.Run([&](Communicator& comm) {
-    auto data = RankPayload(comm.rank(), 23);
-    Reduce(comm, 0, data);
-    if (comm.rank() == 0) {
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_NEAR(data[i], expected[i], 1e-4f);
-      }
-    }
-  });
-}
-
-TEST_P(CollectiveSizes, AllreduceAllAlgorithmsAgree) {
-  const int n = GetParam();
-  const std::size_t len = 41;
-  const auto expected = ExpectedSum(n, len);
-  for (const auto algo : {AllreduceAlgo::kRing, AllreduceAlgo::kTree,
-                          AllreduceAlgo::kRecursiveDoubling}) {
-    SimWorld world(n);
+  // Runs `op(comm, world_group, data)` on every rank over its
+  // RankPayload and returns each rank's final buffer.
+  template <typename Op>
+  std::vector<std::vector<float>> RunOnWorld(std::size_t len, Op op) {
+    std::vector<std::vector<float>> out(static_cast<std::size_t>(n()));
+    SimWorld world(n());
     world.Run([&](Communicator& comm) {
       auto data = RankPayload(comm.rank(), len);
-      Allreduce(comm, data, algo);
-      for (std::size_t i = 0; i < len; ++i) {
-        EXPECT_NEAR(data[i], expected[i], 1e-3f)
-            << ToString(algo) << " n=" << n << " i=" << i;
-      }
+      const CollectiveResult r =
+          op(comm, RankGroup::World(comm), std::span<float>(data));
+      EXPECT_TRUE(r.ok()) << "rank " << comm.rank() << ": "
+                          << ToString(r.status);
+      out[static_cast<std::size_t>(comm.rank())] = std::move(data);
     });
+    return out;
+  }
+};
+
+// Every rank finishes with the same bits — what keeps data-parallel
+// replicas identical, under either wire.
+void ExpectBitIdentical(const std::vector<std::vector<float>>& per_rank) {
+  for (std::size_t r = 1; r < per_rank.size(); ++r) {
+    ASSERT_EQ(per_rank[r].size(), per_rank[0].size());
+    EXPECT_EQ(std::memcmp(per_rank[r].data(), per_rank[0].data(),
+                          per_rank[0].size() * sizeof(float)),
+              0)
+        << "rank " << r << " differs from rank 0";
   }
 }
 
-TEST_P(CollectiveSizes, ReduceScatterThenAllgatherEqualsAllreduce) {
-  const int n = GetParam();
-  const std::size_t len = 37;  // deliberately not divisible by n
-  const auto expected = ExpectedSum(n, len);
-  SimWorld world(n);
-  world.Run([&](Communicator& comm) {
-    auto data = RankPayload(comm.rank(), len);
-    ReduceScatterRing(comm, data);
-    AllgatherRing(comm, data);
+TEST_P(CollectiveSizes, BroadcastDistributesRootData) {
+  const int root = n() > 2 ? 2 : 0;
+  // Every rank gets the root's data exactly as the wire encodes it; a
+  // one-member group sends nothing, so nothing is quantised.
+  auto expected = RankPayload(root, 17);
+  if (wire() == WireFormat::kFP16 && n() > 1) RoundTripHalf(expected);
+  const auto out = RunOnWorld(17, [&](Communicator& comm,
+                                      const RankGroup& group,
+                                      std::span<float> data) {
+    return TryGroupBroadcast(comm, group, root, data, Deadline(kNoTimeout),
+                             1100, DeadScan::kGroup, wire());
+  });
+  for (const auto& data : out) EXPECT_EQ(data, expected);
+}
+
+TEST_P(CollectiveSizes, ReduceSumsToRoot) {
+  const auto expected = ExpectedSum(n(), 23);
+  const auto out = RunOnWorld(23, [&](Communicator& comm,
+                                      const RankGroup& group,
+                                      std::span<float> data) {
+    return TryGroupReduce(comm, group, 0, data, Deadline(kNoTimeout), 1200,
+                          DeadScan::kGroup, wire());
+  });
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(out[0][i], expected[i], Tolerance(expected[i]));
+  }
+}
+
+TEST_P(CollectiveSizes, AllreduceAllAlgorithmsAgree) {
+  const std::size_t len = 41;  // deliberately not divisible by most n
+  const auto expected = ExpectedSum(n(), len);
+  for (const bool ring : {true, false}) {
+    const auto out = RunOnWorld(len, [&](Communicator& comm,
+                                         const RankGroup& group,
+                                         std::span<float> data) {
+      const Deadline deadline(kNoTimeout);
+      return ring ? TryGroupAllreduceRing(comm, group, data, deadline, 1500,
+                                          DeadScan::kGroup, wire())
+                  : TryGroupAllreduceTree(comm, group, data, deadline, 1500,
+                                          DeadScan::kGroup, wire());
+    });
     for (std::size_t i = 0; i < len; ++i) {
-      EXPECT_NEAR(data[i], expected[i], 1e-3f) << "i=" << i;
+      EXPECT_NEAR(out[0][i], expected[i], Tolerance(expected[i]))
+          << (ring ? "ring" : "tree") << " n=" << n() << " i=" << i;
     }
-  });
+    ExpectBitIdentical(out);
+  }
 }
 
-TEST_P(CollectiveSizes, ReduceScatterOwnedShardIsCorrect) {
-  const int n = GetParam();
-  const std::size_t len = 29;
-  const auto expected = ExpectedSum(n, len);
-  SimWorld world(n);
-  world.Run([&](Communicator& comm) {
-    auto data = RankPayload(comm.rank(), len);
-    ReduceScatterRing(comm, data);
-    // Rank r owns shard (r+1) mod n after the ring.
-    const auto shards = ComputeShards(len, n);
-    const auto& own = shards[static_cast<std::size_t>((comm.rank() + 1) % n)];
-    for (std::size_t i = own.offset; i < own.offset + own.count; ++i) {
-      EXPECT_NEAR(data[i], expected[i], 1e-3f);
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectiveSizes,
-                         ::testing::Values(1, 2, 3, 4, 6, 8, 13));
+INSTANTIATE_TEST_SUITE_P(
+    WorldSizes, CollectiveSizes,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 6, 8, 13),
+                       ::testing::Values(WireFormat::kFP32,
+                                         WireFormat::kFP16)));
 
 TEST(ComputeShards, EvenAndUneven) {
   const auto even = ComputeShards(12, 4);
@@ -231,24 +243,6 @@ TEST(ComputeShards, MorePartsThanElements) {
   EXPECT_EQ(shards[3].count, 0u);
 }
 
-TEST(Gather, ConcatenatesRankMajor) {
-  SimWorld world(4);
-  world.Run([](Communicator& comm) {
-    const std::vector<float> mine{static_cast<float>(comm.rank()),
-                                  static_cast<float>(comm.rank()) + 0.5f};
-    std::vector<float> out(comm.rank() == 1 ? 8 : 0);
-    Gather(comm, 1, mine, out);
-    if (comm.rank() == 1) {
-      for (int r = 0; r < 4; ++r) {
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(2 * r)],
-                        static_cast<float>(r));
-        EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(2 * r + 1)],
-                        static_cast<float>(r) + 0.5f);
-      }
-    }
-  });
-}
-
 TEST(Topology, SummitMapping) {
   const Topology summit{.ranks_per_node = 6};
   EXPECT_EQ(summit.NodeOf(0), 0);
@@ -271,7 +265,7 @@ TEST(AllreduceCounters, RingUsesFewerBytesThanTreeAtScale) {
     SimWorld world(n);
     world.Run([&](Communicator& comm) {
       auto data = RankPayload(comm.rank(), len);
-      Allreduce(comm, data, AllreduceAlgo::kRing);
+      GroupAllreduceRing(comm, RankGroup::World(comm), data, 1500);
     });
     ring_bytes = world.total_bytes();
   }
@@ -279,7 +273,7 @@ TEST(AllreduceCounters, RingUsesFewerBytesThanTreeAtScale) {
     SimWorld world(n);
     world.Run([&](Communicator& comm) {
       auto data = RankPayload(comm.rank(), len);
-      Allreduce(comm, data, AllreduceAlgo::kTree);
+      GroupAllreduceTree(comm, RankGroup::World(comm), data, 1500);
     });
     tree_bytes = world.total_bytes();
   }

@@ -24,6 +24,7 @@
 #include "comm/world.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "hvd/control_plane.hpp"
 #include "hvd/hybrid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -176,10 +177,12 @@ void RunKillMatrixCase(Scheme scheme, int victim) {
     CollectiveResult r;
     switch (scheme) {
       case Scheme::kRing:
-        r = TryAllreduce(comm, data, AllreduceAlgo::kRing, deadline);
+        r = TryGroupAllreduceRing(comm, RankGroup::World(comm), data,
+                                  deadline, 1500);
         break;
       case Scheme::kTree:
-        r = TryAllreduce(comm, data, AllreduceAlgo::kTree, deadline);
+        r = TryGroupAllreduceTree(comm, RankGroup::World(comm), data,
+                                  deadline, 1500);
         break;
       case Scheme::kHybrid:
         r = TryHybridAllreduce(comm, data, hybrid, deadline);
@@ -221,17 +224,49 @@ TEST(CollectiveKillMatrix, HybridLastRankDies) {
   RunKillMatrixCase(Scheme::kHybrid, 3);
 }
 
-TEST(CollectiveKillMatrix, BarrierReportsTheDeadRank) {
+// ------------------------------------------- generation >= 1 timeouts --
+//
+// Ex-members stay dead in the world forever, so a timeout inside a
+// later generation must not be blamed on them: over the survivor view a
+// live-but-silent member surfaces as kTimeout naming the rank whose
+// message never arrived.
+
+TEST(GenerationTimeout, SilentMemberIsNotBlamedOnADeadExMember) {
+  const std::vector<int> view{1, 2, 3};
+  std::atomic<int> checked{0};
   SimWorld world(4);
   world.Run([&](Communicator& comm) {
-    if (comm.rank() == 2) {
-      comm.KillSelf();
+    if (comm.rank() == 0) {
+      comm.KillSelf();  // the ex-member dropped by generation 1
       return;
     }
-    const CollectiveResult r = TryBarrier(comm, Deadline(30.0));
-    EXPECT_EQ(r.status, CollectiveStatus::kPeerDead);
-    EXPECT_EQ(r.suspect_rank, 2);
+    if (comm.rank() == 3) return;  // alive, but never joins
+    const RankGroup group(view, comm.rank());
+
+    // Rank 1 waits on its ring predecessor 3; rank 2 gets rank 1's first
+    // shard, then waits on rank 1, which is stuck on rank 3.
+    std::vector<float> data(8, 1.0f);
+    const CollectiveResult ring = TryGroupAllreduceRing(
+        comm, group, data, Deadline(0.3), kGenTagStride + 1500);
+    EXPECT_EQ(ring.status, CollectiveStatus::kTimeout)
+        << "rank " << comm.rank() << " ring got " << ToString(ring.status)
+        << " suspect " << ring.suspect_rank;
+    EXPECT_EQ(ring.suspect_rank, comm.rank() == 1 ? 3 : 1);
+
+    // Radix-2 tree over the view: rank 1 is the root collecting
+    // readiness from any child, rank 2 waits on rank 1 for the order.
+    const std::vector<int> ready{0, 1, 2};
+    std::vector<int> order;
+    const CollectiveResult plane =
+        HierarchicalControlPlane(2).TryNegotiateOrder(
+            comm, group, ready, Deadline(0.3), kGenTagStride, &order);
+    EXPECT_EQ(plane.status, CollectiveStatus::kTimeout)
+        << "rank " << comm.rank() << " negotiation got "
+        << ToString(plane.status) << " suspect " << plane.suspect_rank;
+    EXPECT_EQ(plane.suspect_rank, comm.rank() == 1 ? kAnySource : 1);
+    checked.fetch_add(1, std::memory_order_relaxed);
   });
+  EXPECT_EQ(checked.load(), 2);
 }
 
 // -------------------------------------------------------- ElasticWorld --

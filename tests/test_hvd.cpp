@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "hvd/control_plane.hpp"
 #include "hvd/exchanger.hpp"
-#include "hvd/group.hpp"
 #include "hvd/hybrid.hpp"
 
 namespace exaclim {
@@ -40,6 +39,16 @@ TEST(RankGroup, MembershipAndIndexing) {
   EXPECT_EQ(g.my_index(), 1);
   EXPECT_EQ(g.WorldRank(2), 11);
   EXPECT_THROW(RankGroup(ranks, 5), Error);
+}
+
+TEST(RankGroup, WorldListsEveryRankInOrder) {
+  SimWorld world(4);
+  world.Run([](Communicator& comm) {
+    const RankGroup g = RankGroup::World(comm);
+    EXPECT_EQ(g.size(), 4);
+    EXPECT_EQ(g.my_index(), comm.rank());
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(g.WorldRank(i), i);
+  });
 }
 
 TEST(GroupCollectives, SubsetAllreduceLeavesOthersUntouched) {

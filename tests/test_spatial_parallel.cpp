@@ -174,7 +174,7 @@ TEST_P(SpatialStackRanks, BackwardGradientsMatchSingleDevice) {
     // Weight gradients are partial: sum across ranks (model-parallel
     // reduction).
     Tensor wgrad = stack.Params()[0]->grad;
-    Allreduce(comm, wgrad.Data(), AllreduceAlgo::kRing, 5000);
+    GroupAllreduceRing(comm, RankGroup::World(comm), wgrad.Data(), 5000);
     summed_wgrad[static_cast<std::size_t>(comm.rank())] = wgrad;
     (void)out;
   });

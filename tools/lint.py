@@ -526,6 +526,66 @@ class EnvDocumentedRule(Rule):
                               "nothing under src/ reads")
 
 
+class ModuleDepsRule(Rule):
+    id = "module-deps"
+    doc = ("a quoted #include \"<mod>/...\" in src/<m>/ must name <m> "
+           "itself or a module <m> links (transitively) in "
+           "src/CMakeLists.txt — otherwise a consumer linking only <m>'s "
+           "declared libraries gets undefined symbols.")
+
+    MODULE_RE = re.compile(r"exaclim_module\(\s*(\w+)\s*\)")
+    LINK_RE = re.compile(r"target_link_libraries\(\s*exaclim_(\w+)([^)]*)\)")
+    DEP_RE = re.compile(r"\bexaclim::(\w+)")
+    INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(\w+)/')
+
+    def closure(self, linter: Linter) -> dict[str, set[str]]:
+        """Module -> every module it links, directly or transitively
+        (empty when the tree has no src/CMakeLists.txt)."""
+        if self.id in linter.rule_state:
+            return linter.rule_state[self.id]
+        cmake = linter.root / "src" / "CMakeLists.txt"
+        text = cmake.read_text(encoding="utf-8") if cmake.is_file() else ""
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        direct: dict[str, set[str]] = {
+            m: set() for m in self.MODULE_RE.findall(text)}
+        for name, deps in self.LINK_RE.findall(text):
+            if name in direct:
+                direct[name].update(self.DEP_RE.findall(deps))
+        reach: dict[str, set[str]] = {}
+        for module in direct:
+            seen: set[str] = set()
+            stack = list(direct[module])
+            while stack:
+                dep = stack.pop()
+                if dep not in seen:
+                    seen.add(dep)
+                    stack.extend(direct.get(dep, ()))
+            reach[module] = seen
+        linter.rule_state[self.id] = reach
+        return reach
+
+    def check(self, ctx: FileContext, linter: Linter) -> None:
+        parts = ctx.rel.parts
+        if len(parts) < 3 or parts[0] != "src":
+            return
+        reach = self.closure(linter)
+        module = parts[1]
+        if module not in reach:
+            return
+        for lineno, raw in enumerate(ctx.raw_lines, 1):
+            m = self.INCLUDE_RE.match(strip_comments_keep_strings(raw))
+            if not m:
+                continue
+            target = m.group(1)
+            if target in reach and target != module and \
+                    target not in reach[module]:
+                linter.report_line(
+                    ctx, lineno, self.id,
+                    f'src/{module}/ includes "{target}/..." but '
+                    f"exaclim_{module} does not link exaclim::{target}; "
+                    "add it to target_link_libraries in src/CMakeLists.txt")
+
+
 class AllocGuardIncludeRule(Rule):
     id = "alloc-guard-include"
     doc = ("files using EXACLIM_ASSERT_NO_ALLOC (or the census macros) "
@@ -558,6 +618,7 @@ RULES: list[Rule] = [
     HotPathVectorRule(),
     EnvPrefixRule(),
     EnvDocumentedRule(),
+    ModuleDepsRule(),
     AllocGuardIncludeRule(),
 ]
 

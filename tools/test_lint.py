@@ -53,7 +53,7 @@ class RegistryTest(unittest.TestCase):
             {"pragma-once", "endl", "raw-mutex", "naked-new",
              "unbounded-recv", "include-path", "guarded-include",
              "hot-path-alloc", "hot-path-vector", "env-prefix",
-             "env-documented", "alloc-guard-include"})
+             "env-documented", "module-deps", "alloc-guard-include"})
 
 
 class PragmaOnceTest(unittest.TestCase):
@@ -358,6 +358,64 @@ class EnvDocumentedTest(unittest.TestCase):
                       'std::getenv("EXACLIM_X");'
                       '  // lint:allow(env-documented)\n'})
         self.assertNotIn("env-documented", rules_fired(f))
+
+
+class ModuleDepsTest(unittest.TestCase):
+    CMAKE = ("exaclim_module(common)\n"
+             "exaclim_module(tensor)\n"
+             "exaclim_module(comm)\n"
+             "exaclim_module(hvd)\n"
+             "target_link_libraries(exaclim_tensor PUBLIC exaclim::common)\n"
+             "target_link_libraries(exaclim_comm PUBLIC exaclim::common)\n"
+             "target_link_libraries(exaclim_hvd PUBLIC exaclim::comm\n"
+             "                                         exaclim::tensor)\n")
+
+    def lint(self, rel: str, include: str, cmake: str | None = None):
+        return run_lint({"src/CMakeLists.txt": cmake or self.CMAKE,
+                         rel: f'#include "{include}"\nint f();\n'})
+
+    def test_undeclared_module_fires(self):
+        f = self.lint("src/comm/a.cpp", "tensor/cast.hpp")
+        self.assertIn("module-deps", rules_fired(f))
+
+    def test_own_module_clean(self):
+        f = self.lint("src/comm/a.cpp", "comm/world.hpp")
+        self.assertNotIn("module-deps", rules_fired(f))
+
+    def test_direct_dependency_clean(self):
+        f = self.lint("src/comm/a.cpp", "common/error.hpp")
+        self.assertNotIn("module-deps", rules_fired(f))
+
+    def test_transitive_dependency_clean(self):
+        # hvd -> comm -> common; the multi-line link list is parsed whole.
+        f = self.lint("src/hvd/a.hpp", "common/error.hpp")
+        self.assertNotIn("module-deps", rules_fired(f))
+        f = self.lint("src/hvd/a.hpp", "tensor/cast.hpp")
+        self.assertNotIn("module-deps", rules_fired(f))
+
+    def test_declaring_the_link_clears_it(self):
+        cmake = self.CMAKE.replace(
+            "exaclim_comm PUBLIC exaclim::common",
+            "exaclim_comm PUBLIC exaclim::tensor")
+        f = self.lint("src/comm/a.cpp", "tensor/cast.hpp", cmake)
+        self.assertNotIn("module-deps", rules_fired(f))
+
+    def test_outside_src_modules_exempt(self):
+        f = self.lint("tests/a.cpp", "tensor/cast.hpp")
+        self.assertNotIn("module-deps", rules_fired(f))
+        f = self.lint("src/a.cpp", "tensor/cast.hpp")
+        self.assertNotIn("module-deps", rules_fired(f))
+
+    def test_commented_include_ignored(self):
+        f = run_lint({"src/CMakeLists.txt": self.CMAKE,
+                      "src/comm/a.cpp": '// #include "tensor/cast.hpp"\n'})
+        self.assertNotIn("module-deps", rules_fired(f))
+
+    def test_suppressed(self):
+        f = run_lint({"src/CMakeLists.txt": self.CMAKE,
+                      "src/comm/a.cpp": '#include "tensor/cast.hpp"'
+                                        '  // lint:allow(module-deps)\n'})
+        self.assertNotIn("module-deps", rules_fired(f))
 
 
 class AllocGuardIncludeTest(unittest.TestCase):
