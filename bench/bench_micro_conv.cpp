@@ -18,8 +18,8 @@
 #include "common/thread_pool.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
+#include "im2col_oracle.hpp"
 #include "nn/conv_engine.hpp"
-#include "nn/im2col.hpp"
 #include "nn/norm.hpp"
 #include "nn/sequential.hpp"
 #include "obs/bench_report.hpp"
@@ -170,62 +170,25 @@ double TimeMs(Forward&& forward) {
 
 // -------------------------------------- implicit GEMM vs im2col --------
 
-// The materialized im2col lowering that the implicit B-panel gather
-// replaced, composed from the pieces conv backward still uses: per image,
-// Im2ColFromRows into the shard's col buffer, then out = W @ col on the
-// prepacked weight panels with the bias folded into the epilogue. Same
-// shards, packing and epilogue as Conv2d's forward (bit-identical
-// output), so the A/B isolates where the B panels come from.
-class Im2ColForward {
- public:
-  explicit Im2ColForward(Conv2d& conv) : conv_(conv) {}
+// Median of kRounds timed calls of `pass` after one warm-up call
+// (workspace + row tables), recorded as a series under `metric`.
+template <typename Pass>
+double TimeSeries(obs::BenchReport& report, const std::string& metric,
+                  int rounds, Pass&& pass) {
+  (void)TimeMs(pass);
+  std::vector<double> times;
+  times.reserve(rounds);
+  for (int r = 0; r < rounds; ++r) times.push_back(TimeMs(pass));
+  report.AddSeries(metric, times);
+  return Summarize(times).median;
+}
 
-  Tensor Run(const Tensor& x) {
-    const Conv2d::Options& o = conv_.options();
-    ConvGeometry g;
-    g.in_c = o.in_c;
-    g.in_h = x.shape().h();
-    g.in_w = x.shape().w();
-    g.k_h = g.k_w = o.kernel;
-    g.stride = o.stride;
-    g.pad = o.pad;
-    g.dilation = o.dilation;
-    Tensor output(conv_.OutputShape(x.shape()));
-    const std::int64_t batch = x.shape().n();
-    const std::int64_t shards = ConvGradShards(batch);
-    workspace_.Configure(shards, g.PatchSize() * g.OutPixels(),
-                         /*grad_col_elems=*/0, /*weight_elems=*/0,
-                         /*bias_elems=*/0);
-    const GemmImplicitRow* rows = workspace_.ImplicitRows(g);
-    packed_.Pack(false, o.out_c, g.PatchSize(), 1.0f,
-                 conv_.weight().value.Raw());
-    GemmEpilogue epi;
-    if (o.bias) epi.bias = conv_.Params().at(1)->value.Raw();
-    const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
-    const std::int64_t out_stride = o.out_c * g.OutPixels();
-    RunConvShards(shards, [&](std::int64_t s) {
-      const ConvShardRange images = ShardImageRange(batch, shards, s);
-      float* col = workspace_.Col(s);
-      for (std::int64_t n = images.lo; n < images.hi; ++n) {
-        Im2ColFromRows(g, rows, x.Raw() + n * in_stride, col);
-        GemmPackedWithA(packed_, false, g.OutPixels(), col, 0.0f,
-                        output.Raw() + n * out_stride,
-                        o.bias ? &epi : nullptr);
-      }
-    });
-    return output;
-  }
-
- private:
-  Conv2d& conv_;
-  ConvWorkspace workspace_;
-  PackedGemmA packed_;
-};
-
-// Forward timing of the implicit B-panel gather (Conv2d's forward)
-// against the composed im2col lowering (bit-identical outputs, so this is
-// a pure perf A/B), plus the col-buffer footprint the implicit path
-// eliminates per image.
+// Forward and backward timing of the implicit-GEMM conv passes against
+// the materialized im2col lowering (tests/im2col_oracle.*: the same
+// shards, packing, epilogue and reduction tree, bit-identical results),
+// so each A/B isolates where the GEMM operands come from. Also records
+// the patch-matrix bytes each image no longer materializes: one col
+// buffer forward, col + grad_col backward.
 void RunImplicitComparison(obs::BenchReport& report) {
   constexpr int kRounds = 7;
   struct Shape {
@@ -243,9 +206,9 @@ void RunImplicitComparison(obs::BenchReport& report) {
        96, 96, 2},
   };
   std::printf(
-      "\nimplicit GEMM vs im2col (forward, median of %d):\n"
-      "  %8s %12s %14s %9s %14s\n",
-      kRounds, "shape", "im2col [ms]", "implicit [ms]", "speedup",
+      "\nimplicit GEMM vs im2col (median of %d):\n"
+      "  %8s %5s %12s %14s %9s %14s\n",
+      kRounds, "shape", "pass", "im2col [ms]", "implicit [ms]", "speedup",
       "col bytes/img");
   for (const Shape& s : shapes) {
     Rng xrng(3);
@@ -253,32 +216,46 @@ void RunImplicitComparison(obs::BenchReport& report) {
         TensorShape::NCHW(s.batch, s.opts.in_c, s.h, s.w), xrng, -1, 1);
     Rng rng(2);
     Conv2d conv("c", s.opts, rng);
-    Im2ColForward im2col(conv);
+    MaterialisedConv2d im2col(conv);
     const TensorShape out = conv.OutputShape(x.shape());
+    Rng grng(4);
+    const Tensor g = Tensor::Uniform(out, grng, -1, 1);
     const std::int64_t col_bytes =
         s.opts.in_c * s.opts.kernel * s.opts.kernel * out.h() * out.w() *
         static_cast<std::int64_t>(sizeof(float));
-    double medians[2] = {0, 0};
-    for (const bool implicit : {false, true}) {
-      const auto forward = [&] {
-        return implicit ? conv.Forward(x, false) : im2col.Run(x);
-      };
-      (void)TimeMs(forward);  // warm-up (workspace + row tables)
-      std::vector<double> times;
-      times.reserve(kRounds);
-      for (int r = 0; r < kRounds; ++r) times.push_back(TimeMs(forward));
-      const std::string metric = std::string("conv_") +
-                                 (implicit ? "implicit_" : "im2col_") +
-                                 s.name + "_ms";
-      report.AddSeries(metric, times);
-      medians[implicit ? 1 : 0] = Summarize(times).median;
-    }
-    const double speedup = medians[1] > 0 ? medians[0] / medians[1] : 0;
-    report.AddScalar(std::string("implicit_speedup_") + s.name, speedup);
-    report.AddScalar(std::string("col_bytes_eliminated_") + s.name,
+    const std::string name = s.name;
+
+    const double fwd_im2col = TimeSeries(
+        report, "conv_im2col_" + name + "_ms", kRounds,
+        [&] { return im2col.Forward(x, /*fold_bias=*/true); });
+    const double fwd_implicit =
+        TimeSeries(report, "conv_implicit_" + name + "_ms", kRounds,
+                   [&] { return conv.Forward(x, false); });
+    (void)conv.Forward(x, true);  // caches x for the timed backward
+    const double bwd_im2col =
+        TimeSeries(report, "conv_bwd_im2col_" + name + "_ms", kRounds,
+                   [&] { return im2col.Backward(x, g).grad_input; });
+    const double bwd_implicit =
+        TimeSeries(report, "conv_bwd_implicit_" + name + "_ms", kRounds,
+                   [&] { return conv.Backward(g); });
+
+    const auto speedup = [](double base, double t) {
+      return t > 0 ? base / t : 0.0;
+    };
+    report.AddScalar("implicit_speedup_" + name,
+                     speedup(fwd_im2col, fwd_implicit));
+    report.AddScalar("implicit_bwd_speedup_" + name,
+                     speedup(bwd_im2col, bwd_implicit));
+    report.AddScalar("col_bytes_eliminated_" + name,
                      static_cast<double>(col_bytes));
-    std::printf("  %8s %12.3f %14.3f %8.2fx %14lld\n", s.name, medians[0],
-                medians[1], speedup, static_cast<long long>(col_bytes));
+    report.AddScalar("col_bytes_eliminated_bwd_" + name,
+                     static_cast<double>(2 * col_bytes));
+    std::printf("  %8s %5s %12.3f %14.3f %8.2fx %14lld\n", s.name, "fwd",
+                fwd_im2col, fwd_implicit, speedup(fwd_im2col, fwd_implicit),
+                static_cast<long long>(col_bytes));
+    std::printf("  %8s %5s %12.3f %14.3f %8.2fx %14lld\n", s.name, "bwd",
+                bwd_im2col, bwd_implicit, speedup(bwd_im2col, bwd_implicit),
+                static_cast<long long>(2 * col_bytes));
   }
 }
 

@@ -6,6 +6,7 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/sync.hpp"
+#include "common/workspace.hpp"
 
 namespace exaclim {
 
@@ -33,10 +34,17 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   // The calling thread participates in ParallelFor, so spawn one fewer.
   const std::size_t workers = threads > 1 ? threads - 1 : 0;
+  JoinCounter started;
+  started.remaining.store(workers, std::memory_order_relaxed);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, &started] {
+      WarmThreadScratch();
+      Arrive(started);
+      WorkerLoop();
+    });
   }
+  AwaitJoin(started);
 }
 
 ThreadPool::~ThreadPool() {
@@ -80,13 +88,17 @@ void ThreadPool::RunBlock(const Task& task) {
     ParallelRegionGuard region;
     task.fn(task.lo, task.hi);
   }
+  Arrive(*task.join);
+}
+
+void ThreadPool::Arrive(JoinCounter& join) {
   // After this fetch_sub the worker never touches the caller's stack
   // again — the notify below only uses pool-owned members, so a caller
   // observing remaining == 0 may safely return (and destroy the
   // JoinCounter) while this thread is still inside NotifyAll. The
   // acq_rel RMW chain makes every block's writes visible to the caller's
   // acquire load in AwaitJoin.
-  if (task.join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  if (join.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Taking join_mutex_ serialises with a waiter sitting between its
     // predicate check and Wait(), so the notify cannot land in that
     // window (no missed wakeup).

@@ -26,6 +26,9 @@ namespace exaclim {
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Returns once every worker has pre-sized its scratch streams
+  /// (WarmThreadScratch, common/workspace.hpp), so no worker's first
+  /// task ever grows one.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -82,6 +85,8 @@ class ThreadPool {
   void WorkerLoop() EXACLIM_EXCLUDES(mutex_);
   /// Runs one dequeued block and signals its JoinCounter.
   void RunBlock(const Task& task) EXACLIM_EXCLUDES(join_mutex_);
+  /// Counts one arrival at `join`, waking the waiter on the last one.
+  void Arrive(JoinCounter& join) EXACLIM_EXCLUDES(join_mutex_);
   /// Blocks until every shipped block of `join` has finished.
   void AwaitJoin(JoinCounter& join) EXACLIM_EXCLUDES(join_mutex_);
 

@@ -27,7 +27,7 @@ const char* ScratchSlotName(ScratchSlot slot) {
     case ScratchSlot::kExchangeFusion: return "exchange.fusion";
     case ScratchSlot::kWirePack: return "comm.wire_pack";
     case ScratchSlot::kGroupIncoming: return "comm.group_incoming";
-    case ScratchSlot::kConvImplicitRows: return "conv.implicit_rows";
+    case ScratchSlot::kConvGradWeights: return "conv.grad_weights";
     case ScratchSlot::kSlotCount: break;
   }
   return "?";
@@ -50,8 +50,12 @@ std::uint16_t* AcquireScratchU16(ScratchSlot slot, std::size_t elems) {
       AcquireScratch(slot, (elems + 1) / 2));
 }
 
-void* AcquireScratchBytes(ScratchSlot slot, std::size_t bytes) {
-  return AcquireScratch(slot, (bytes + sizeof(float) - 1) / sizeof(float));
+void WarmThreadScratch() {
+  for (std::size_t i = 0; i < static_cast<std::size_t>(ScratchSlot::kSlotCount);
+       ++i) {
+    const auto slot = static_cast<ScratchSlot>(i);
+    if (ScratchWarmElems(slot) > 0) AcquireScratch(slot, ScratchWarmElems(slot));
+  }
 }
 
 std::size_t ScratchCapacity(ScratchSlot slot) {

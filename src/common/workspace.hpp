@@ -43,9 +43,28 @@ enum class ScratchSlot {
   kExchangeFusion,  // fused gradient staging of the hvd exchanger
   kWirePack,        // packed-binary16 encode buffer of the comm wire
   kGroupIncoming,   // partial-sum receive buffer of the group collectives
-  kConvImplicitRows,  // implicit-GEMM row-descriptor tables (DESIGN §15)
+  kConvGradWeights,  // conv weights regrouped per tap for the data gradient
   kSlotCount,
 };
+
+/// Floats every ThreadPool worker acquires on `slot` when it starts (0:
+/// none). The packed GEMM engine always acquires its pack streams at
+/// exactly these full-block sizes (kGemmMC*kGemmKC and kGemmKC*kGemmNC,
+/// static_asserted in tensor/gemm_kernel.cpp), so a worker's pack slots
+/// reach their final size before it runs its first task, whichever conv
+/// shards it happens to run — a warmed-up step never catches a worker's
+/// first pack slot in an allocation census.
+constexpr std::size_t ScratchWarmElems(ScratchSlot slot) {
+  switch (slot) {
+    case ScratchSlot::kGemmPackA: return std::size_t{144} * 256;
+    case ScratchSlot::kGemmPackB: return std::size_t{256} * 2048;
+    default: return 0;
+  }
+}
+
+/// Acquires every slot with a non-zero ScratchWarmElems on the calling
+/// thread. ThreadPool workers call it once when they start.
+void WarmThreadScratch();
 
 /// Human-readable stream name ("gemm.pack_a", ...), for diagnostics.
 const char* ScratchSlotName(ScratchSlot slot);
@@ -59,12 +78,6 @@ float* AcquireScratch(ScratchSlot slot, std::size_t elems);
 /// used with one element type at a time (the wire pack path owns
 /// kWirePack); capacities still account in floats.
 std::uint16_t* AcquireScratchU16(ScratchSlot slot, std::size_t elems);
-
-/// Same stream viewed as raw bytes (e.g. the implicit-GEMM row tables of
-/// kConvImplicitRows): grows the float buffer to cover `bytes` and
-/// reinterprets it. Pool blocks are 16-byte aligned, which bounds the
-/// alignment any plain-old-data overlay may assume.
-void* AcquireScratchBytes(ScratchSlot slot, std::size_t bytes);
 
 /// Capacity (in floats) of this thread's buffer for `slot`; 0 before the
 /// first acquire. Exposed for tests asserting reuse (no re-allocation

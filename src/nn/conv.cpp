@@ -1,9 +1,10 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "tensor/gemm.hpp"
+#include "common/workspace.hpp"
 #include "tensor/gemm_kernel.hpp"
 
 namespace exaclim {
@@ -22,6 +23,87 @@ float PlaneSum(const float* plane, std::int64_t count) {
   double acc = 0.0;
   for (std::int64_t p = 0; p < count; ++p) acc += plane[p];
   return static_cast<float>(acc);
+}
+
+// One image viewed as g's implicit patch matrix (DESIGN §15).
+GemmImplicitB PatchOperand(const ConvGeometry& g, const GemmImplicitRow* rows,
+                           const float* image) {
+  return {image, rows, g.OutH(), g.OutW(), g.in_w, g.stride};
+}
+
+// Floats of per-shard scratch the data gradient needs: one stride phase
+// of the input (the largest is phase (0, 0)); stride 1 writes straight
+// into the gradient.
+std::int64_t PhaseScratchElems(const ConvGeometry& g) {
+  if (g.stride == 1) return 0;
+  const std::int64_t s = g.stride;
+  return g.in_c * ((g.in_h + s - 1) / s) * ((g.in_w + s - 1) / s);
+}
+
+// Packs the data-gradient operand of every stride phase of `plan`:
+// A_f[ci, (t, co)] = w[co, ci*Taps + tap_t] over the phase's taps in
+// (kh, kw) order, one panel per tap (depth co_n, capped at kGemmKC).
+// `w` is [co_n, g.PatchSize()] — Conv2d's weight, or ConvTranspose2d's
+// with its channel roles swapped.
+void PackGradWeights(const ConvGeometry& g, std::int64_t co_n,
+                     const float* w, const ConvGradPlan& plan,
+                     std::vector<PackedGemmA>& packed) {
+  const std::int64_t taps = g.Taps();
+  packed.resize(plan.phases.size());
+  for (std::size_t f = 0; f < plan.phases.size(); ++f) {
+    const ConvGradPhase& ph = plan.phases[f];
+    if (ph.taps == 0) continue;
+    const std::int64_t k = ph.taps * co_n;
+    float* regroup = AcquireScratch(ScratchSlot::kConvGradWeights,
+                                    static_cast<std::size_t>(g.in_c * k));
+    std::int64_t t = 0;
+    for (std::int64_t tap = 0; tap < taps; ++tap) {
+      if (!TapFeedsPhase(g, tap / g.k_w, tap % g.k_w, ph.py, ph.px)) continue;
+      for (std::int64_t ci = 0; ci < g.in_c; ++ci) {
+        float* dst = regroup + ci * k + t * co_n;
+        const float* src = w + ci * taps + tap;
+        for (std::int64_t co = 0; co < co_n; ++co) {
+          dst[co] = src[co * g.PatchSize()];
+        }
+      }
+      ++t;
+    }
+    packed[f].Pack(false, g.in_c, k, 1.0f, regroup,
+                   std::min(co_n, kGemmKC));
+  }
+}
+
+// Data gradient of one image (DESIGN §15): grad_x[in_c, in_h, in_w] from
+// grad_y[co_n, OutH, OutW], one implicit GEMM per stride phase whose
+// panels are the phase's taps. Taps merge into C in (kh, kw) order, the
+// first with beta 0, so the result is bit-identical to the materialised
+// W^T @ grad_y GEMM followed by the patch-matrix scatter. Stride > 1
+// computes each phase into `scratch` and copies it into its strided
+// sub-grid.
+void DataGradImage(const ConvGeometry& g, const ConvGradPlan& plan,
+                   const std::vector<PackedGemmA>& packed,
+                   const float* grad_y, float* scratch, float* grad_x) {
+  const std::int64_t s = g.stride;
+  for (std::size_t f = 0; f < plan.phases.size(); ++f) {
+    const ConvGradPhase& ph = plan.phases[f];
+    if (ph.h == 0 || ph.w == 0) continue;
+    float* c = s == 1 ? grad_x : scratch;
+    if (ph.taps == 0) {
+      std::fill(c, c + g.in_c * ph.h * ph.w, 0.0f);
+    } else {
+      const GemmImplicitB b{grad_y, plan.rows + ph.row0, ph.h, ph.w,
+                            g.OutW(), /*stride=*/1};
+      GemmPackedImplicit(packed[f], b, 0.0f, c);
+    }
+    if (s == 1) continue;
+    for (std::int64_t ci = 0; ci < g.in_c; ++ci) {
+      for (std::int64_t qy = 0; qy < ph.h; ++qy) {
+        const float* src = scratch + (ci * ph.h + qy) * ph.w;
+        float* dst = grad_x + (ci * g.in_h + ph.py + s * qy) * g.in_w + ph.px;
+        for (std::int64_t qx = 0; qx < ph.w; ++qx) dst[s * qx] = src[qx];
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -138,16 +220,12 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
   }
   const std::int64_t batch = input.shape().n();
   const std::int64_t shards = ConvGradShards(batch);
-  // No col buffer at all on the forward path: pointwise reads the
-  // activation map directly, everything else gathers implicitly.
-  workspace_.Configure(shards, /*col_elems=*/0, /*grad_col_elems=*/0,
-                       /*weight_elems=*/0, /*bias_elems=*/0);
+  // Pointwise reads the activation map directly, everything else
+  // gathers implicitly.
   const GemmImplicitRow* rows =
       pointwise ? nullptr : workspace_.ImplicitRows(g);
   const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_stride = opts_.out_c * g.OutPixels();
-  const std::int64_t out_h = g.OutH();
-  const std::int64_t out_w = g.OutW();
   // Pack the weight into the GEMM engine's A-panel layout once; every
   // shard then reuses the panels read-only instead of re-packing W per
   // image inside the per-image GEMMs (DESIGN §10).
@@ -172,14 +250,9 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
       } else {
         // out[out_c, P] = W[out_c, patch] @ implicit-im2col(x) — the
         // B-panel packer gathers straight from the image (DESIGN §15).
-        GemmImplicitB bsrc;
-        bsrc.image = input.Raw() + n * in_stride;
-        bsrc.rows = rows;
-        bsrc.out_h = out_h;
-        bsrc.out_w = out_w;
-        bsrc.in_row_stride = g.in_w;
-        bsrc.stride = g.stride;
-        GemmPackedImplicit(packed_weight_, bsrc, 0.0f, out_n, epi_ptr);
+        GemmPackedImplicit(packed_weight_,
+                           PatchOperand(g, rows, input.Raw() + n * in_stride),
+                           0.0f, out_n, epi_ptr);
       }
       if (bias_ && !use_epilogue) {
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {
@@ -203,33 +276,30 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
 
   Tensor grad_input(in_shape);
   const Tensor& w = ComputeWeight();
-  // Backward always uses the GEMM formulation (cuDNN similarly selects
-  // backward algorithms independently of the forward choice); the
-  // pointwise fast path just skips the patch buffers.
+  // Both gradients run on the packed engine with implicit operands and
+  // never materialise a patch matrix (DESIGN §15): the weight gradient
+  // gathers the input's patch panels through the forward row table, the
+  // data gradient gathers grad_output through the per-phase tap tables.
   //
   // Weight/bias gradients go through per-shard accumulators merged by a
   // fixed-order tree so the batch-parallel result is bit-identical to the
   // serial walk (DESIGN §9).
-  const bool pointwise = UsePointwiseFastPath();
   const std::int64_t batch = in_shape.n();
   const std::int64_t shards = ConvGradShards(batch);
-  const std::int64_t col_elems =
-      pointwise ? 0 : g.PatchSize() * g.OutPixels();
-  workspace_.Configure(shards, col_elems, col_elems,
+  workspace_.Configure(shards, PhaseScratchElems(g),
                        weight_.grad.NumElements(),
                        bias_ ? opts_.out_c : 0);
   workspace_.ZeroGradAccumulators();
-  // Geometry-dependent im2col setup hoisted out of the n-loop: the table
-  // is shared read-only by all shards (and is already warm whenever the
-  // forward pass ran the implicit path on the same geometry).
-  const GemmImplicitRow* rows =
-      pointwise ? nullptr : workspace_.ImplicitRows(g);
+  // Geometry-dependent setup hoisted out of the n-loop: the tables are
+  // shared read-only by all shards (the forward table is already warm
+  // whenever the forward pass ran on the same geometry).
+  const GemmImplicitRow* rows = workspace_.ImplicitRows(g);
+  const ConvGradPlan plan = workspace_.GradPlan(g, opts_.out_c);
   const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
   const std::int64_t out_stride = opts_.out_c * g.OutPixels();
-  // The data gradient multiplies by W^T for every image; prepack the
-  // transposed panels once and share across shards. Weight-gradient GEMMs
-  // keep the plain entry point (their left operand changes per image).
-  packed_weight_bwd_.Pack(true, g.PatchSize(), opts_.out_c, 1.0f, w.Raw());
+  // The data gradient multiplies by the regrouped W for every image;
+  // pack it once and share the panels across shards.
+  PackGradWeights(g, opts_.out_c, w.Raw(), plan, packed_grad_);
 
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
@@ -237,23 +307,13 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
     float* bgrad = bias_ ? workspace_.BiasGrad(s) : nullptr;
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
       const float* gout = grad_output.Raw() + n * out_stride;
-      if (pointwise) {
-        Gemm(false, true, opts_.out_c, g.in_c, g.OutPixels(), 1.0f, gout,
-             cached_input_.Raw() + n * in_stride, 1.0f, wgrad);
-        GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout, 0.0f,
-                        grad_input.Raw() + n * in_stride);
-      } else {
-        // Weight gradient: gW[out_c, patch] += gout[out_c, P] @ col^T.
-        float* col = workspace_.Col(s);
-        float* grad_col = workspace_.GradCol(s);
-        Im2ColFromRows(g, rows, cached_input_.Raw() + n * in_stride, col);
-        Gemm(false, true, opts_.out_c, g.PatchSize(), g.OutPixels(), 1.0f,
-             gout, col, 1.0f, wgrad);
-        // Data gradient: gcol[patch, P] = W^T @ gout; scatter back.
-        GemmPackedWithA(packed_weight_bwd_, false, g.OutPixels(), gout, 0.0f,
-                        grad_col);
-        Col2Im(g, grad_col, grad_input.Raw() + n * in_stride);
-      }
+      // Weight gradient: gW[out_c, patch] += gout[out_c, P] @ im2col(x)^T.
+      GemmImplicitTransB(
+          opts_.out_c, gout,
+          PatchOperand(g, rows, cached_input_.Raw() + n * in_stride),
+          g.PatchSize(), 1.0f, wgrad);
+      DataGradImage(g, plan, packed_grad_, gout, workspace_.Scratch(s),
+                    grad_input.Raw() + n * in_stride);
       if (bgrad != nullptr) {
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {
           bgrad[c] += PlaneSum(gout + c * g.OutPixels(), g.OutPixels());
@@ -346,20 +406,19 @@ Tensor ConvTranspose2d::Forward(const Tensor& input, bool /*train*/) {
   const std::int64_t pixels = input.shape().h() * input.shape().w();
   const std::int64_t batch = input.shape().n();
   const std::int64_t shards = ConvGradShards(batch);
-  workspace_.Configure(shards, g.PatchSize() * pixels, /*grad_col_elems=*/0,
-                       /*weight_elems=*/0, /*bias_elems=*/0);
+  workspace_.Configure(shards, PhaseScratchElems(g), /*weight_elems=*/0,
+                       /*bias_elems=*/0);
+  const ConvGradPlan plan = workspace_.GradPlan(g, opts_.in_c);
   const std::int64_t in_stride = opts_.in_c * pixels;
   const std::int64_t out_stride = opts_.out_c * out_shape.h() * out_shape.w();
 
-  packed_weight_.Pack(true, g.PatchSize(), opts_.in_c, 1.0f, w.Raw());
+  PackGradWeights(g, opts_.in_c, w.Raw(), plan, packed_weight_);
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
-    float* col = workspace_.Col(s);
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
-      // col[out_c*k*k, P] = W^T[out_c*k*k, in_c] @ x[in_c, P]
-      GemmPackedWithA(packed_weight_, false, pixels,
-                      input.Raw() + n * in_stride, 0.0f, col);
-      Col2Im(g, col, output.Raw() + n * out_stride);
+      // The underlying conv's data gradient with x as its grad_output.
+      DataGradImage(g, plan, packed_weight_, input.Raw() + n * in_stride,
+                    workspace_.Scratch(s), output.Raw() + n * out_stride);
       if (bias_) {
         float* out_n = output.Raw() + n * out_stride;
         const std::int64_t plane = out_shape.h() * out_shape.w();
@@ -389,32 +448,30 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
   const std::int64_t pixels = in_shape.h() * in_shape.w();
   const std::int64_t batch = in_shape.n();
   const std::int64_t shards = ConvGradShards(batch);
-  workspace_.Configure(shards, g.PatchSize() * pixels, /*grad_col_elems=*/0,
+  workspace_.Configure(shards, /*scratch_elems=*/0,
                        weight_.grad.NumElements(),
                        bias_ ? opts_.out_c : 0);
   workspace_.ZeroGradAccumulators();
   const std::int64_t in_stride = opts_.in_c * pixels;
   const std::int64_t out_stride = opts_.out_c * out_shape.h() * out_shape.w();
   packed_weight_bwd_.Pack(false, opts_.in_c, g.PatchSize(), 1.0f, w.Raw());
-  // The fix for the per-batch-element Im2Col: all geometry-dependent
-  // setup (bounds, offsets) is computed once per geometry here; the
-  // n-loop below does pure data movement through the row table.
+  // Both gradients gather grad_output's patch panels through one row
+  // table, computed once per geometry (DESIGN §15).
   const GemmImplicitRow* rows = workspace_.ImplicitRows(g);
 
   RunConvShards(shards, [&](std::int64_t s) {
     const ConvShardRange images = ShardImageRange(batch, shards, s);
-    float* col = workspace_.Col(s);
     float* wgrad = workspace_.WeightGrad(s);
     float* bgrad = bias_ ? workspace_.BiasGrad(s) : nullptr;
     for (std::int64_t n = images.lo; n < images.hi; ++n) {
       const float* gout = grad_output.Raw() + n * out_stride;
-      Im2ColFromRows(g, rows, gout, col);
-      // Data gradient: gx[in_c, P] = W[in_c, patch] @ col[patch, P]
-      GemmPackedWithA(packed_weight_bwd_, false, pixels, col, 0.0f,
-                      grad_input.Raw() + n * in_stride);
-      // Weight gradient: gW[in_c, patch] += x[in_c, P] @ col[patch, P]^T
-      Gemm(false, true, opts_.in_c, g.PatchSize(), pixels, 1.0f,
-           cached_input_.Raw() + n * in_stride, col, 1.0f, wgrad);
+      const GemmImplicitB gcol = PatchOperand(g, rows, gout);
+      // Data gradient: gx[in_c, P] = W[in_c, patch] @ im2col(gout)
+      GemmPackedImplicit(packed_weight_bwd_, gcol, 0.0f,
+                         grad_input.Raw() + n * in_stride);
+      // Weight gradient: gW[in_c, patch] += x[in_c, P] @ im2col(gout)^T
+      GemmImplicitTransB(opts_.in_c, cached_input_.Raw() + n * in_stride,
+                         gcol, g.PatchSize(), 1.0f, wgrad);
       if (bgrad != nullptr) {
         const std::int64_t plane = out_shape.h() * out_shape.w();
         for (std::int64_t c = 0; c < opts_.out_c; ++c) {

@@ -1,9 +1,10 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "nn/conv_engine.hpp"
-#include "nn/im2col.hpp"
+#include "nn/conv_geometry.hpp"
 #include "nn/layer.hpp"
 #include "tensor/gemm_kernel.hpp"
 
@@ -94,13 +95,13 @@ class Conv2d : public Layer {
   std::optional<Param> bias_;
   Tensor quantised_weight_;  // scratch for FP16 emulation
   Tensor cached_input_;      // saved for the backward pass
-  ConvWorkspace workspace_;  // per-shard col/grad buffers (DESIGN §9)
+  ConvWorkspace workspace_;  // per-shard scratch/grad buffers (DESIGN §9)
   // Weight matrix prepacked into the GEMM engine's A-panel layout, once
-  // per Forward/Backward and shared read-only across batch shards
-  // (forward uses W, backward's data gradient W^T — different layouts,
-  // so each direction keeps its own panel buffer).
+  // per Forward/Backward and shared read-only across batch shards: W for
+  // the forward, and W regrouped one panel per tap for the data gradient
+  // of each stride phase (DESIGN §15).
   PackedGemmA packed_weight_;
-  PackedGemmA packed_weight_bwd_;
+  std::vector<PackedGemmA> packed_grad_;
 };
 
 /// Transposed convolution ("deconv", light-blue layers of Fig 1) used by
@@ -141,7 +142,9 @@ class ConvTranspose2d : public Layer {
   Tensor quantised_weight_;
   Tensor cached_input_;
   ConvWorkspace workspace_;
-  PackedGemmA packed_weight_;      // forward: W^T panels
+  // Forward: per stride phase, W regrouped one panel per tap (the
+  // underlying conv's data gradient, DESIGN §15).
+  std::vector<PackedGemmA> packed_weight_;
   PackedGemmA packed_weight_bwd_;  // backward data gradient: W panels
 };
 

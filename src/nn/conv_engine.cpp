@@ -68,19 +68,16 @@ void RunConvShards(std::int64_t shards,
   ParallelFor(0, static_cast<std::size_t>(shards), run_range, /*grain=*/1);
 }
 
-void ConvWorkspace::Configure(std::int64_t shards, std::int64_t col_elems,
-                              std::int64_t grad_col_elems,
+void ConvWorkspace::Configure(std::int64_t shards, std::int64_t scratch_elems,
                               std::int64_t weight_elems,
                               std::int64_t bias_elems) {
   EXACLIM_CHECK(shards >= 1, "workspace needs at least one shard");
-  if (shards == shards_ && col_elems == col_elems_ &&
-      grad_col_elems == grad_col_elems_ && weight_elems == weight_elems_ &&
-      bias_elems == bias_elems_) {
+  if (shards == shards_ && scratch_elems == scratch_elems_ &&
+      weight_elems == weight_elems_ && bias_elems == bias_elems_) {
     return;
   }
   shards_ = shards;
-  col_elems_ = col_elems;
-  grad_col_elems_ = grad_col_elems;
+  scratch_elems_ = scratch_elems;
   weight_elems_ = weight_elems;
   bias_elems_ = bias_elems;
   // Re-acquire only families that no longer fit: the old block returns
@@ -90,18 +87,13 @@ void ConvWorkspace::Configure(std::int64_t shards, std::int64_t col_elems,
       buf = AcquirePoolBuffer(static_cast<std::size_t>(elems));
     }
   };
-  fit(col_, shards * col_elems);
-  fit(grad_col_, shards * grad_col_elems);
+  fit(scratch_, shards * scratch_elems);
   fit(weight_grad_, shards * weight_elems);
   fit(bias_grad_, shards * bias_elems);
 }
 
-float* ConvWorkspace::Col(std::int64_t shard) {
-  return col_.data() + shard * col_elems_;
-}
-
-float* ConvWorkspace::GradCol(std::int64_t shard) {
-  return grad_col_.data() + shard * grad_col_elems_;
+float* ConvWorkspace::Scratch(std::int64_t shard) {
+  return scratch_.data() + shard * scratch_elems_;
 }
 
 float* ConvWorkspace::WeightGrad(std::int64_t shard) {
@@ -151,22 +143,46 @@ void ConvWorkspace::ReduceBiasGradInto(float* dst) {
   TreeReduceInto(dst, bias_grad_.data(), shards_, bias_elems_);
 }
 
+namespace {
+
+// Views `buf` as an array of `count` plain-old-data records, growing it
+// first when it is too small. PoolBuffer payloads are at least 16-byte
+// aligned, which covers the int64 members of the overlaid tables.
+template <typename T>
+T* Overlay(PoolBuffer& buf, std::int64_t count) {
+  const std::size_t floats =
+      (static_cast<std::size_t>(count) * sizeof(T) + sizeof(float) - 1) /
+      sizeof(float);
+  if (buf.null() || buf.capacity() < floats) {
+    buf = AcquirePoolBuffer(floats > 0 ? floats : 1);
+  }
+  return reinterpret_cast<T*>(buf.data());
+}
+
+}  // namespace
+
 const GemmImplicitRow* ConvWorkspace::ImplicitRows(const ConvGeometry& g) {
   if (!(g == rows_geometry_) || rows_.null()) {
-    const std::int64_t n_rows = g.PatchSize();
-    // Row descriptors overlay the float pool block; PoolBuffer payloads
-    // are at least 16-byte aligned, which covers the int64 members.
-    const std::size_t floats =
-        (static_cast<std::size_t>(n_rows) * sizeof(GemmImplicitRow) +
-         sizeof(float) - 1) /
-        sizeof(float);
-    if (rows_.capacity() < floats || rows_.null()) {
-      rows_ = AcquirePoolBuffer(floats > 0 ? floats : 1);
-    }
-    BuildImplicitRows(g, reinterpret_cast<GemmImplicitRow*>(rows_.data()));
+    BuildImplicitRows(g, Overlay<GemmImplicitRow>(rows_, g.PatchSize()));
     rows_geometry_ = g;
   }
   return reinterpret_cast<const GemmImplicitRow*>(rows_.data());
+}
+
+ConvGradPlan ConvWorkspace::GradPlan(const ConvGeometry& g,
+                                     std::int64_t out_c) {
+  const std::int64_t phases = g.stride * g.stride;
+  if (!(g == grad_geometry_) || out_c != grad_out_c_ || grad_rows_.null()) {
+    BuildGradRows(g, out_c, Overlay<ConvGradPhase>(grad_phases_, phases),
+                  Overlay<GemmImplicitRow>(grad_rows_, g.Taps() * out_c));
+    grad_geometry_ = g;
+    grad_out_c_ = out_c;
+  }
+  ConvGradPlan plan;
+  plan.phases = {reinterpret_cast<const ConvGradPhase*>(grad_phases_.data()),
+                 static_cast<std::size_t>(phases)};
+  plan.rows = reinterpret_cast<const GemmImplicitRow*>(grad_rows_.data());
+  return plan;
 }
 
 }  // namespace exaclim

@@ -11,10 +11,11 @@
 // via the pool's nesting policy.
 
 #include <cstdint>
+#include <span>
 
 #include "common/function_ref.hpp"
 #include "common/pool.hpp"
-#include "nn/im2col.hpp"
+#include "nn/conv_geometry.hpp"
 
 namespace exaclim {
 
@@ -58,23 +59,30 @@ ConvShardRange ShardImageRange(std::int64_t n, std::int64_t shards,
 void RunConvShards(std::int64_t shards,
                    FunctionRef<void(std::int64_t)> fn);
 
-/// Reusable per-layer workspace for the im2col lowering: per-shard
-/// col / grad-col panels plus per-shard weight/bias gradient
-/// accumulators. Buffers are pooled blocks (common/pool.hpp), sized once
-/// per (geometry, shard-count) and reused across Forward/Backward calls
-/// — the per-call allocations this replaces dominated small-GEMM conv
-/// layers, and a geometry change recycles the old panels through the
-/// arena free-lists instead of the heap.
+/// A cached data-gradient plan (BuildGradRows): stride*stride phases
+/// and the Taps()*out_c row table their `row0` indexes.
+struct ConvGradPlan {
+  std::span<const ConvGradPhase> phases;
+  const GemmImplicitRow* rows = nullptr;
+};
+
+/// Reusable per-layer workspace of the implicit-GEMM conv layers:
+/// per-shard stride-phase scratch plus per-shard weight/bias gradient
+/// accumulators, and the per-geometry row tables. Buffers are pooled
+/// blocks (common/pool.hpp), sized once per (geometry, shard-count) and
+/// reused across Forward/Backward calls; a geometry change recycles the
+/// old blocks through the arena free-lists instead of the heap. No
+/// buffer here ever holds a patch matrix (DESIGN §15).
 class ConvWorkspace {
  public:
   /// (Re)sizes the buffers; cheap no-op when nothing changed. Element
   /// counts of zero skip the corresponding buffer family.
-  void Configure(std::int64_t shards, std::int64_t col_elems,
-                 std::int64_t grad_col_elems, std::int64_t weight_elems,
-                 std::int64_t bias_elems);
+  void Configure(std::int64_t shards, std::int64_t scratch_elems,
+                 std::int64_t weight_elems, std::int64_t bias_elems);
 
-  float* Col(std::int64_t shard);
-  float* GradCol(std::int64_t shard);
+  /// The shard's stride-phase scratch: one phase of a data gradient is
+  /// computed here, then copied into its strided sub-grid.
+  float* Scratch(std::int64_t shard);
   float* WeightGrad(std::int64_t shard);
   float* BiasGrad(std::int64_t shard);
 
@@ -95,20 +103,24 @@ class ConvWorkspace {
   /// (and by the forward/backward passes, whose geometries coincide).
   const GemmImplicitRow* ImplicitRows(const ConvGeometry& g);
 
-  std::int64_t shards() const { return shards_; }
+  /// The data-gradient plan of `g` with `out_c` output channels, cached
+  /// like ImplicitRows (keyed by geometry and out_c).
+  ConvGradPlan GradPlan(const ConvGeometry& g, std::int64_t out_c);
 
  private:
   std::int64_t shards_ = 0;
-  std::int64_t col_elems_ = 0;
-  std::int64_t grad_col_elems_ = 0;
+  std::int64_t scratch_elems_ = 0;
   std::int64_t weight_elems_ = 0;
   std::int64_t bias_elems_ = 0;
-  PoolBuffer col_;
-  PoolBuffer grad_col_;
+  PoolBuffer scratch_;
   PoolBuffer weight_grad_;
   PoolBuffer bias_grad_;
   ConvGeometry rows_geometry_;  // geometry rows_ was built for
   PoolBuffer rows_;             // GemmImplicitRow[PatchSize()] overlay
+  ConvGeometry grad_geometry_;  // geometry + out_c the grad plan is for
+  std::int64_t grad_out_c_ = 0;
+  PoolBuffer grad_phases_;  // ConvGradPhase[stride^2] overlay
+  PoolBuffer grad_rows_;    // GemmImplicitRow[Taps()*out_c] overlay
 };
 
 }  // namespace exaclim

@@ -6,6 +6,9 @@
 #if defined(__aarch64__) && defined(__ARM_NEON)
 #include <arm_neon.h>
 #endif
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/alloc_tracker.hpp"
 #include "common/error.hpp"
@@ -24,6 +27,9 @@ constexpr std::int64_t MC = kGemmMC;
 constexpr std::int64_t NC = kGemmNC;
 static_assert(MC % MR == 0, "MC must hold whole MR-strips");
 static_assert(NC % NR == 0, "NC must hold whole NR-strips");
+static_assert(ScratchWarmElems(ScratchSlot::kGemmPackA) == MC * KC &&
+                  ScratchWarmElems(ScratchSlot::kGemmPackB) == KC * NC,
+              "pool workers must pre-size the pack slots the driver uses");
 
 std::int64_t RoundUp(std::int64_t v, std::int64_t unit) {
   return (v + unit - 1) / unit * unit;
@@ -96,6 +102,19 @@ void PackAStrips(bool trans_a, const float* a, std::int64_t m,
   }
 }
 
+// Copies nr <= NR floats into one row of an NR-strip, zero-filling the
+// rest. Full rows take a fixed-size copy the compiler inlines (the
+// implicit packer deals every gathered row out through here, one call
+// per NR columns).
+void CopyStripRow(const float* src, std::int64_t nr, float* dst) {
+  if (nr == NR) {
+    std::memcpy(dst, src, static_cast<std::size_t>(NR) * sizeof(float));
+    return;
+  }
+  std::memcpy(dst, src, static_cast<std::size_t>(nr) * sizeof(float));
+  for (std::int64_t j = nr; j < NR; ++j) dst[j] = 0.0f;
+}
+
 // Packs op(B)[pc:pc+kc, jc:jc+nc] into NR-strips: strip jr/NR holds
 // columns [jc+jr, jc+jr+NR), p-major with NR consecutive columns per p,
 // columns beyond n zeroed.
@@ -128,9 +147,53 @@ void PackBPanel(bool trans_b, const float* b, std::int64_t k, std::int64_t n,
   }
 }
 
+// dst[x] = src[x * stride] for x < count: the in-bounds middle of a
+// strided conv's gather. Stride 2 (every downsampling conv) deinterleaves
+// four floats per step on SSE2; each step loads src[2x .. 2x+7], which
+// stays inside the run while x + 4 < count.
+void GatherStrided(const float* src, std::int64_t stride, std::int64_t count,
+                   float* dst) {
+  std::int64_t x = 0;
+#if defined(__SSE2__)
+  if (stride == 2) {
+    for (; x + 4 < count; x += 4) {
+      const __m128 lo = _mm_loadu_ps(src + 2 * x);
+      const __m128 hi = _mm_loadu_ps(src + 2 * x + 4);
+      _mm_storeu_ps(dst + x, _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)));
+    }
+  }
+#endif
+  for (; x < count; ++x) dst[x] = src[x * stride];
+}
+
+// strip[p*NR + j] = rows[j*KC + p] for p < kc, j < NR: NR gathered rows
+// transposed into one NR-strip of a packed B panel, 4x4 blocks at a time
+// on SSE2.
+void TransposeIntoStrip(const float* rows, std::int64_t kc, float* strip) {
+  std::int64_t p = 0;
+#if defined(__SSE2__)
+  for (; p + 4 <= kc; p += 4) {
+    for (std::int64_t j = 0; j < NR; j += 4) {
+      __m128 r0 = _mm_loadu_ps(rows + (j + 0) * KC + p);
+      __m128 r1 = _mm_loadu_ps(rows + (j + 1) * KC + p);
+      __m128 r2 = _mm_loadu_ps(rows + (j + 2) * KC + p);
+      __m128 r3 = _mm_loadu_ps(rows + (j + 3) * KC + p);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      _mm_storeu_ps(strip + (p + 0) * NR + j, r0);
+      _mm_storeu_ps(strip + (p + 1) * NR + j, r1);
+      _mm_storeu_ps(strip + (p + 2) * NR + j, r2);
+      _mm_storeu_ps(strip + (p + 3) * NR + j, r3);
+    }
+  }
+#endif
+  for (; p < kc; ++p) {
+    for (std::int64_t j = 0; j < NR; ++j) strip[p * NR + j] = rows[j * KC + p];
+  }
+}
+
 // Fills dst[0..count) with row `rd` of the implicit im2col matrix at
 // output pixels [j0, j0+count): exactly the bytes PackBPanel would have
-// copied from a materialized Im2Col buffer (copies and zeros only, so
+// copied from a materialized patch matrix (copies and zeros only, so
 // bit-identity with the col path is automatic). Walks the pixel range as
 // per-output-row segments: zero prefix (left padding), a stride-1 memcpy
 // or strided gather for the in-bounds middle, zero suffix.
@@ -158,10 +221,9 @@ void GatherImplicitRow(const GemmImplicitB& src, const GemmImplicitRow& rd,
           std::memcpy(d + (lo - ox), src.image + (base + lo),
                       static_cast<std::size_t>(hi - lo) * sizeof(float));
         }
-      } else {
-        for (std::int64_t x = lo; x < hi; ++x) {
-          d[x - ox] = src.image[base + x * src.stride];
-        }
+      } else if (hi > lo) {
+        GatherStrided(src.image + (base + lo * src.stride), src.stride,
+                      hi - lo, d + (lo - ox));
       }
       for (std::int64_t x = hi; x < ox + seg; ++x) d[x - ox] = 0.0f;
     }
@@ -175,17 +237,39 @@ void GatherImplicitRow(const GemmImplicitB& src, const GemmImplicitRow& rd,
 // PackBPanel's twin for an implicit B operand: same NR-strip layout and
 // zero padding, but each packed row is gathered from the input image via
 // its GemmImplicitRow descriptor instead of copied from a col buffer.
-void PackImplicitBPanel(const GemmImplicitB& src, std::int64_t pc,
-                        std::int64_t kc, std::int64_t jc, std::int64_t nc,
-                        float* dst) {
+// With trans_b the operand is the implicit matrix's transpose (rows of
+// the table become columns of op(B)): each strip column is one table
+// row gathered over the panel's kc pixels, then transposed into place —
+// the bytes PackBPanel's trans_b branch would copy from a col buffer.
+void PackImplicitBPanel(const GemmImplicitB& src, bool trans_b,
+                        std::int64_t pc, std::int64_t kc, std::int64_t jc,
+                        std::int64_t nc, float* dst) {
+  if (!trans_b) {
+    // Gather each panel row whole (one segment walk per row, not one
+    // per NR-wide strip), then deal it out to the strips.
+    float row[NC];
+    for (std::int64_t p = 0; p < kc; ++p) {
+      GatherImplicitRow(src, src.rows[pc + p], jc, nc, row);
+      for (std::int64_t jr = 0; jr < nc; jr += NR) {
+        CopyStripRow(row + jr, std::min(NR, nc - jr),
+                     dst + (jr / NR) * kc * NR + p * NR);
+      }
+    }
+    return;
+  }
+  // Gather a strip's NR table rows whole (zero rows past n), then
+  // transpose them into the strip.
+  float rows[NR * KC];
   for (std::int64_t jr = 0; jr < nc; jr += NR) {
     const std::int64_t nr = std::min(NR, nc - jr);
-    float* strip = dst + (jr / NR) * kc * NR;
-    for (std::int64_t p = 0; p < kc; ++p) {
-      float* drow = strip + p * NR;
-      GatherImplicitRow(src, src.rows[pc + p], jc + jr, nr, drow);
-      for (std::int64_t j = nr; j < NR; ++j) drow[j] = 0.0f;
+    for (std::int64_t j = 0; j < NR; ++j) {
+      if (j < nr) {
+        GatherImplicitRow(src, src.rows[jc + jr + j], pc, kc, rows + j * KC);
+      } else {
+        std::fill(rows + j * KC, rows + j * KC + kc, 0.0f);
+      }
     }
+    TransposeIntoStrip(rows, kc, dst + (jr / NR) * kc * NR);
   }
 }
 
@@ -252,17 +336,18 @@ void MergeTileWithEpilogue(const float* acc, float* c, std::int64_t ldc,
 
 // ------------------------------------------------------------- driver ---
 
-// Shared KC/MC/NC walk behind Gemm, GemmPackedWithA and
-// GemmPackedImplicit. When `prepacked` is non-null its panels replace
-// on-the-fly A packing (and alpha is already folded in); when `bimp` is
-// non-null the B panels are gathered from the input image instead of a
-// dense matrix. A non-null `epi` (never empty; beta in {0,1}; requires a
-// prepacked A with no alpha scaling) is applied while merging the final
-// KC panel into C, so fused chains touch C exactly as often as unfused
-// ones. Parallelism is over MR-strips of C: the strip space partitions
-// identically for every pc, and each C element's FP contraction order is
-// fixed by (KC walk, microkernel p loop), so results never depend on the
-// thread count.
+// Shared KC/MC/NC walk behind every entry point. When `prepacked` is
+// non-null its panels replace on-the-fly A packing (alpha is already
+// folded in) and the walk steps pc by its panel depth instead of KC;
+// when `bimp` is non-null the B panels are gathered from the image
+// instead of a dense matrix (op(B) = the implicit matrix, or its
+// transpose when trans_b). A non-null `epi` (never empty; beta in {0,1};
+// requires a prepacked A with no alpha scaling) is applied while merging
+// the final panel into C, so fused chains touch C exactly as often as
+// unfused ones. Parallelism is over MR-strips of C: the strip space
+// partitions identically for every pc, and each C element's FP
+// contraction order is fixed by (panel walk, microkernel p loop), so
+// results never depend on the thread count.
 void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
                    const float* a, bool trans_b, const float* b,
                    const GemmImplicitB* bimp, std::int64_t m, std::int64_t n,
@@ -272,15 +357,16 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
   const GemmMergeBiasReluFn simd_merge = ActiveKernel().merge;
   const std::int64_t m_strips = (m + MR - 1) / MR;
   const std::int64_t strips_per_mc = MC / MR;
+  const std::int64_t depth = prepacked != nullptr ? prepacked->depth() : KC;
 
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += KC) {
-      const std::int64_t kc = std::min(KC, k - pc);
+    for (std::int64_t pc = 0; pc < k; pc += depth) {
+      const std::int64_t kc = std::min(depth, k - pc);
       const float beta_eff = pc == 0 ? beta : 1.0f;
       // The epilogue fires exactly once per C element: on this jc
-      // block's final KC panel (every jc block walks all of [0, k)).
-      const GemmEpilogue* tile_epi = pc + KC >= k ? epi : nullptr;
+      // block's final panel (every jc block walks all of [0, k)).
+      const GemmEpilogue* tile_epi = pc + depth >= k ? epi : nullptr;
       // The SIMD merge covers only the bias/ReLU subset on full tiles;
       // BN or mask epilogues use the scalar merge everywhere.
       const bool simd_epi = tile_epi != nullptr && simd_merge != nullptr &&
@@ -300,7 +386,7 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
         bpack = AcquireScratch(ScratchSlot::kGemmPackB,
                                static_cast<std::size_t>(KC * NC));
         if (bimp != nullptr) {
-          PackImplicitBPanel(*bimp, pc, kc, jc, nc, bpack);
+          PackImplicitBPanel(*bimp, trans_b, pc, kc, jc, nc, bpack);
         } else {
           PackBPanel(trans_b, b, k, n, pc, kc, jc, nc, bpack);
         }
@@ -475,15 +561,19 @@ void GemmMergeBiasReluNeon(const float* acc, float* c, std::int64_t ldc,
 // ------------------------------------------------------ prepacked A -----
 
 void PackedGemmA::Pack(bool trans_a, std::int64_t m, std::int64_t k,
-                       float alpha, const float* a) {
+                       float alpha, const float* a, std::int64_t depth) {
   EXACLIM_CHECK(m >= 0 && k >= 0, "PackedGemmA: bad dims " << m << "x" << k);
+  EXACLIM_CHECK(depth >= 1 && depth <= KC,
+                "PackedGemmA: panel depth " << depth << " outside [1, "
+                                            << KC << "]");
   m_ = m;
   k_ = k;
+  depth_ = depth;
   m_padded_ = RoundUp(m, MR);
   data_.resize(static_cast<std::size_t>(m_padded_ * k));
   const std::int64_t strips = (m + MR - 1) / MR;
-  for (std::int64_t pc = 0; pc < k; pc += KC) {
-    const std::int64_t kc = std::min(KC, k - pc);
+  for (std::int64_t pc = 0; pc < k; pc += depth) {
+    const std::int64_t kc = std::min(depth, k - pc);
     PackAStrips(trans_a, a, m, k, alpha, pc, kc, 0, strips,
                 data_.data() + m_padded_ * pc);
   }
@@ -574,6 +664,22 @@ void GemmPackedImplicit(const PackedGemmA& a, const GemmImplicitB& b,
                 "GemmPackedImplicit: bad implicit-B descriptor");
   RunPackedGemm(&a, /*trans_a=*/false, nullptr, /*trans_b=*/false, nullptr,
                 &b, m, n, k, /*alpha=*/1.0f, beta, c, epi);
+}
+
+void GemmImplicitTransB(std::int64_t m, const float* a,
+                        const GemmImplicitB& b, std::int64_t n, float beta,
+                        float* c) {
+  const std::int64_t k = b.out_h * b.out_w;
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    ScaleC(c, m * n, beta);
+    return;
+  }
+  EXACLIM_CHECK(b.image != nullptr && b.rows != nullptr && b.stride >= 1 &&
+                    b.in_row_stride >= 1,
+                "GemmImplicitTransB: bad implicit-B descriptor");
+  RunPackedGemm(nullptr, /*trans_a=*/false, a, /*trans_b=*/true, nullptr, &b,
+                m, n, k, /*alpha=*/1.0f, beta, c, nullptr);
 }
 
 }  // namespace exaclim

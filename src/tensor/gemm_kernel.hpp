@@ -9,6 +9,8 @@
 //
 //   for jc in [0,n) step NC:                 B panel -> L3
 //     for pc in [0,k) step KC:               beta applied on first pc only
+//                                            (step = the prepacked A's
+//                                            panel depth, <= KC)
 //       pack op(B)[pc:pc+KC, jc:jc+NC] into NR-strips   (thread scratch)
 //       parallel over MR-strips of op(A):
 //         pack alpha*op(A)[ic:ic+MC, pc:pc+KC] into MR-strips  (L2)
@@ -143,7 +145,10 @@ void GemmMergeBiasReluNeon(const float* acc, float* c, std::int64_t ldc,
 /// offset = ci*in_h*in_w + dy*in_w + dx with dy = kh*dilation - pad,
 /// dx = kw*dilation - pad; it may be negative, so gathers must form the
 /// full int64 element index before touching the pointer. Built once per
-/// geometry by BuildImplicitRows (nn/im2col.*) into pooled scratch.
+/// geometry by BuildImplicitRows (nn/conv_geometry.*) into pooled
+/// scratch. The same descriptor also views a conv's output gradient as
+/// its data-gradient operand (BuildGradRows: one row per tap and output
+/// channel, stride 1 within a stride phase).
 struct GemmImplicitRow {
   std::int64_t offset = 0;
   std::int64_t oy_lo = 0;
@@ -154,7 +159,7 @@ struct GemmImplicitRow {
 
 /// A conv input image viewed as the k x n im2col matrix (k = rows per
 /// patch, n = out_h*out_w) without materializing it: the B-panel packer
-/// gathers KCxNC panels straight from `image` via the row table.
+/// gathers its panels straight from `image` via the row table.
 struct GemmImplicitB {
   const float* image = nullptr;       // one image, [in_c, in_h, in_w]
   const GemmImplicitRow* rows = nullptr;  // k entries
@@ -171,22 +176,33 @@ struct GemmImplicitB {
 /// weight matrix once per Forward/Backward and share it across batch
 /// shards (read-only, so shard tasks need no copies).
 ///
-/// Layout: for each KC block pc, ceil(m/MR) MR-strips, strip s holding
-/// columns p in [pc, pc+kc) as MR consecutive rows (p-major), rows beyond
-/// m zero-padded, alpha folded in. Strips of one block are contiguous, so
+/// Layout: for each block pc of `depth` contraction columns (the last
+/// one possibly shorter), ceil(m/MR) MR-strips, strip s holding columns
+/// p in [pc, pc+kc) as MR consecutive rows (p-major), rows beyond m
+/// zero-padded, alpha folded in. Strips of one block are contiguous, so
 /// block pc starts at data() + RoundUp(m, MR) * pc.
+///
+/// The depth is the engine's panel walk: every entry point that takes a
+/// PackedGemmA steps its contraction by depth(), so each block is one
+/// microkernel FMA chain merged into C by its own writeback. The default
+/// kGemmKC is the engine's cache block; the conv data gradient packs one
+/// block per kernel tap (depth = the tap's channel count) so the taps
+/// merge into C in the order a patch-matrix scatter adds them (DESIGN
+/// §15).
 class PackedGemmA {
  public:
   /// Packs alpha * op(A) where op(A) is m x k (A stored k x m when
-  /// trans_a). Reuses the existing allocation when geometry matches.
+  /// trans_a), in blocks of `depth` columns (1 <= depth <= kGemmKC).
+  /// Reuses the existing allocation when geometry matches.
   void Pack(bool trans_a, std::int64_t m, std::int64_t k, float alpha,
-            const float* a);
+            const float* a, std::int64_t depth = kGemmKC);
 
   std::int64_t m() const { return m_; }
   std::int64_t k() const { return k_; }
+  std::int64_t depth() const { return depth_; }
   bool empty() const { return data_.empty(); }
 
-  /// Start of KC block `pc` (a multiple of kGemmKC, < k).
+  /// Start of block `pc` (a multiple of depth(), < k).
   const float* Block(std::int64_t pc) const {
     return data_.data() + m_padded_ * pc;
   }
@@ -194,6 +210,7 @@ class PackedGemmA {
  private:
   std::int64_t m_ = 0;
   std::int64_t k_ = 0;
+  std::int64_t depth_ = kGemmKC;
   std::int64_t m_padded_ = 0;  // m rounded up to a multiple of kGemmMR
   std::vector<float> data_;
 };
@@ -209,15 +226,27 @@ void GemmPackedWithA(const PackedGemmA& a, bool trans_b, std::int64_t n,
                      const float* b, float beta, float* c,
                      const GemmEpilogue* epi = nullptr);
 
-/// Implicit-GEMM convolution forward: C(m, out_h*out_w) = A * B + beta*C
-/// where A is the prepacked weight matrix [out_c, patch] and B is the
-/// image's implicit im2col matrix (b.rows must have a.k() entries). No
-/// col buffer is ever materialized — the B packer gathers panels from
-/// the image on the fly. Bit-identical to packing the same panels from a
-/// materialized Im2Col buffer, since the contraction order is fixed by
-/// the KC walk regardless of where B's bytes come from.
+/// Implicit-GEMM convolution: C(m, out_h*out_w) = A * B + beta*C where
+/// A is a prepacked matrix and B the implicit matrix the row table
+/// describes (b.rows must have a.k() entries). No col buffer is ever
+/// materialized — the B packer gathers panels from the image on the
+/// fly. Bit-identical to packing the same panels from a materialized
+/// buffer, since the contraction order is fixed by the panel walk
+/// regardless of where B's bytes come from. The conv forward (A = W,
+/// B = im2col(x)) and the conv data gradient (A = W regrouped per tap,
+/// B = grad_output through BuildGradRows) both run here.
 void GemmPackedImplicit(const PackedGemmA& a, const GemmImplicitB& b,
                         float beta, float* c,
                         const GemmEpilogue* epi = nullptr);
+
+/// Implicit-GEMM weight gradient: C(m, n) = A * B^T + beta*C where A is
+/// row-major m x k with k = b.out_h*b.out_w (grad_output of one image),
+/// and B the n x k implicit matrix of b.rows (n entries). The transposed
+/// B panels are gathered from the image: the same bytes Gemm(false,
+/// true, ...) packs from a materialized col buffer, so the two are
+/// bit-identical.
+void GemmImplicitTransB(std::int64_t m, const float* a,
+                        const GemmImplicitB& b, std::int64_t n, float beta,
+                        float* c);
 
 }  // namespace exaclim

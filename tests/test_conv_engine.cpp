@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -16,10 +17,10 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "im2col_oracle.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/conv_engine.hpp"
-#include "nn/im2col.hpp"
 #include "nn/norm.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/gemm.hpp"
@@ -258,48 +259,10 @@ struct ImplicitGeo {
 
 class ConvImplicitBitExact : public ::testing::TestWithParam<ImplicitGeo> {};
 
-/// The materialized im2col lowering, composed from the library pieces the
-/// conv backward pass uses: per image, Im2ColFromRows into a col buffer,
-/// then out = W @ col through the same prepacked weight panels, then a
-/// separate bias pass. Serial and unfused — the oracle the implicit
-/// gather (and the bias epilogue fold) must reproduce bit-for-bit.
-Tensor ComposedIm2ColForward(Conv2d& conv, const Tensor& x) {
-  const Conv2d::Options& o = conv.options();
-  ConvGeometry g;
-  g.in_c = o.in_c;
-  g.in_h = x.shape().h();
-  g.in_w = x.shape().w();
-  g.k_h = g.k_w = o.kernel;
-  g.stride = o.stride;
-  g.pad = o.pad;
-  g.dilation = o.dilation;
-  std::vector<GemmImplicitRow> rows(static_cast<std::size_t>(g.PatchSize()));
-  BuildImplicitRows(g, rows.data());
-  std::vector<float> col(static_cast<std::size_t>(g.PatchSize() *
-                                                  g.OutPixels()));
-  PackedGemmA packed;
-  packed.Pack(false, o.out_c, g.PatchSize(), 1.0f,
-              conv.weight().value.Raw());
-  Tensor out(conv.OutputShape(x.shape()));
-  const std::int64_t in_stride = g.in_c * g.in_h * g.in_w;
-  const std::int64_t out_stride = o.out_c * g.OutPixels();
-  const Tensor& bias = conv.Params().at(1)->value;
-  for (std::int64_t n = 0; n < x.shape().n(); ++n) {
-    float* out_n = out.Raw() + n * out_stride;
-    Im2ColFromRows(g, rows.data(), x.Raw() + n * in_stride, col.data());
-    GemmPackedWithA(packed, false, g.OutPixels(), col.data(), 0.0f, out_n);
-    for (std::int64_t c = 0; c < o.out_c; ++c) {
-      for (std::int64_t p = 0; p < g.OutPixels(); ++p) {
-        out_n[c * g.OutPixels() + p] += bias[static_cast<std::size_t>(c)];
-      }
-    }
-  }
-  return out;
-}
-
 // The implicit B-panel gather must reproduce the materialized im2col
 // lowering bit-for-bit — same packed panels, same contraction order —
-// with and without the bias epilogue fold.
+// with and without the bias epilogue fold. The oracle adds the bias in a
+// separate pass, so the fold is checked too.
 TEST_P(ConvImplicitBitExact, ForwardMatchesIm2ColBitwise) {
   FusionGuard guard;
   const ImplicitGeo g = GetParam();
@@ -316,13 +279,58 @@ TEST_P(ConvImplicitBitExact, ForwardMatchesIm2ColBitwise) {
   Rng xrng(73);
   const Tensor x = Tensor::Uniform(
       TensorShape::NCHW(2, g.in_c, g.h, g.w), xrng, -1.0f, 1.0f);
-  const Tensor yc = ComposedIm2ColForward(conv, x);
+  MaterialisedConv2d oracle(conv);
+  const Tensor yc = oracle.Forward(x, /*fold_bias=*/false);
   for (const bool fuse : {false, true}) {
     SetConvFusion(fuse);
     const Tensor yi = conv.Forward(x, false);
     ASSERT_EQ(yi.shape(), yc.shape());
     ExpectBitIdentical(Snapshot(yc), Snapshot(yi),
                        fuse ? "fused forward" : "unfused forward");
+  }
+}
+
+void ExpectGradsBitIdentical(const ConvGrads& want, const Tensor& grad_input,
+                             const std::vector<Param*>& params) {
+  ExpectBitIdentical(Snapshot(want.grad_input), Snapshot(grad_input),
+                     "grad_input");
+  ExpectBitIdentical(want.weight, Snapshot(params.at(0)->grad),
+                     "weight grad");
+  ExpectBitIdentical(want.bias, Snapshot(params.at(1)->grad), "bias grad");
+}
+
+// Both implicit gradients — the transposed weight-gradient gather and the
+// per-tap data-gradient panels (stride phases included) — must reproduce
+// the materialized backward bit-for-bit: gW += gy @ im2col(x)^T, and
+// gx = Col2Im(W^T @ gy). Swept over batch sizes (shard layouts) and both
+// batch walks.
+TEST_P(ConvImplicitBitExact, BackwardMatchesIm2ColBitwise) {
+  EngineModeGuard guard;
+  const ImplicitGeo g = GetParam();
+  Rng rng(81);
+  Conv2d conv("c",
+              {.in_c = g.in_c, .out_c = g.out_c, .kernel = g.kernel,
+               .stride = g.stride, .pad = g.pad, .dilation = g.dilation,
+               .bias = true},
+              rng);
+  MaterialisedConv2d oracle(conv);
+  for (const std::int64_t batch : {1, 2, 3, 5}) {
+    Rng xrng(83);
+    const Tensor x = Tensor::Uniform(
+        TensorShape::NCHW(batch, g.in_c, g.h, g.w), xrng, -1.0f, 1.0f);
+    Rng grng(85);
+    const Tensor gy =
+        Tensor::Uniform(conv.OutputShape(x.shape()), grng, -1.0f, 1.0f);
+    for (const bool parallel : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch
+                                        << (parallel ? " parallel" : " serial"));
+      SetConvBatchParallel(parallel);
+      const ConvGrads want = oracle.Backward(x, gy);
+      for (Param* p : conv.Params()) p->grad.SetZero();
+      (void)conv.Forward(x, true);
+      const Tensor gx = conv.Backward(gy);
+      ExpectGradsBitIdentical(want, gx, conv.Params());
+    }
   }
 }
 
@@ -337,7 +345,116 @@ INSTANTIATE_TEST_SUITE_P(
                       ImplicitGeo{2, 2, 3, 1, -1, 4, 10, 9},
                       ImplicitGeo{1, 2, 5, 2, 2, 1, 11, 10},  // 5x5 strided
                       ImplicitGeo{3, 3, 7, 2, 3, 1, 14, 14},  // stem 7x7/2
-                      ImplicitGeo{2, 2, 3, 1, 6, 6, 9, 9}));  // extreme d=6
+                      ImplicitGeo{2, 2, 3, 1, 6, 6, 9, 9},    // extreme d=6
+                      ImplicitGeo{3, 2, 1, 2, 0, 1, 9, 8},    // 1x1/2
+                      ImplicitGeo{2, 3, 1, 1, 1, 1, 6, 7}));  // padded 1x1
+
+struct DeconvGeo {
+  std::int64_t in_c, out_c, kernel, stride, pad, out_pad;
+  std::int64_t h, w;
+};
+
+class ConvTransposeImplicitBitExact
+    : public ::testing::TestWithParam<DeconvGeo> {};
+
+// ConvTranspose2d runs the same two operators: its forward is the
+// per-tap data-gradient GEMM (stride phases for the upsampling deconvs),
+// its backward the forward implicit gather (data gradient) and the
+// transposed gather (weight gradient). All bit-identical to the
+// materialized Col2Im / Im2ColFromRows lowering.
+TEST_P(ConvTransposeImplicitBitExact, ForwardAndBackwardMatchIm2ColBitwise) {
+  EngineModeGuard guard;
+  const DeconvGeo g = GetParam();
+  Rng rng(87);
+  ConvTranspose2d deconv("d",
+                         {.in_c = g.in_c, .out_c = g.out_c,
+                          .kernel = g.kernel, .stride = g.stride,
+                          .pad = g.pad, .out_pad = g.out_pad},
+                         rng);
+  Rng brng(88);
+  deconv.Params().at(1)->value =
+      Tensor::Uniform(TensorShape{g.out_c}, brng, -1.0f, 1.0f);
+  MaterialisedConvTranspose2d oracle(deconv);
+  for (const std::int64_t batch : {1, 2, 3, 5}) {
+    Rng xrng(89);
+    const Tensor x = Tensor::Uniform(
+        TensorShape::NCHW(batch, g.in_c, g.h, g.w), xrng, -1.0f, 1.0f);
+    Rng grng(90);
+    const Tensor gy =
+        Tensor::Uniform(deconv.OutputShape(x.shape()), grng, -1.0f, 1.0f);
+    for (const bool parallel : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "batch " << batch
+                                        << (parallel ? " parallel" : " serial"));
+      SetConvBatchParallel(parallel);
+      const Tensor want_y = oracle.Forward(x);
+      const ConvGrads want = oracle.Backward(x, gy);
+      for (Param* p : deconv.Params()) p->grad.SetZero();
+      const Tensor y = deconv.Forward(x, true);
+      ExpectBitIdentical(Snapshot(want_y), Snapshot(y), "forward");
+      const Tensor gx = deconv.Backward(gy);
+      ExpectGradsBitIdentical(want, gx, deconv.Params());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometrySweep, ConvTransposeImplicitBitExact,
+    ::testing::Values(DeconvGeo{3, 4, 3, 1, 1, 0, 6, 7},   // stride 1
+                      DeconvGeo{4, 3, 3, 2, 1, 1, 5, 6},   // 2x upsample
+                      DeconvGeo{2, 3, 3, 2, 1, 0, 5, 5},   // stride 2
+                      DeconvGeo{3, 2, 4, 2, 1, 0, 4, 5},   // 4x4/2
+                      DeconvGeo{2, 2, 2, 2, 0, 1, 4, 3},   // 2x2/2 out_pad
+                      DeconvGeo{2, 3, 3, 3, 0, 2, 3, 4}));  // stride 3
+
+// A data-gradient tap deeper than kGemmKC channels splits into several
+// panels, so the tap's partial sums merge into C one panel at a time:
+// (C + p0) + p1 where Col2Im added C + (p0 + p1). No model runs such a
+// conv; pin that the result stays a correct gradient against a double-
+// accumulating reference, within a relative error of 1e-5 of the sum of
+// |terms| (float rounding over 2700-term sums).
+TEST(ConvImplicitDeepTap, DataGradientWithinToleranceOfDoubleReference) {
+  constexpr std::int64_t kInC = 3, kOutC = 300, kH = 6, kW = 6;
+  static_assert(kOutC > kGemmKC);
+  Rng rng(91);
+  Conv2d conv("deep", {.in_c = kInC, .out_c = kOutC, .kernel = 3}, rng);
+  Rng xrng(92);
+  const Tensor x = Tensor::Uniform(TensorShape::NCHW(1, kInC, kH, kW), xrng,
+                                   -1.0f, 1.0f);
+  Rng grng(93);
+  const Tensor gy =
+      Tensor::Uniform(conv.OutputShape(x.shape()), grng, -1.0f, 1.0f);
+  (void)conv.Forward(x, true);
+  const Tensor gx = conv.Backward(gy);
+  const Tensor& w = conv.weight().value;
+  for (std::int64_t ci = 0; ci < kInC; ++ci) {
+    for (std::int64_t iy = 0; iy < kH; ++iy) {
+      for (std::int64_t ix = 0; ix < kW; ++ix) {
+        double want = 0.0;
+        double magnitude = 0.0;
+        for (std::int64_t co = 0; co < kOutC; ++co) {
+          for (std::int64_t kh = 0; kh < 3; ++kh) {
+            for (std::int64_t kw = 0; kw < 3; ++kw) {
+              const std::int64_t oy = iy + 1 - kh;  // stride 1, pad 1
+              const std::int64_t ox = ix + 1 - kw;
+              if (oy < 0 || oy >= kH || ox < 0 || ox >= kW) continue;
+              const double term =
+                  static_cast<double>(
+                      w[static_cast<std::size_t>(co * kInC * 9 + ci * 9 +
+                                                 kh * 3 + kw)]) *
+                  gy[static_cast<std::size_t>((co * kH + oy) * kW + ox)];
+              want += term;
+              magnitude += std::abs(term);
+            }
+          }
+        }
+        const float got =
+            gx[static_cast<std::size_t>((ci * kH + iy) * kW + ix)];
+        EXPECT_NEAR(got, want, 1e-5 * magnitude)
+            << "ci " << ci << " iy " << iy << " ix " << ix;
+      }
+    }
+  }
+}
 
 /// Runs one forward+backward step through a Conv2d(→BN)(→ReLU) chain with
 /// fusion on or off, returning bitwise-comparable results. All RNG seeds

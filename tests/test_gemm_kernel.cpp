@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -7,6 +8,8 @@
 
 #include "common/rng.hpp"
 #include "common/workspace.hpp"
+#include "im2col_oracle.hpp"
+#include "nn/conv_geometry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_kernel.hpp"
 
@@ -194,6 +197,101 @@ TEST(GemmKernelPrepack, ReusableAcrossManyRightOperands) {
     std::vector<float> got(static_cast<std::size_t>(m * n));
     GemmPackedWithA(packed, false, n, b.data(), 0.0f, got.data());
     ExpectNear(got, want, Tol(k), "prepacked");
+  }
+}
+
+// A panel depth d makes the engine merge every d-deep FMA chain into C
+// on its own: exactly a chain of GemmPackedWithA calls over the d-column
+// chunks of A and B (beta 0, then 1), with the epilogue on the last one.
+// Edge tiles on both axes; d = 256 = kGemmKC is the default walk.
+TEST(GemmKernelPrepack, PanelDepthEqualsChainOfChunkGemms) {
+  const std::int64_t m = 13, n = 37, k = 300;
+  Rng rng(808);
+  const std::vector<float> a = RandomVec(rng, m * k);
+  const std::vector<float> b = RandomVec(rng, k * n);
+  const std::vector<float> bias = RandomVec(rng, m);
+  GemmEpilogue epi;
+  epi.bias = bias.data();
+  epi.relu = true;
+  for (const std::int64_t d : {1, 4, 7, 256}) {
+    for (const bool with_epi : {false, true}) {
+      PackedGemmA packed;
+      packed.Pack(false, m, k, 1.0f, a.data(), d);
+      EXPECT_EQ(packed.depth(), d);
+      std::vector<float> got(static_cast<std::size_t>(m * n), -7.0f);
+      GemmPackedWithA(packed, false, n, b.data(), 0.0f, got.data(),
+                      with_epi ? &epi : nullptr);
+
+      std::vector<float> want(got.size(), -7.0f);
+      std::vector<float> chunk;
+      for (std::int64_t pc = 0; pc < k; pc += d) {
+        const std::int64_t kc = std::min(d, k - pc);
+        chunk.assign(static_cast<std::size_t>(m * kc), 0.0f);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t p = 0; p < kc; ++p) {
+            chunk[static_cast<std::size_t>(i * kc + p)] =
+                a[static_cast<std::size_t>(i * k + pc + p)];
+          }
+        }
+        PackedGemmA part;
+        part.Pack(false, m, kc, 1.0f, chunk.data());
+        const bool last = pc + d >= k;
+        GemmPackedWithA(part, false, n, b.data() + pc * n,
+                        pc == 0 ? 0.0f : 1.0f, want.data(),
+                        with_epi && last ? &epi : nullptr);
+      }
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "d=" << d << " epi=" << with_epi
+                                   << " i=" << i;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------- implicit B ----
+
+// The transposed implicit-B GEMM (conv weight gradient) packs the same
+// bytes Gemm(false, true, ...) packs from a materialized col buffer, so
+// the two are bit-identical; both agree with the double reference.
+TEST(GemmKernelImplicit, TransposedGatherMatchesMaterializedCol) {
+  for (const ConvGeometry g :
+       {ConvGeometry{.in_c = 3, .in_h = 20, .in_w = 19, .k_h = 3,
+                     .k_w = 3, .stride = 1, .pad = 1, .dilation = 1},
+        ConvGeometry{.in_c = 2, .in_h = 23, .in_w = 24, .k_h = 3,
+                     .k_w = 3, .stride = 2, .pad = 1, .dilation = 1},
+        ConvGeometry{.in_c = 2, .in_h = 17, .in_w = 18, .k_h = 3,
+                     .k_w = 3, .stride = 1, .pad = 4, .dilation = 4}}) {
+    const std::int64_t m = 7;
+    const std::int64_t n = g.PatchSize();
+    const std::int64_t k = g.OutPixels();
+    Rng rng(909);
+    const std::vector<float> image = RandomVec(rng, g.in_c * g.in_h * g.in_w);
+    const std::vector<float> a = RandomVec(rng, m * k);
+    const std::vector<float> c0 = RandomVec(rng, m * n);
+    std::vector<GemmImplicitRow> rows(static_cast<std::size_t>(n));
+    BuildImplicitRows(g, rows.data());
+    std::vector<float> col(static_cast<std::size_t>(n * k));
+    Im2ColFromRows(g, rows.data(), image.data(), col.data());
+    GemmImplicitB bimp;
+    bimp.image = image.data();
+    bimp.rows = rows.data();
+    bimp.out_h = g.OutH();
+    bimp.out_w = g.OutW();
+    bimp.in_row_stride = g.in_w;
+    bimp.stride = g.stride;
+    for (const float beta : {0.0f, 1.0f}) {
+      std::vector<float> want = c0;
+      Gemm(false, true, m, n, k, 1.0f, a.data(), col.data(), beta,
+           want.data());
+      std::vector<float> got = c0;
+      GemmImplicitTransB(m, a.data(), bimp, n, beta, got.data());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "stride " << g.stride << " beta "
+                                   << beta << " i=" << i;
+      }
+      ExpectNear(got, NaiveGemm(false, true, m, n, k, 1.0f, a, col, beta, c0),
+                 Tol(k), "implicit transposed");
+    }
   }
 }
 

@@ -315,14 +315,23 @@ TEST_F(PoolTest, WarmedTrainingStepPerformsZeroHeapAllocations) {
   }
 }
 
-// Geometry churn on one conv layer (multi-scale evaluation pattern): the
-// implicit-GEMM row tables and workspace panels are rebuilt in place on a
-// geometry change — after one warm cycle through all geometries, ping-
-// ponging between them must allocate nothing (DESIGN §15 ratchet: the
-// implicit path adds zero steady-state allocations on top of im2col).
+// Geometry churn through every conv-family pass: the same layers see
+// alternating input sizes, forward and backward, on a plain, a stride-2
+// and a transposed conv. After the warm cycles the workspace buffers, the
+// forward row tables, the data-gradient phase tables and scratch, and
+// the per-phase weight panels are at their high-water marks, so a churn
+// cycle allocates nothing on any thread: every pool worker sized its
+// GEMM pack slots when the pool started, whichever shards it ran since.
 TEST_F(PoolTest, ConvGeometryChurnAllocatesNothingWhenWarm) {
   Rng rng(53);
   Conv2d conv("c", {.in_c = 3, .out_c = 4, .kernel = 3}, rng);
+  Conv2d strided("s",
+                 {.in_c = 3, .out_c = 4, .kernel = 3, .stride = 2, .pad = 1},
+                 rng);
+  ConvTranspose2d deconv("d",
+                         {.in_c = 3, .out_c = 2, .kernel = 3, .stride = 2,
+                          .pad = 1, .out_pad = 1},
+                         rng);
   std::vector<Tensor> inputs;
   for (const auto& [h, w, batch] :
        {std::tuple{10, 12, 2}, {14, 8, 3}, {10, 12, 2}}) {
@@ -330,20 +339,26 @@ TEST_F(PoolTest, ConvGeometryChurnAllocatesNothingWhenWarm) {
     inputs.push_back(Tensor::Uniform(TensorShape::NCHW(batch, 3, h, w),
                                      xrng, -1.0f, 1.0f));
   }
+  const auto churn = [&] {
+    for (const Tensor& x : inputs) {
+      for (Layer* layer : {static_cast<Layer*>(&conv),
+                           static_cast<Layer*>(&strided),
+                           static_cast<Layer*>(&deconv)}) {
+        const Tensor y = layer->Forward(x, true);
+        (void)layer->Backward(y);  // y doubles as a same-shape gradient
+      }
+    }
+  };
   // Two warm cycles: the first sizes every buffer family, the second
   // proves the sizes reached a fixed point before the measured region.
-  for (int cycle = 0; cycle < 2; ++cycle) {
-    for (const Tensor& x : inputs) (void)conv.Forward(x, false);
-  }
+  for (int cycle = 0; cycle < 2; ++cycle) churn();
 
   SetAllocTracking(true);
   {
     ScopedAllocCheck census(EXACLIM_ALLOC_SITE("test.conv_geom_churn"),
                             ScopedAllocCheck::Mode::kCensus,
                             ScopedAllocCheck::Scope::kGlobal);
-    for (int cycle = 0; cycle < 2; ++cycle) {
-      for (const Tensor& x : inputs) (void)conv.Forward(x, false);
-    }
+    for (int cycle = 0; cycle < 2; ++cycle) churn();
     EXPECT_EQ(census.count(), 0) << census.bytes() << " bytes allocated";
   }
   SetAllocTracking(false);

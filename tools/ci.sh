@@ -12,9 +12,10 @@
 #   3. bench-smoke: one bench run + BENCH_*.json schema validation
 #   4. perf-smoke: bench_micro_conv engine comparison; the batch-parallel
 #      conv engine must not be slower than the serial batch walk, the
-#      implicit-GEMM path must hold ≥ 0.95× of im2col on every bench
-#      shape, and the fused conv→BN→ReLU epilogue must beat the unfused
-#      chain (DESIGN §15); bench_micro_gemm's GFLOP/s report is
+#      implicit-GEMM forward and backward must each hold ≥ 0.95× of the
+#      materialized im2col lowering (tests/im2col_oracle.*) on every
+#      bench shape, and the fused conv→BN→ReLU epilogue must beat the
+#      unfused chain (DESIGN §15); bench_micro_gemm's GFLOP/s report is
 #      schema-checked
 #   5. alloc-smoke: bench_alloc_census per-phase allocation ratchet,
 #      pooled (tools/alloc_budget.json, all budgets 0) and with
@@ -82,9 +83,11 @@ run env EXACLIM_BENCH_DIR="$BENCH_DIR" \
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
   --assert-le fwd_bwd_parallel_b4_ms fwd_bwd_serial_b4_ms 1.15 \
   --assert-le fwd_bwd_parallel_b8_ms fwd_bwd_serial_b8_ms 1.15
-# Implicit-GEMM packing (DESIGN §15) must hold ≥ 0.95× of the im2col
-# path on every bench shape (time gate: implicit <= im2col × 1/0.95),
-# and the fused conv→BN→ReLU epilogue must never regress the unfused
+# Implicit-GEMM packing (DESIGN §15) must hold ≥ 0.95× of the
+# materialized im2col lowering on every bench shape, forward and
+# backward (time gate: implicit <= im2col × 1/0.95; the im2col rows time
+# the relocated oracle, tests/im2col_oracle.*), and the fused
+# conv→BN→ReLU epilogue must never regress the unfused
 # three-pass chain. Quiet-machine fused speedups are ≥ 1.7×, but CPU
 # contention compresses the ratio (both paths time-slice the same
 # cores and the eliminated passes are exactly the hideable memory-bound
@@ -95,6 +98,9 @@ run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
   --assert-le conv_implicit_b4_ms conv_im2col_b4_ms 1.0527 \
   --assert-le conv_implicit_atrous_ms conv_im2col_atrous_ms 1.0527 \
   --assert-le conv_implicit_stride2_ms conv_im2col_stride2_ms 1.0527 \
+  --assert-le conv_bwd_implicit_b4_ms conv_bwd_im2col_b4_ms 1.0527 \
+  --assert-le conv_bwd_implicit_atrous_ms conv_bwd_im2col_atrous_ms 1.0527 \
+  --assert-le conv_bwd_implicit_stride2_ms conv_bwd_im2col_stride2_ms 1.0527 \
   --assert-le conv_fused_tile_eval_ms conv_unfused_tile_eval_ms 1.0 \
   --assert-le conv_fused_pointwise_eval_ms conv_unfused_pointwise_eval_ms 0.9
 # bench_micro_gemm's per-shape GFLOP/s table (the GEMM peak the
