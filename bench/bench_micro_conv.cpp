@@ -3,7 +3,9 @@
 // batch-parallel engine comparison, which times forward+backward in both
 // engine modes and records them through BenchReport
 // (BENCH_micro_conv.json, the repo's conv perf-trajectory datapoint;
-// the ci.sh perf-smoke stage asserts parallel <= serial).
+// the ci.sh perf-smoke stage asserts parallel <= serial), the implicit
+// vs im2col and fused vs unfused comparisons, and the pointwise kernels
+// of a Tiramisu unit.
 //
 // Custom main: google-benchmark cases run first (skip them with
 // --benchmark_filter='-.*'), then the engine comparison.
@@ -21,6 +23,7 @@
 #include "im2col_oracle.hpp"
 #include "nn/conv_engine.hpp"
 #include "nn/norm.hpp"
+#include "nn/pool.hpp"
 #include "nn/sequential.hpp"
 #include "obs/bench_report.hpp"
 #include "stats/stats.hpp"
@@ -312,6 +315,84 @@ void RunFusionComparison(obs::BenchReport& report) {
   SetConvFusion(saved_fuse);
 }
 
+// ---------------------------------------------- pointwise kernels ------
+
+// The pre-activation path of a Tiramisu unit (DESIGN §15), on the first
+// dense unit's input of the downscaled Tiramisu (batch 2, 8 x 128 x 128):
+//   - ReLU forward+backward on random-sign vs all-positive input. A
+//     branch on the sign mispredicts on the first and never on the
+//     second, so the ratio is ~1.0 for branchless kernels and 2.5-6x for
+//     branchy ones on any host (ci.sh gates it at 1.5);
+//   - the BatchNorm2d→ReLU pair as one fused sweep vs two layer passes
+//     (train forward);
+//   - MaxPool2d 2x2/2 forward on random vs ascending input, where a
+//     branchy max-select shows the same gap as a branchy ReLU.
+void RunPointwiseComparison(obs::BenchReport& report) {
+  constexpr int kRounds = 21;
+  const TensorShape shape = TensorShape::NCHW(2, 8, 128, 128);
+  Rng xrng(3);
+  const Tensor random = Tensor::Uniform(shape, xrng, -1, 1);
+  const Tensor positive = Tensor::Uniform(shape, xrng, 0.001f, 1);
+  Tensor ascending(shape);
+  for (std::size_t i = 0; i < ascending.Data().size(); ++i) {
+    ascending[i] = static_cast<float>(i);
+  }
+  Rng grng(4);
+  const Tensor g = Tensor::Uniform(shape, grng, -1, 1);
+  std::printf("\npointwise kernels (%s, median of %d):\n",
+              shape.ToString().c_str(), kRounds);
+
+  // Each pair of passes is timed alternately, so load that drifts during
+  // the run hits both sides of a gated ratio alike.
+  const auto time_pair = [&](const char* label, const char* metric_a,
+                             auto&& pass_a, const char* metric_b,
+                             auto&& pass_b) {
+    (void)TimeMs(pass_a);
+    (void)TimeMs(pass_b);
+    std::vector<double> a, b;
+    for (int r = 0; r < kRounds; ++r) {
+      a.push_back(TimeMs(pass_a));
+      b.push_back(TimeMs(pass_b));
+    }
+    report.AddSeries(metric_a, a);
+    report.AddSeries(metric_b, b);
+    std::printf("  %-14s %-22s %8.3f ms   %-22s %8.3f ms\n", label,
+                metric_a, Summarize(a).median, metric_b,
+                Summarize(b).median);
+  };
+
+  ReLU relu("r");
+  const auto relu_pass = [&](const Tensor& x) {
+    return [&relu, &g, &x] {
+      (void)relu.Forward(x, true);
+      return relu.Backward(g);
+    };
+  };
+  time_pair("relu fwd+bwd", "relu_random_sign_ms", relu_pass(random),
+            "relu_all_positive_ms", relu_pass(positive));
+
+  const bool saved_fuse = ConvFusionEnabled();
+  Sequential unit("unit");
+  unit.Emplace<BatchNorm2d>("bn", shape.c());
+  unit.Emplace<ReLU>("r");
+  const auto unit_pass = [&](bool fuse) {
+    return [&unit, &random, fuse] {
+      SetConvFusion(fuse);
+      return unit.Forward(random, true);
+    };
+  };
+  time_pair("bn->relu fwd", "bn_relu_unfused_ms", unit_pass(false),
+            "bn_relu_fused_ms", unit_pass(true));
+  SetConvFusion(saved_fuse);
+
+  MaxPool2d pool("p", 2, 2, 0);
+  const auto pool_pass = [&](const Tensor& x) {
+    return [&pool, &x] { return pool.Forward(x, true); };
+  };
+  time_pair("maxpool fwd", "maxpool_random_ms", pool_pass(random),
+            "maxpool_ascending_ms", pool_pass(ascending));
+}
+
 void RunComparisons() {
   obs::BenchReport report("micro_conv");
   report.AddScalar("threads",
@@ -319,6 +400,7 @@ void RunComparisons() {
   RunEngineComparison(report);
   RunImplicitComparison(report);
   RunFusionComparison(report);
+  RunPointwiseComparison(report);
   const auto path = report.WriteJsonFile();
   if (!path.empty()) std::printf("  wrote %s\n", path.string().c_str());
 }

@@ -20,7 +20,7 @@ class ReLU : public Layer {
   }
 
   /// Hands the forward mask to a fused producer (conv epilogue or
-  /// BatchNorm2d::ForwardFusedInPlace) which fills it from the pre-ReLU
+  /// BatchNorm2d's fused sweep) which fills it from the pre-ReLU
   /// values — one byte per element, layout == the tensor. After the
   /// producer returns, Backward behaves exactly as after Forward().
   unsigned char* BeginFusedForward(const TensorShape& shape);

@@ -20,7 +20,10 @@ Tensor ConcatChannels(std::span<const Tensor* const> inputs) {
                                                     << first.ToString());
     total_c += s.c();
   }
-  Tensor out(TensorShape::NCHW(first.n(), total_c, first.h(), first.w()));
+  // Every (image, input) slab is copied below, covering all total_c
+  // channels, so the output needs no zero-fill.
+  Tensor out = Tensor::Uninitialized(
+      TensorShape::NCHW(first.n(), total_c, first.h(), first.w()));
   const std::int64_t hw = first.h() * first.w();
   for (std::int64_t n = 0; n < first.n(); ++n) {
     std::int64_t c_off = 0;

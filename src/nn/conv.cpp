@@ -194,7 +194,8 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
   const ConvGeometry g = Geometry(input.shape().h(), input.shape().w());
   cached_input_ = input;
 
-  Tensor output(out_shape);
+  // Every element is written: the GEMM below runs with beta 0.
+  Tensor output = Tensor::Uninitialized(out_shape);
   const Tensor& w = ComputeWeight();
   const bool pointwise = UsePointwiseFastPath();
   const bool fp32 = precision() == Precision::kFP32;
@@ -274,7 +275,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   EXACLIM_CHECK(grad_output.shape() == OutputShape(in_shape),
                 name() << ": grad shape mismatch");
 
-  Tensor grad_input(in_shape);
+  // Every element is written by DataGradImage (see ConvTranspose2d).
+  Tensor grad_input = Tensor::Uninitialized(in_shape);
   const Tensor& w = ComputeWeight();
   // Both gradients run on the packed engine with implicit operands and
   // never materialise a patch matrix (DESIGN §15): the weight gradient
@@ -401,7 +403,9 @@ Tensor ConvTranspose2d::Forward(const Tensor& input, bool /*train*/) {
   const ConvGeometry g = Geometry(out_shape.h(), out_shape.w());
   cached_input_ = input;
 
-  Tensor output(out_shape);
+  // Every element is written: DataGradImage covers every stride phase's
+  // sub-grid (a beta-0 GEMM, or a zero-fill for a phase with no tap).
+  Tensor output = Tensor::Uninitialized(out_shape);
   const Tensor& w = ComputeWeight();
   const std::int64_t pixels = input.shape().h() * input.shape().w();
   const std::int64_t batch = input.shape().n();

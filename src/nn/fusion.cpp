@@ -15,10 +15,15 @@ bool IsFp32(const Layer& layer) {
 
 std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
                            std::size_t i) {
-  auto* conv = dynamic_cast<Conv2d*>(layers[i].get());
-  if (conv == nullptr || !IsFp32(*conv)) return 0;
   Layer* next = i + 1 < layers.size() ? layers[i + 1].get() : nullptr;
   if (next == nullptr) return 0;
+  if (auto* bn = dynamic_cast<BatchNorm2d*>(layers[i].get())) {
+    // BatchNorm2d→ReLU, the pre-activation half of every Tiramisu unit.
+    auto* relu = dynamic_cast<ReLU*>(next);
+    return IsFp32(*bn) && relu != nullptr && IsFp32(*relu) ? 2 : 0;
+  }
+  auto* conv = dynamic_cast<Conv2d*>(layers[i].get());
+  if (conv == nullptr || !IsFp32(*conv)) return 0;
 
   if (auto* bn = dynamic_cast<BatchNorm2d*>(next)) {
     if (!IsFp32(*bn) || bn->channels() != conv->options().out_c) return 0;
@@ -36,6 +41,11 @@ std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
 
 Tensor ForwardFusedChain(const std::vector<LayerPtr>& layers, std::size_t i,
                          std::size_t len, const Tensor& input, bool train) {
+  if (auto* bn = dynamic_cast<BatchNorm2d*>(layers[i].get())) {
+    // BatchNorm2d→ReLU: one sweep writes y, x_hat and the ReLU mask.
+    return bn->ForwardFused(input, train,
+                            *static_cast<ReLU*>(layers[i + 1].get()));
+  }
   auto* conv = static_cast<Conv2d*>(layers[i].get());
   auto* bn = dynamic_cast<BatchNorm2d*>(layers[i + 1].get());
 

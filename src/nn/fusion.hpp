@@ -1,6 +1,7 @@
 #pragma once
 
-// Conv2d→BatchNorm2d(→ReLU) chain fusion (DESIGN §15).
+// Layer-chain fusion (DESIGN §15): Conv2d→BatchNorm2d(→ReLU),
+// Conv2d→ReLU and BatchNorm2d→ReLU.
 //
 // Sequential::Forward scans its layer list for fusable chains and routes
 // them through ForwardFusedChain instead of layer-by-layer Forward calls.
@@ -18,11 +19,12 @@
 namespace exaclim {
 
 /// Length of the fusable chain starting at layers[i]: 3 for
-/// Conv2d→BatchNorm2d→ReLU, 2 for Conv2d→BatchNorm2d or Conv2d→ReLU,
-/// 0 when layers[i] starts no fusable chain. All member layers must be
-/// FP32 (FP16 emulation quantises between layers, which fusion would
-/// skip); every FP32 conv writes C through the GEMM engine, so its
-/// epilogue can always take the BN affine and the ReLU.
+/// Conv2d→BatchNorm2d→ReLU, 2 for Conv2d→BatchNorm2d, Conv2d→ReLU or
+/// BatchNorm2d→ReLU, 0 when layers[i] starts no fusable chain. All member
+/// layers must be FP32 (FP16 emulation quantises between layers, which
+/// fusion would skip — a tiny positive BN output that rounds to 0 would
+/// flip the ReLU mask); every FP32 conv writes C through the GEMM engine,
+/// so its epilogue can always take the BN affine and the ReLU.
 std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
                            std::size_t i);
 
@@ -30,7 +32,9 @@ std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
 /// FusableChainAt, >= 2) as one fused pass. Eval-mode conv→BN(→ReLU)
 /// chains fold the whole epilogue into the packed GEMM writeback;
 /// train-mode chains run the conv (bias folded into the epilogue) and
-/// then one in-place BN sweep that also fills the ReLU mask. Bit-identical to calling each layer's Forward in turn.
+/// then one in-place BN sweep that also fills the ReLU mask; BN→ReLU
+/// runs as one BN sweep that applies the ReLU and fills its mask.
+/// Bit-identical to calling each layer's Forward in turn.
 Tensor ForwardFusedChain(const std::vector<LayerPtr>& layers, std::size_t i,
                          std::size_t len, const Tensor& input, bool train);
 

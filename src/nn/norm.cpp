@@ -9,6 +9,51 @@
 namespace exaclim {
 namespace {
 
+// One plane of the forward write pass: x_hat to its cache, y (ReLU'd,
+// with its mask, when `mask` is set) to `out`. `out` may alias `in`
+// (ForwardFusedInPlace), so only the other outputs are __restrict;
+// PointwiseMap reads each block before writing it. The plane kernels stay
+// out of line: inlined into the channel closure, their block loops stop
+// vectorizing.
+[[gnu::noinline]] void NormalisePlane(const float* in, float* out,
+                                      float* __restrict norm,
+                                      unsigned char* __restrict mask,
+                                      std::int64_t hw, float mean,
+                                      float inv_std, float gamma,
+                                      float beta) {
+  const auto n = static_cast<std::size_t>(hw);
+  if (mask == nullptr) {
+    PointwiseMap(in, n, [=](std::size_t i, float v) {
+      const float x_hat = BnNormalise(v, mean, inv_std);
+      norm[i] = x_hat;
+      out[i] = BnAffine(x_hat, gamma, beta);
+    });
+    return;
+  }
+  // The fused ReLU, branchless like ReLU::Forward (epilogue.hpp).
+  PointwiseMap(in, n, [=](std::size_t i, float v) {
+    const float x_hat = BnNormalise(v, mean, inv_std);
+    norm[i] = x_hat;
+    const float y = BnAffine(x_hat, gamma, beta);
+    mask[i] = static_cast<unsigned char>(ReluActive(y));
+    out[i] = ReluValueBits(y);
+  });
+}
+
+// One plane of the backward write pass,
+// dx = gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)).
+[[gnu::noinline]] void NormaliseGradPlane(const float* gout,
+                                          const float* __restrict x_hat,
+                                          float* __restrict gin,
+                                          std::int64_t hw, float gamma,
+                                          float inv_std, float mean_g,
+                                          float mean_gx) {
+  const auto n = static_cast<std::size_t>(hw);
+  PointwiseMap(gout, n, [=](std::size_t i, float dy) {
+    gin[i] = gamma * inv_std * (dy - mean_g - x_hat[i] * mean_gx);
+  });
+}
+
 /// Channel-parallel dispatch: batch-norm statistics, running-stat updates
 /// and plane writes are all per-channel, so channels are independent
 /// tasks and each channel's reduction order is unchanged from the serial
@@ -57,7 +102,7 @@ void BatchNorm2d::RunForwardInto(const Tensor& input, Tensor& output,
   const std::int64_t count = n * hw;
   const std::int64_t chw = channels_ * hw;
 
-  cached_norm_ = Tensor(input.shape());
+  cached_norm_ = Tensor::Uninitialized(input.shape());
   batch_inv_std_ = Tensor(TensorShape{channels_});
   unsigned char* mask =
       relu != nullptr ? relu->BeginFusedForward(input.shape()) : nullptr;
@@ -91,31 +136,30 @@ void BatchNorm2d::RunForwardInto(const Tensor& input, Tensor& output,
     const float g = gamma_.value[static_cast<std::size_t>(c)];
     const float bta = beta_.value[static_cast<std::size_t>(c)];
     for (std::int64_t b = 0; b < n; ++b) {
-      const float* in_plane = input.Raw() + b * chw + c * hw;
-      float* norm_plane = cached_norm_.Raw() + b * chw + c * hw;
-      float* out_plane = output.Raw() + b * chw + c * hw;
-      unsigned char* mask_plane =
-          mask != nullptr ? mask + b * chw + c * hw : nullptr;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        // The stats pass above read the whole channel before any write, so
-        // `output` may alias `input`; x_hat goes to the separate cache.
-        const float x_hat = BnNormalise(in_plane[i], mean, inv_std);
-        norm_plane[i] = x_hat;
-        float y = BnAffine(x_hat, g, bta);
-        if (mask_plane != nullptr) {
-          mask_plane[i] = ReluActive(y) ? 1 : 0;
-          y = ReluValue(y);
-        }
-        out_plane[i] = y;
-      }
+      // The stats pass above read the whole channel before any write, so
+      // `output` may alias `input`; x_hat goes to the separate cache.
+      const std::int64_t off = b * chw + c * hw;
+      NormalisePlane(input.Raw() + off, output.Raw() + off,
+                     cached_norm_.Raw() + off,
+                     mask != nullptr ? mask + off : nullptr, hw, mean,
+                     inv_std, g, bta);
     }
   });
 }
 
 Tensor BatchNorm2d::Forward(const Tensor& input, bool train) {
-  Tensor output(input.shape());
+  Tensor output = Tensor::Uninitialized(input.shape());
   RunForwardInto(input, output, train, /*relu=*/nullptr);
   MaybeQuantise(output);
+  return output;
+}
+
+Tensor BatchNorm2d::ForwardFused(const Tensor& input, bool train,
+                                 ReLU& relu) {
+  // FP32-only like every fused chain: under FP16 emulation BN's output is
+  // quantised before the ReLU sees it, which can flip the mask.
+  Tensor output = Tensor::Uninitialized(input.shape());
+  RunForwardInto(input, output, train, &relu);
   return output;
 }
 
@@ -136,7 +180,7 @@ BatchNorm2d::FoldedAffine BatchNorm2d::FoldInferenceParams(
   }
   // The GEMM epilogue fills cached_norm_ through norm_out, leaving the
   // layer exactly as an unfused eval Forward would.
-  cached_norm_ = Tensor(out_shape);
+  cached_norm_ = Tensor::Uninitialized(out_shape);
   input_shape_ = out_shape;
   last_was_train_ = false;
   return {running_mean_.Raw(), batch_inv_std_.Raw(), gamma_.value.Raw(),
@@ -152,7 +196,7 @@ Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
   const std::int64_t count = n * hw;
   const std::int64_t chw = channels_ * hw;
 
-  Tensor grad_input(input_shape_);
+  Tensor grad_input = Tensor::Uninitialized(input_shape_);
   ForEachChannel(channels_, [&](std::int64_t c) {
     // Accumulate dL/dgamma, dL/dbeta and the two reduction terms of the
     // batch-norm backward formula.
@@ -177,14 +221,11 @@ Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
         last_was_train_ ? static_cast<float>(sum_g / count) : 0.0f;
     const float mean_gx =
         last_was_train_ ? static_cast<float>(sum_gx / count) : 0.0f;
-    // dx = gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat))
     for (std::int64_t b = 0; b < n; ++b) {
-      const float* gout = grad_output.Raw() + b * chw + c * hw;
-      const float* x_hat = cached_norm_.Raw() + b * chw + c * hw;
-      float* gin = grad_input.Raw() + b * chw + c * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        gin[i] = g * inv_std * (gout[i] - mean_g - x_hat[i] * mean_gx);
-      }
+      const std::int64_t off = b * chw + c * hw;
+      NormaliseGradPlane(grad_output.Raw() + off, cached_norm_.Raw() + off,
+                         grad_input.Raw() + off, hw, g, inv_std, mean_g,
+                         mean_gx);
     }
   });
   MaybeQuantise(grad_input);

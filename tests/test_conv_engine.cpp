@@ -18,6 +18,7 @@
 
 #include "common/thread_pool.hpp"
 #include "im2col_oracle.hpp"
+#include "models/tiramisu.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv.hpp"
 #include "nn/conv_engine.hpp"
@@ -541,6 +542,97 @@ TEST(ConvFusion, PointwiseFastPathFusesBitExact) {
                           kChainPointwise, /*train=*/true);
   ExpectChainBitIdentical(/*with_bn=*/true, /*with_relu=*/true,
                           kChainPointwise, /*train=*/false);
+}
+
+/// One forward+backward step through BatchNorm2d→ReLU(→Conv2d), the
+/// pre-activation unit of Tiramisu, with fusion on or off.
+GradSnapshot RunBnReluStep(bool fuse, bool with_conv, bool train) {
+  FusionGuard guard;
+  SetConvFusion(fuse);
+  constexpr std::int64_t kC = 3;
+  Rng rng(101);
+  Sequential seq("unit");
+  seq.Emplace<BatchNorm2d>("bn", kC);
+  seq.Emplace<ReLU>("r");
+  if (with_conv) {
+    seq.Emplace<Conv2d>("c", Conv2d::Options{.in_c = kC, .out_c = 4}, rng);
+  }
+
+  Rng wrng(103);
+  const TensorShape shape = TensorShape::NCHW(2, kC, 8, 8);
+  (void)seq.Forward(Tensor::Uniform(shape, wrng, -1.0f, 1.0f), true);
+  Rng xrng(105);
+  const Tensor x = Tensor::Uniform(shape, xrng, -1.0f, 1.0f);
+  for (Param* p : seq.Params()) p->grad.SetZero();
+  const Tensor y = seq.Forward(x, train);
+  Rng grng(107);
+  const Tensor g = Tensor::Uniform(y.shape(), grng, -1.0f, 1.0f);
+  const Tensor gx = seq.Backward(g);
+
+  GradSnapshot snap;
+  snap.output = Snapshot(y);
+  snap.grad_input = Snapshot(gx);
+  for (Param* p : seq.Params()) snap.param_grads.push_back(Snapshot(p->grad));
+  return snap;
+}
+
+/// A Tiramisu dense block (every unit BN→ReLU→Conv) forward+backward.
+GradSnapshot RunDenseBlockStep(bool fuse, bool train) {
+  FusionGuard guard;
+  SetConvFusion(fuse);
+  Rng rng(111);
+  DenseBlock block("db", {.in_c = 5, .growth = 3, .layers = 3}, rng);
+  Rng xrng(113);
+  const Tensor x = Tensor::Uniform(TensorShape::NCHW(2, 5, 8, 8), xrng,
+                                   -1.0f, 1.0f);
+  (void)block.Forward(x, true);  // move the running stats off their init
+  for (Param* p : block.Params()) p->grad.SetZero();
+  const Tensor y = block.Forward(x, train);
+  Rng grng(117);
+  const Tensor g = Tensor::Uniform(y.shape(), grng, -1.0f, 1.0f);
+  const Tensor gx = block.Backward(g);
+
+  GradSnapshot snap;
+  snap.output = Snapshot(y);
+  snap.grad_input = Snapshot(gx);
+  for (Param* p : block.Params()) {
+    snap.param_grads.push_back(Snapshot(p->grad));
+  }
+  return snap;
+}
+
+// The BatchNorm2d→ReLU chain runs as one BN sweep that applies the ReLU
+// and fills its mask: output, every gradient and (through Backward) every
+// cache must match the two-layer walk, train and eval, alone and in
+// front of a conv, and inside a whole dense block.
+TEST(ConvFusion, BnReluChainMatchesUnfusedBitwise) {
+  for (const bool train : {true, false}) {
+    for (const bool with_conv : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "train " << train << " conv "
+                                        << with_conv);
+      ExpectBitIdentical(RunBnReluStep(/*fuse=*/false, with_conv, train),
+                         RunBnReluStep(/*fuse=*/true, with_conv, train));
+    }
+    SCOPED_TRACE(::testing::Message() << "dense block, train " << train);
+    ExpectBitIdentical(RunDenseBlockStep(/*fuse=*/false, train),
+                       RunDenseBlockStep(/*fuse=*/true, train));
+  }
+}
+
+// The matcher finds the pair in FP32 only: under FP16 emulation BN's
+// output is quantised before the ReLU sees it, and a tiny positive value
+// that rounds to 0 would flip the mask.
+TEST(ConvFusion, BnReluPairFusesOnlyInFp32) {
+  std::vector<LayerPtr> layers;
+  layers.push_back(std::make_unique<BatchNorm2d>("bn", 4));
+  layers.push_back(std::make_unique<ReLU>("r"));
+  EXPECT_EQ(FusableChainAt(layers, 0), 2u);
+  EXPECT_EQ(FusableChainAt(layers, 1), 0u);  // a trailing ReLU alone
+  layers[0]->SetPrecision(Precision::kFP16);
+  EXPECT_EQ(FusableChainAt(layers, 0), 0u);
+  layers[0]->SetPrecision(Precision::kFP32);
+  layers[1]->SetPrecision(Precision::kFP16);
+  EXPECT_EQ(FusableChainAt(layers, 0), 0u);
 }
 
 // ------------- TSan stress: the fused path's threaded writebacks --------

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "gradcheck.hpp"
 #include "nn/activation.hpp"
@@ -10,6 +14,7 @@
 #include "nn/norm.hpp"
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/epilogue.hpp"
 
 namespace exaclim {
 namespace {
@@ -368,6 +373,74 @@ TEST(ReLU, ForwardBackward) {
       Tensor::FromVector(TensorShape::NCHW(1, 1, 1, 4), {5, 5, 5, 5}));
   EXPECT_EQ(g[0], 0.0f);
   EXPECT_EQ(g[2], 5.0f);
+}
+
+/// Every float class the branchless ReLU kernels must treat exactly like
+/// the ternary: both zeros, both denormals, ±1, both infinities, quiet NaN
+/// of both signs and ±FLT_MAX, then random values (a coin-flip sign mix).
+/// 47 values: the 47 x 47 test tensor leaves a scalar tail after the
+/// 16-element vector blocks of PointwiseMap.
+std::vector<float> ReluSpecialValues() {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float big = std::numeric_limits<float>::max();
+  std::vector<float> v = {0.0f, -0.0f,  denorm, -denorm,
+                          1.0f, -1.0f,  inf,    -inf,
+                          nan,  std::copysign(nan, -1.0f), big, -big};
+  Rng rng(41);
+  while (v.size() < 47) v.push_back(rng.Uniform(-1.0f, 1.0f));
+  return v;
+}
+
+std::uint32_t FloatBits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+/// Checks ReLU output, mask and gradient bits against the scalar ternary
+/// reference for pre-activations `pre` (y = ReluValue(pre), mask =
+/// ReluActive(pre), grad = mask ? g : 0). The mask is read through the
+/// fused-producer handle, which exposes the forward mask unchanged.
+void ExpectReluMatchesTernary(ReLU& relu, const Tensor& pre, const Tensor& y,
+                              const Tensor& g, const char* what) {
+  const Tensor gin = relu.Backward(g);
+  const unsigned char* mask = relu.BeginFusedForward(pre.shape());
+  for (std::size_t i = 0; i < pre.Data().size(); ++i) {
+    const bool active = ReluActive(pre[i]);
+    ASSERT_EQ(FloatBits(y[i]), FloatBits(ReluValue(pre[i])))
+        << what << " output, pre " << pre[i];
+    ASSERT_EQ(mask[i], active ? 1 : 0) << what << " mask, pre " << pre[i];
+    ASSERT_EQ(FloatBits(gin[i]), FloatBits(active ? g[i] : 0.0f))
+        << what << " grad, pre " << pre[i] << " g " << g[i];
+  }
+}
+
+TEST(ReLU, BranchlessKernelsMatchTernaryOnSpecialValues) {
+  // x[i][j] = values[j] and g[i][j] = values[i]: every pre-activation
+  // meets every gradient value.
+  const std::vector<float> values = ReluSpecialValues();
+  const auto n = static_cast<std::int64_t>(values.size());
+  const TensorShape shape = TensorShape::NCHW(1, 1, n, n);
+  Tensor x(shape), g(shape);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      x.At(0, 0, i, j) = values[static_cast<std::size_t>(j)];
+      g.At(0, 0, i, j) = values[static_cast<std::size_t>(i)];
+    }
+  }
+
+  ReLU relu("r");
+  const Tensor y = relu.Forward(x, true);
+  ExpectReluMatchesTernary(relu, x, y, g, "ReLU::Forward");
+
+  // The fused BatchNorm2d→ReLU sweep, in eval mode so the special values
+  // survive normalisation (train-mode batch stats over them are NaN).
+  // beta = -0.0 keeps the sign of a zero x_hat; the reference's
+  // pre-activations are the plain BN forward's outputs.
+  BatchNorm2d bn("bn", 1);
+  bn.Params().at(1)->value.Fill(-0.0f);
+  const Tensor pre = bn.Forward(x, false);
+  ReLU fused_relu("fr");
+  const Tensor fused = bn.ForwardFused(x, false, fused_relu);
+  ExpectReluMatchesTernary(fused_relu, pre, fused, g, "fused BN->ReLU");
 }
 
 TEST(Dropout, EvalIsIdentity) {

@@ -70,6 +70,22 @@ TEST(Tensor, ZeroInitialised) {
   for (std::int64_t i = 0; i < t.NumElements(); ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
+// Uninitialized skips the zero-fill. With DCHECKs armed (Debug, the
+// sanitizer presets) it poisons every element with quiet NaN instead, so
+// a kernel that leaves an element unwritten fails the bit-identity
+// suites; a recycled pool block must be poisoned too, not just a fresh one.
+TEST(Tensor, UninitializedHasShapeAndPoisonsUnderDchecks) {
+  const TensorShape shape = TensorShape::NCHW(2, 3, 4, 5);
+  { Tensor warm = Tensor::Full(shape, 1.0f); }  // leaves 1s in the block
+  const Tensor t = Tensor::Uninitialized(shape);
+  EXPECT_EQ(t.shape(), shape);
+  EXPECT_EQ(t.NumElements(), shape.NumElements());
+  if (EXACLIM_DCHECK_ENABLED) {
+    for (const float v : t.Data()) ASSERT_TRUE(std::isnan(v));
+  }
+  EXPECT_TRUE(Tensor::Uninitialized(TensorShape{0}).Empty());
+}
+
 TEST(Tensor, AtRowMajorNCHWLayout) {
   Tensor t(TensorShape::NCHW(2, 3, 4, 5));
   t.At(1, 2, 3, 4) = 7.0f;

@@ -14,9 +14,11 @@
 #      conv engine must not be slower than the serial batch walk, the
 #      implicit-GEMM forward and backward must each hold ≥ 0.95× of the
 #      materialized im2col lowering (tests/im2col_oracle.*) on every
-#      bench shape, and the fused conv→BN→ReLU epilogue must beat the
-#      unfused chain (DESIGN §15); bench_micro_gemm's GFLOP/s report is
-#      schema-checked
+#      bench shape, the fused conv→BN→ReLU epilogue must beat the
+#      unfused chain, the ReLU kernels must be branchless (random-sign
+#      input no slower than 1.5x all-positive) and the fused BN→ReLU
+#      sweep no slower than the two-layer walk (DESIGN §15);
+#      bench_micro_gemm's GFLOP/s report is schema-checked
 #   5. alloc-smoke: bench_alloc_census per-phase allocation ratchet,
 #      pooled (tools/alloc_budget.json, all budgets 0) and with
 #      EXACLIM_POOL=off (tools/alloc_budget_pool_off.json) — DESIGN §11/§12
@@ -103,6 +105,15 @@ run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
   --assert-le conv_bwd_implicit_stride2_ms conv_bwd_im2col_stride2_ms 1.0527 \
   --assert-le conv_fused_tile_eval_ms conv_unfused_tile_eval_ms 1.0 \
   --assert-le conv_fused_pointwise_eval_ms conv_unfused_pointwise_eval_ms 0.9
+# The pre-activation path of a Tiramisu unit. A branch on an activation's
+# sign mispredicts about half the time on random-sign input and never on
+# all-positive input of the same shape, so the ratio is ~1.0 for
+# branchless ReLU kernels and 2.5-6x for branchy ones on any host. The
+# fused BatchNorm2d→ReLU sweep skips a whole read+write pass, so it must
+# never lose to the two-layer walk.
+run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
+  --assert-le relu_random_sign_ms relu_all_positive_ms 1.5 \
+  --assert-le bn_relu_fused_ms bn_relu_unfused_ms 1.0
 # bench_micro_gemm's per-shape GFLOP/s table (the GEMM peak the
 # per-layer breakdown is measured against) must produce a valid report.
 run env EXACLIM_BENCH_DIR="$BENCH_DIR" \
