@@ -1,9 +1,12 @@
 // Overlapped gradient exchange (DESIGN §14): executed step-time of the
-// exchange engine driven inline after backward ("serialized") vs driven
-// from its own thread as buckets close ("overlap") — the same messages
-// either way — wire bytes of the packed-FP16 format vs FP32, a zero-alloc
-// census of the steady-state exchange phase, and the netsim model's
-// predicted serialized/overlapped ratio as a cross-check.
+// trainer, whose exchange engine reduces each bucket as backward closes
+// it ("overlap"), vs the same step with the same engine fed only after
+// backward ("serialized": backward records its grad-ready order into a
+// recorder bound to no sink, then the bench replays that order into the
+// engine) — the same messages and the same math either way, asserted —
+// wire bytes of the packed-FP16 format vs FP32, a zero-alloc census of
+// the steady-state exchange phase, and the netsim model's predicted
+// serialized/overlapped ratio as a cross-check.
 //
 // Emits BENCH_overlap.json; the ci.sh `overlap-smoke` stage asserts the
 // overlapped exposed-comm tail stays well under the serialized exchange,
@@ -12,10 +15,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/alloc_tracker.hpp"
+#include "common/checksum.hpp"
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/thread_pool.hpp"
 #include "data/dataset.hpp"
@@ -35,14 +42,13 @@ constexpr int kWarmupSteps = 2;
 constexpr int kMeasuredSteps = 4;
 constexpr int kRounds = 3;  // serialized/overlapped runs alternate
 
-TrainerOptions BenchTrainer(bool overlap) {
+TrainerOptions BenchTrainer() {
   TrainerOptions o;
   o.arch = TrainerOptions::Arch::kTiramisu;
   o.tiramisu = Tiramisu::Config::Downscaled(4);
   o.learning_rate = 2e-3f;
   o.exchanger.transport = ReduceTransport::kMpiRing;
   o.exchanger.shuffle_ready_order = false;
-  o.exchanger.overlap = overlap;
   // A few buckets per step so early buckets close (and reduce) while
   // backward is still producing the later ones. The downscaled Tiramisu
   // carries ~15 KB of gradients, so 4 KB splits a step into ~4 buckets.
@@ -50,12 +56,100 @@ TrainerOptions BenchTrainer(bool overlap) {
   return o;
 }
 
+/// The trainer's FP32 step (BenchTrainer's model, loss and Adam+LARC
+/// stack, built as RankTrainer builds them) with the exchange serialized
+/// after backward: backward records its grad-ready order into a
+/// recorder bound to no sink, and once backward is done that order is
+/// replayed into the engine, so its exchange thread starts reducing
+/// only then. Same buckets, messages and arithmetic as the trainer.
+class SerializedRank {
+ public:
+  SerializedRank(const TrainerOptions& o, const std::vector<float>& weights)
+      : weights_(weights) {
+    EXACLIM_CHECK(o.precision == Precision::kFP32 &&
+                      o.optimizer == TrainerOptions::Opt::kAdam &&
+                      o.use_larc && o.lag == 0,
+                  "SerializedRank mirrors the FP32 Adam+LARC trainer only");
+    Rng rng(o.seed);
+    model_ = BuildModel(o, rng);
+    model_->SetPrecision(o.precision);
+    params_ = model_->Params();
+    optimizer_ = std::make_unique<LARC>(
+        std::make_unique<Adam>(params_, Adam::Options{.lr = o.learning_rate}),
+        o.larc);
+    exchanger_ = std::make_unique<GradientExchanger>(o.exchanger,
+                                                     o.seed ^ 0xe8c4ull);
+    recorder_.Bind(params_);
+  }
+
+  RankTrainer::StepTimings Step(const Batch& batch, Communicator& comm) {
+    RankTrainer::StepTimings t;
+    obs::ScopedTimer step_timer("step", "train", &t.total_seconds);
+    SegmentationLossResult loss;
+    {
+      obs::ScopedTimer timer("step.forward", "train", &t.forward_seconds);
+      optimizer_->ZeroGrad();
+      const Tensor logits = model_->Forward(batch.fields, /*train=*/true);
+      SegmentationLossOptions loss_opts;
+      loss_opts.class_weights = weights_;
+      loss = WeightedSoftmaxCrossEntropy(logits, batch.labels, loss_opts);
+    }
+    {
+      obs::ScopedTimer timer("step.backward", "train", &t.backward_seconds);
+      recorder_.BeginStep(/*sink=*/nullptr);
+      model_->SetGradReadyListener(&recorder_);
+      (void)model_->Backward(loss.grad_logits);
+      model_->SetGradReadyListener(nullptr);
+      recorder_.FlushRemaining();
+    }
+    {
+      obs::ScopedTimer timer("step.exchange", "train", &t.exchange_seconds);
+      exchanger_->BeginStep(comm, params_, /*elastic=*/nullptr, kNoTimeout);
+      for (const int id : recorder_.order()) exchanger_->NotifyGradReady(id);
+      RequireCollective(comm, "serialized exchange", exchanger_->WaitAll());
+    }
+    {
+      obs::ScopedTimer timer("step.update", "train", &t.update_seconds);
+      optimizer_->Step();
+    }
+    return t;
+  }
+
+  /// Same checksum as RankTrainer::ParamsCrc32.
+  std::uint32_t ParamsCrc32() const {
+    std::uint32_t crc = 0;
+    for (const Param* p : params_) {
+      const auto data = p->value.Data();
+      crc = Crc32(std::as_bytes(std::span<const float>(data.data(),
+                                                       data.size())),
+                  crc);
+    }
+    return crc;
+  }
+
+ private:
+  std::vector<float> weights_;
+  std::unique_ptr<Layer> model_;
+  std::vector<Param*> params_;
+  std::unique_ptr<Optimizer> optimizer_;
+  std::unique_ptr<GradientExchanger> exchanger_;
+  GradReadyRecorder recorder_;
+};
+
 struct StepTimes {
   std::vector<double> step_s;      // rank 0 per-step wall time
   std::vector<double> exchange_s;  // rank 0 per-step exchange-phase time:
-                                   // the full exchange when inline,
+                                   // the full exchange when serialized,
                                    // only the exposed WaitAll tail when
                                    // overlapped
+};
+
+/// What one timed run moved and computed: SimWorld's message and byte
+/// totals and rank 0's final parameter CRC.
+struct RunTotals {
+  std::int64_t messages = 0;
+  std::int64_t bytes = 0;
+  std::uint32_t rank0_crc = 0;
 };
 
 /// Runs `kWarmupSteps + kMeasuredSteps` distributed steps over kRanks
@@ -64,15 +158,27 @@ struct StepTimes {
 /// configuration, so the two timed runs execute identical math. The
 /// caller alternates serialized/overlapped rounds so slow machine-load
 /// drift hits both configurations evenly.
-void TimeSteps(const ClimateDataset& dataset,
-               const std::vector<float>& weights, bool overlap,
-               StepTimes* out, bool diag = false) {
+RunTotals TimeSteps(const ClimateDataset& dataset,
+                    const std::vector<float>& weights, bool overlap,
+                    StepTimes* out, bool diag = false) {
   std::int64_t buf0 = 0, byt0 = 0;
   if (auto* c = obs::CounterOrNull("exchange.buffers")) buf0 = c->value();
   if (auto* c = obs::CounterOrNull("exchange.bytes")) byt0 = c->value();
+  RunTotals totals;
   SimWorld world(kRanks);
   world.Run([&](Communicator& comm) {
-    RankTrainer trainer(BenchTrainer(overlap), weights, comm.rank());
+    std::unique_ptr<RankTrainer> trainer;
+    std::unique_ptr<SerializedRank> serialized;
+    if (overlap) {
+      trainer = std::make_unique<RankTrainer>(BenchTrainer(), weights,
+                                              comm.rank());
+    } else {
+      serialized = std::make_unique<SerializedRank>(BenchTrainer(), weights);
+    }
+    const auto step = [&](const Batch& batch) {
+      return overlap ? trainer->Step(batch, &comm).timings
+                     : serialized->Step(batch, comm);
+    };
     Rng rng(1234u + static_cast<std::uint64_t>(comm.rank()));
     const auto next_batch = [&] {
       std::vector<std::int64_t> idx(2);
@@ -81,18 +187,22 @@ void TimeSteps(const ClimateDataset& dataset,
       }
       return dataset.MakeBatch(DatasetSplit::kTrain, idx);
     };
-    for (int s = 0; s < kWarmupSteps; ++s) {
-      (void)trainer.Step(next_batch(), &comm);
-    }
+    for (int s = 0; s < kWarmupSteps; ++s) (void)step(next_batch());
     for (int s = 0; s < kMeasuredSteps; ++s) {
-      const auto r = trainer.Step(next_batch(), &comm);
+      const RankTrainer::StepTimings t = step(next_batch());
       if (comm.rank() == 0) {
-        out->step_s.push_back(r.timings.total_seconds);
-        out->exchange_s.push_back(r.timings.exchange_seconds);
+        out->step_s.push_back(t.total_seconds);
+        out->exchange_s.push_back(t.exchange_seconds);
       }
     }
+    if (comm.rank() == 0) {
+      totals.rank0_crc = overlap ? trainer->ParamsCrc32()
+                                 : serialized->ParamsCrc32();
+    }
   });
-  if (!diag) return;
+  totals.messages = world.total_messages();
+  totals.bytes = world.total_bytes();
+  if (!diag) return totals;
   if (auto* c = obs::CounterOrNull("exchange.buffers")) {
     std::int64_t byt = 0;
     if (auto* b = obs::CounterOrNull("exchange.bytes")) byt = b->value() - byt0;
@@ -102,6 +212,7 @@ void TimeSteps(const ClimateDataset& dataset,
                 static_cast<double>(c->value() - buf0) / steps,
                 static_cast<double>(byt) / steps);
   }
+  return totals;
 }
 
 /// Total bytes SimWorld moved for one full exchange of `elems` gradient
@@ -127,7 +238,7 @@ struct ExchangeAllocs {
   std::int64_t bytes = 0;
 };
 
-/// Process-wide allocations of `reps` threaded-drive exchanges over kRanks
+/// Process-wide allocations of `reps` streamed exchanges over kRanks
 /// ranks (FP16 wire, multiple buckets). Nothing but the exchange path
 /// runs inside the world, so the census is attributable; the caller
 /// subtracts two rep counts to cancel the fixed setup/warmup costs.
@@ -151,7 +262,6 @@ ExchangeAllocs CensusRun(int reps) {
       opts.shuffle_ready_order = false;
       opts.wire_precision = Precision::kFP16;
       opts.fusion_threshold_bytes = 16 << 10;  // a few tensors per bucket
-      opts.overlap = true;
       GradientExchanger exchanger(opts, 5);
       for (int s = 0; s < reps; ++s) {
         exchanger.BeginStep(comm, params, nullptr, kNoTimeout);
@@ -206,11 +316,25 @@ int Main() {
   FaultInjector::Global().Reset();
   FaultInjector::Global().ArmFromString("comm.delay:1:1:-1:0.005");
   StepTimes ser_times, ovl_times;
+  RunTotals ser_totals, ovl_totals;
   for (int round = 0; round < kRounds; ++round) {
-    TimeSteps(dataset, weights, /*overlap=*/false, &ser_times,
-              /*diag=*/round == 0);
-    TimeSteps(dataset, weights, /*overlap=*/true, &ovl_times,
-              /*diag=*/round == 0);
+    ser_totals = TimeSteps(dataset, weights, /*overlap=*/false, &ser_times,
+                           /*diag=*/round == 0);
+    ovl_totals = TimeSteps(dataset, weights, /*overlap=*/true, &ovl_times,
+                           /*diag=*/round == 0);
+    // The two modes differ only in when the engine is fed: same
+    // buckets, same messages, same arithmetic.
+    EXACLIM_CHECK(ser_totals.messages == ovl_totals.messages &&
+                      ser_totals.bytes == ovl_totals.bytes,
+                  "serialized and overlapped runs moved different traffic: "
+                      << ser_totals.messages << " vs "
+                      << ovl_totals.messages << " messages, "
+                      << ser_totals.bytes << " vs " << ovl_totals.bytes
+                      << " bytes");
+    EXACLIM_CHECK(ser_totals.rank0_crc == ovl_totals.rank0_crc,
+                  "serialized and overlapped runs diverged: param CRC "
+                      << ser_totals.rank0_crc << " vs "
+                      << ovl_totals.rank0_crc);
   }
   FaultInjector::Global().Reset();
   const std::vector<double>& serialized = ser_times.step_s;
@@ -242,6 +366,8 @@ int Main() {
   report.AddSeries("exchange_exposed_serialized_s", ser_times.exchange_s);
   report.AddSeries("exchange_exposed_overlap_s", ovl_times.exchange_s);
   report.AddScalar("overlap_step_ratio", ovl_med / ser_med);
+  report.AddScalar("messages_per_run", static_cast<double>(ovl_totals.messages));
+  report.AddScalar("bytes_per_run", static_cast<double>(ovl_totals.bytes));
   report.AddScalar("alloc_count.step.exchange", exch_allocs);
   report.AddScalar("alloc_bytes.step.exchange", exch_bytes);
 
@@ -259,6 +385,11 @@ int Main() {
       "  overlapped/serialized: step-time ratio %.3f, exposed-comm ratio "
       "%.3f\n",
       ovl_med / ser_med, ovl_exch_med / ser_exch_med);
+  std::printf(
+      "  both modes per run: %lld messages, %lld bytes, rank-0 param CRC "
+      "%08x\n",
+      static_cast<long long>(ovl_totals.messages),
+      static_cast<long long>(ovl_totals.bytes), ovl_totals.rank0_crc);
   std::printf(
       "  exchange heap traffic (steady state, %d ranks, per overlapped "
       "exchange): %.0f allocs, %.0f bytes\n",

@@ -100,11 +100,22 @@ void NoteLiveDelta(std::int64_t delta) {
 // thread exit spill into the central lists. No heap use on any path.
 constexpr std::int32_t kMaxCachedPerBucket = 8;
 
+// Set when this thread's cache is destroyed at thread exit. Thread-locals
+// die in reverse construction order, so on a thread whose first pool use
+// was AcquireScratch (the exchange thread's fusion buffer) the scratch
+// slots die *after* the cache; their releases must reach the central
+// lists, or the blocks sit in the dead cache where no thread finds them
+// again and every later thread allocates fresh ones.
+thread_local bool t_cache_destroyed = false;
+
 struct ThreadCache {
   std::array<BlockHeader*, kBucketCount> free_lists{};
   std::array<std::int32_t, kBucketCount> counts{};
 
-  ~ThreadCache() { Flush(); }
+  ~ThreadCache() {
+    Flush();
+    t_cache_destroyed = true;
+  }
 
   void Flush() {
     CentralPool& central = Central();
@@ -126,13 +137,16 @@ ThreadCache& Cache() {
   return cache;
 }
 
+/// This thread's cache, or nullptr once it was destroyed at thread exit.
+ThreadCache* LiveCache() { return t_cache_destroyed ? nullptr : &Cache(); }
+
 BlockHeader* PopBlock(std::int32_t bucket) {
-  ThreadCache& cache = Cache();
   const auto b = static_cast<std::size_t>(bucket);
-  if (cache.free_lists[b] != nullptr) {
-    BlockHeader* h = cache.free_lists[b];
-    cache.free_lists[b] = h->next;
-    --cache.counts[b];
+  ThreadCache* cache = LiveCache();
+  if (cache != nullptr && cache->free_lists[b] != nullptr) {
+    BlockHeader* h = cache->free_lists[b];
+    cache->free_lists[b] = h->next;
+    --cache->counts[b];
     return h;
   }
   CentralPool& central = Central();
@@ -143,12 +157,12 @@ BlockHeader* PopBlock(std::int32_t bucket) {
 }
 
 void PushBlock(BlockHeader* h) {
-  ThreadCache& cache = Cache();
   const auto b = static_cast<std::size_t>(h->bucket);
-  if (cache.counts[b] < kMaxCachedPerBucket) {
-    h->next = cache.free_lists[b];
-    cache.free_lists[b] = h;
-    ++cache.counts[b];
+  ThreadCache* cache = LiveCache();
+  if (cache != nullptr && cache->counts[b] < kMaxCachedPerBucket) {
+    h->next = cache->free_lists[b];
+    cache->free_lists[b] = h;
+    ++cache->counts[b];
     return;
   }
   CentralPool& central = Central();

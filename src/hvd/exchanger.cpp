@@ -25,9 +25,6 @@ const char* ToString(ReduceTransport t) {
 }
 
 ExchangerOptions ExchangerOptions::FromEnv(ExchangerOptions base) {
-  if (const char* v = std::getenv("EXACLIM_OVERLAP")) {
-    base.overlap = ParseEnvSwitch("EXACLIM_OVERLAP", v);
-  }
   if (const char* v = std::getenv("EXACLIM_FUSION_BYTES")) {
     base.fusion_threshold_bytes =
         ParseEnvPositiveInt("EXACLIM_FUSION_BYTES", v);
@@ -49,7 +46,7 @@ GradientExchanger::GradientExchanger(const ExchangerOptions& opts,
       rng_(seed) {}
 
 GradientExchanger::~GradientExchanger() {
-  if (thread_started_) {
+  if (exchange_thread_.joinable()) {
     {
       MutexLock lock(mu_);
       shutdown_ = true;
@@ -82,7 +79,7 @@ void GradientExchanger::MaybeChaosKill(Communicator& comm) {
   // after an order was agreed, so its peers starve *inside* the
   // allreduce rounds — the mid-collective failure mode of DESIGN §13.
   // Checked exactly once per step, after the first bucket's
-  // negotiation, whichever thread drives the engine.
+  // negotiation, on the exchange thread.
   FaultInjector& injector = FaultInjector::Global();
   if (injector.ArmedSiteCount() > 0 &&
       injector.ShouldInject("elastic.exchange.kill." +
@@ -114,9 +111,8 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   }
   if (elems == 0) return {};  // identical on every rank: shapes agree
 
-  // Pooled fusion buffer (per thread): the calling thread packs when
-  // overlap is off, the exchange thread when it is on — each gets its
-  // own slot, and buckets on one thread run strictly in order.
+  // Pooled fusion buffer (the exchange thread's slot): buckets run
+  // strictly in order on that one thread.
   std::span<float> fusion(
       AcquireScratch(ScratchSlot::kExchangeFusion,
                      static_cast<std::size_t>(elems)),
@@ -176,12 +172,6 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
 
 // ---- exchange engine -------------------------------------------------------
 
-void GradientExchanger::StartExchangeThread() {
-  if (thread_started_) return;
-  exchange_thread_ = std::thread([this] { ExchangeThreadMain(); });
-  thread_started_ = true;
-}
-
 void GradientExchanger::BeginStep(Communicator& comm,
                                   const std::vector<Param*>& params,
                                   ElasticWorld* elastic,
@@ -192,18 +182,16 @@ void GradientExchanger::BeginStep(Communicator& comm,
   EXACLIM_CHECK(world.view().my_index >= 0,
                 "rank " << comm.rank()
                         << " exchanging outside its elastic view");
-  if (opts_.overlap) StartExchangeThread();
+  if (!exchange_thread_.joinable()) {
+    exchange_thread_ = std::thread([this] { ExchangeThreadMain(); });
+  }
   {
     MutexLock lock(mu_);
-    EXACLIM_CHECK(!step_active_, "previous overlapped step still draining");
+    EXACLIM_CHECK(!step_active_, "previous step still draining");
     comm_ = &comm;
     params_ = &params;
     elastic_ = &world;
-    // The threaded drive may start exchanging as soon as the first
-    // bucket closes, so its deadline counts from here; the inline drive
-    // arms its own in WaitAll, once backward is done.
     timeout_s_ = timeout_s;
-    if (opts_.overlap) deadline_ = Deadline(timeout_s);
     // TensorFlow's dynamic scheduler finishes backprop ops in a
     // timing-dependent order, different per rank — emulated by the
     // optional shuffle, keyed by (world rank, step); the step counter
@@ -226,7 +214,7 @@ void GradientExchanger::BeginStep(Communicator& comm,
     exception_ = nullptr;
     step_bytes_ = 0;
     step_buffers_ = 0;
-    step_active_ = opts_.overlap;  // hands the step to the exchange thread
+    step_active_ = true;  // hands the step to the exchange thread
   }
   cv_.NotifyAll();
   step_open_ = true;
@@ -276,17 +264,11 @@ CollectiveResult GradientExchanger::WaitAll() {
     MutexLock lock(mu_);
     if (sched_count_ > pend_begin_) CloseBucketLocked();
     emit_done_ = true;
-  }
-  if (opts_.overlap) {
     cv_.NotifyAll();
-    MutexLock lock(mu_);
     while (step_active_) cv_.Wait(lock);
     // The exchange thread cleared step_active_ under mu_ after its last
     // write to the result fields; observing the clear under mu_ orders
     // every read below after those writes.
-  } else {
-    deadline_ = Deadline(timeout_s_);
-    RunStep();  // every bucket is closed: the loop never waits
   }
   step_open_ = false;
   last_fused_buffers_ = step_buffers_;
@@ -338,6 +320,9 @@ void GradientExchanger::RunStep() {
     // buckets without touching the communicator so WaitAll can return
     // the first result and the trainer can roll the step back.
     if (!failed_) {
+      // One deadline per bucket, armed when this thread takes it: the
+      // time backward spent producing the bucket is not exchange time.
+      const Deadline deadline(timeout_s_);
       try {
         EXACLIM_TRACE_SPAN("exchange.bucket", "hvd");
         // Entries [b.begin, b.end) were written under mu_ before the
@@ -353,7 +338,7 @@ void GradientExchanger::RunStep() {
         // every peer orders its buckets identically (see
         // hvd/control_plane.hpp).
         CollectiveResult r = control_->TryNegotiateOrder(
-            comm, group, ids, deadline_, elastic.GenTag(0), &negotiated_);
+            comm, group, ids, deadline, elastic.GenTag(0), &negotiated_);
         if (r.ok()) {
           EXACLIM_CHECK(negotiated_.size() == ids.size(),
                         "negotiated bucket order has wrong tensor count");
@@ -362,7 +347,7 @@ void GradientExchanger::RunStep() {
             MaybeChaosKill(comm);
           }
           r = ReduceFusedBucket(comm, *params_, elastic, group, negotiated_,
-                                next_bucket, deadline_);
+                                next_bucket, deadline);
         }
         if (!r.ok()) {
           result_ = r;

@@ -87,16 +87,10 @@ struct ExchangerOptions {
   /// converge on one global order). Bucket composition follows the
   /// emission order either way; only the order inside a bucket moves.
   bool shuffle_ready_order = true;
-  /// Who drives the exchange engine (DESIGN §14). On: a dedicated
-  /// exchange thread reduces each fused bucket as soon as it closes,
-  /// overlapping the exchange with backward compute. Off: no thread;
-  /// WaitAll runs the same loop on the calling thread. Both drives send
-  /// the same messages and give bit-identical gradients.
-  bool overlap = false;
 
-  /// EXACLIM_OVERLAP=on|off|1|0|true|false, EXACLIM_FUSION_BYTES=<positive
-  /// integer>, EXACLIM_WIRE=fp16|fp32 applied over `base`. Any other value
-  /// fails with an EXACLIM_CHECK naming the variable.
+  /// EXACLIM_FUSION_BYTES=<positive integer>, EXACLIM_WIRE=fp16|fp32
+  /// applied over `base`. Any other value fails with an EXACLIM_CHECK
+  /// naming the variable.
   static ExchangerOptions FromEnv(ExchangerOptions base);
 };
 
@@ -115,29 +109,27 @@ class GradientExchanger {
   /// ---- The exchange engine (DESIGN §14) ------------------------------
   /// BeginStep arms a step: NotifyGradReady calls (from the backward
   /// pass, via GradReadyRecorder) append tensors to the emission order
-  /// and greedily close fusion buckets. Each closed bucket is shuffled
-  /// (shuffle_ready_order), negotiated and reduced, in order — on the
-  /// exchange thread while backward keeps computing (overlap on), or on
-  /// the calling thread inside WaitAll (overlap off). WaitAll closes the
-  /// final bucket, returns once the step is drained, and returns the
-  /// first failure (kOk when every bucket reduced). `elastic == nullptr`
-  /// uses the lazily built identity view. `timeout_s` (kNoTimeout for
-  /// none) bounds the step's exchange: from BeginStep on in the threaded
-  /// drive, from WaitAll on in the inline one, so a backward pass longer
-  /// than the timeout does not eat into it. On failure the partial
-  /// step must be discarded by the caller (gradients may hold partially
-  /// averaged data) and the step counter is NOT advanced, so the retried
-  /// step reproduces the same shuffle. After a shrink the hybrid
-  /// transport falls back to the group ring (survivors rarely form
-  /// whole nodes).
+  /// and greedily close fusion buckets. A dedicated exchange thread,
+  /// started at the first BeginStep, shuffles (shuffle_ready_order),
+  /// negotiates and reduces each closed bucket in order while backward
+  /// keeps computing. WaitAll closes the final bucket, returns once the
+  /// step is drained, and returns the first failure (kOk when every
+  /// bucket reduced). `elastic == nullptr` uses the lazily built
+  /// identity view. `timeout_s` (kNoTimeout for none) bounds each
+  /// bucket's negotiation + reduction, counted from the moment the
+  /// exchange thread takes the bucket — waiting for backward to close a
+  /// bucket never eats into it. On failure the partial step must be
+  /// discarded by the caller (gradients may hold partially averaged
+  /// data) and the step counter is NOT advanced, so the retried step
+  /// reproduces the same shuffle. After a shrink the hybrid transport
+  /// falls back to the group ring (survivors rarely form whole nodes).
   void BeginStep(Communicator& comm, const std::vector<Param*>& params,
                  ElasticWorld* elastic, double timeout_s);
   /// Announces that `param_index`'s gradient is final for this step.
   /// Called on the trainer thread, between BeginStep and WaitAll.
   void NotifyGradReady(int param_index);
   /// Barrier before optimizer.Step: rethrows a RankKilledError raised by
-  /// the chaos schedule (on the exchange thread when overlapped) on the
-  /// calling thread.
+  /// the chaos schedule on the exchange thread on the calling thread.
   CollectiveResult WaitAll();
 
   /// Fused buffers formed in the last step (diagnostic).
@@ -174,11 +166,10 @@ class GradientExchanger {
   /// per step, right after an order was agreed).
   void MaybeChaosKill(Communicator& comm);
 
-  void StartExchangeThread();
   void ExchangeThreadMain();
-  /// Runs one armed step: shuffle, negotiate + reduce each closed bucket
-  /// in order, latch the first failure, drain the rest. Called on the
-  /// exchange thread (overlap on) or from WaitAll (overlap off).
+  /// Runs one armed step on the exchange thread: shuffle, negotiate +
+  /// reduce each closed bucket in order, latch the first failure, drain
+  /// the rest.
   void RunStep();
   void CloseBucketLocked();
 
@@ -197,18 +188,16 @@ class GradientExchanger {
   Communicator* identity_comm_ = nullptr;
 
   // ---- engine state ----
-  // Hand-off discipline (overlap on): the trainer thread writes
-  // sched_order_ / bucket bookkeeping under mu_ (NotifyGradReady); the
-  // exchange thread copies closed buckets out under mu_ and touches
-  // comm/grads only for tensors already announced, so the two threads
-  // never race on a tensor. Result fields are written by the exchange
+  // Hand-off discipline: the trainer thread writes sched_order_ /
+  // bucket bookkeeping under mu_ (NotifyGradReady); the exchange thread
+  // copies closed buckets out under mu_ and touches comm/grads only for
+  // tensors already announced, so the two threads never race on a
+  // tensor. Result fields are written by the exchange
   // thread before it clears step_active_ under mu_ and read by WaitAll
-  // after observing step_active_ == false — ordered by the mutex. With
-  // overlap off one thread does everything and step_active_ stays false.
+  // after observing step_active_ == false — ordered by the mutex.
   Mutex mu_;
   CondVar cv_;
-  std::thread exchange_thread_;
-  bool thread_started_ = false;
+  std::thread exchange_thread_;  // started at the first BeginStep
   bool shutdown_ = false;        // guarded by mu_
   bool step_active_ = false;     // guarded by mu_
   bool emit_done_ = false;       // guarded by mu_
@@ -216,8 +205,7 @@ class GradientExchanger {
   Communicator* comm_ = nullptr;
   const std::vector<Param*>* params_ = nullptr;
   ElasticWorld* elastic_ = nullptr;
-  double timeout_s_ = kNoTimeout;
-  Deadline deadline_{kNoTimeout};  // armed per drive (see BeginStep)
+  double timeout_s_ = kNoTimeout;  // bounds each bucket (see BeginStep)
   Rng shuffle_rng_{0};            // this step's readiness-shuffle stream
   std::vector<int> sched_order_;  // emission order; writes guarded by mu_
   int sched_count_ = 0;           // guarded by mu_

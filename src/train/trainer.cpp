@@ -115,9 +115,9 @@ RankTrainer::StepResult RankTrainer::StepImpl(
     EXACLIM_ALLOC_CENSUS("step.backward");
     if (comm != nullptr) {
       // Stream the grad-ready emission order straight into the
-      // exchanger, which closes fused buckets as backward produces them
-      // (with overlap on, they reduce on the exchange thread while the
-      // rest of backward still computes — DESIGN §14).
+      // exchanger, which closes fused buckets as backward produces them;
+      // they reduce on the exchange thread while the rest of backward
+      // still computes (DESIGN §14).
       exchanger_->BeginStep(*comm, params_, elastic,
                             elastic != nullptr
                                 ? elastic->options().collective_timeout_s
@@ -146,10 +146,9 @@ RankTrainer::StepResult RankTrainer::StepImpl(
                            &result.timings.exchange_seconds,
                            obs::HistogramOrNull("step.exchange_s"));
     EXACLIM_ALLOC_CENSUS("step.exchange");
-    // Barrier: with overlap on, only the exchange tail not hidden behind
-    // backward shows up here; with it off, the whole exchange runs here
-    // on this thread. A RankKilledError raised by the chaos schedule
-    // rethrows out of WaitAll.
+    // Barrier: only the exchange tail not hidden behind backward shows
+    // up here. A RankKilledError raised by the chaos schedule on the
+    // exchange thread rethrows out of WaitAll.
     const CollectiveResult r = exchanger_->WaitAll();
     if (exchange_status != nullptr) *exchange_status = r;
     if (elastic != nullptr) {
@@ -351,7 +350,7 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
   // EXACLIM_FAULTS.
   TrainerOptions opts = raw_opts;
   opts.elastic = ElasticOptions::FromEnv(opts.elastic);
-  // EXACLIM_OVERLAP / EXACLIM_FUSION_BYTES / EXACLIM_WIRE likewise
+  // EXACLIM_FUSION_BYTES / EXACLIM_WIRE likewise
   // override the exchange knobs on an existing binary.
   opts.exchanger = ExchangerOptions::FromEnv(opts.exchanger);
   const auto freq = dataset.MeasureFrequencies(16);

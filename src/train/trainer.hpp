@@ -128,8 +128,7 @@ class RankTrainer {
   std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<GradientExchanger> exchanger_;
   /// Streams per-layer grad-ready events from Backward into the
-  /// exchanger, whose fused buckets follow this emission order in both
-  /// drives (overlap on or off).
+  /// exchanger, whose fused buckets follow this emission order.
   GradReadyRecorder recorder_;
   LossScaler scaler_;
 };

@@ -442,9 +442,12 @@ TEST(ElasticBitIdentity, HybridTransportAlsoMatches) {
 
 // ---------------------------------------------- slow backward deadline --
 //
-// The collective timeout bounds the exchange, not backward: a backward
-// pass longer than collective_timeout_s on every rank must not time the
-// step out (with overlap off the deadline starts once backward is done).
+// The collective timeout bounds each bucket's exchange, not backward: a
+// backward pass longer than collective_timeout_s on every rank must not
+// time the step out. The deadline is armed per bucket when the exchange
+// thread takes it, so this holds both for a one-bucket step (the bucket
+// closes after backward) and for a multi-bucket step whose early
+// buckets reduce mid-backward while the last one waits out the delay.
 
 TEST(ElasticDeadline, BackwardLongerThanCollectiveTimeoutStillExchanges) {
   FaultScope scope;
@@ -454,24 +457,48 @@ TEST(ElasticDeadline, BackwardLongerThanCollectiveTimeoutStillExchanges) {
   // Still far above the exchange itself plus the ranks' compute skew,
   // even under TSan; only the injected backward delay exceeds it.
   opts.elastic.collective_timeout_s = 1.0;
-  const TrainRunResult fast = RunDistributedTraining(opts, dataset, 2, 2, 8);
+  const std::int64_t grad_bytes =
+      RankTrainer(opts,
+                  std::vector<float>(
+                      static_cast<std::size_t>(kNumClimateClasses), 1.0f),
+                  0)
+          .ParameterCount() *
+      static_cast<std::int64_t>(sizeof(float));
 
-  FaultSpec slow_backward;
-  slow_backward.site = "step.backward.delay";
-  slow_backward.delay_seconds = 1.5;
-  // Every rank's backward in both steps (2 x 2). The budget also keeps a
-  // regression from retrying forever: once spent, a rolled-back step
-  // retries fast and the recovery count below catches it.
-  slow_backward.max_triggers = 4;
-  FaultInjector::Global().Arm(slow_backward);
-  const TrainRunResult slow = RunDistributedTraining(opts, dataset, 2, 2, 8);
+  constexpr std::int64_t kOneBucket = std::int64_t{1} << 30;
+  constexpr std::int64_t kSmallBuckets = 4 << 10;
+  for (const std::int64_t threshold : {kOneBucket, kSmallBuckets}) {
+    SCOPED_TRACE("fusion_threshold_bytes " + std::to_string(threshold));
+    // A bucket of more than one tensor never exceeds the threshold, so
+    // gradients worth several small thresholds split into several
+    // buckets, all but the last closing during backward.
+    if (threshold == kSmallBuckets) {
+      ASSERT_GT(grad_bytes, 3 * threshold);
+    }
+    FaultInjector::Global().Reset();
+    opts.exchanger.fusion_threshold_bytes = threshold;
+    const TrainRunResult fast =
+        RunDistributedTraining(opts, dataset, 2, 2, 8);
 
-  EXPECT_EQ(FaultInjector::Global().InjectionCount("step.backward.delay"), 4);
-  EXPECT_EQ(slow.recoveries, 0);
-  EXPECT_EQ(slow.final_generation, 0);
-  EXPECT_EQ(slow.final_world_size, 2);
-  EXPECT_EQ(slow.loss_history, fast.loss_history);
-  EXPECT_EQ(slow.survivor_param_crcs, fast.survivor_param_crcs);
+    FaultSpec slow_backward;
+    slow_backward.site = "step.backward.delay";
+    slow_backward.delay_seconds = 1.5;
+    // Every rank's backward in both steps (2 x 2). The budget also keeps
+    // a regression from retrying forever: once spent, a rolled-back step
+    // retries fast and the recovery count below catches it.
+    slow_backward.max_triggers = 4;
+    FaultInjector::Global().Arm(slow_backward);
+    const TrainRunResult slow =
+        RunDistributedTraining(opts, dataset, 2, 2, 8);
+
+    EXPECT_EQ(FaultInjector::Global().InjectionCount("step.backward.delay"),
+              4);
+    EXPECT_EQ(slow.recoveries, 0);
+    EXPECT_EQ(slow.final_generation, 0);
+    EXPECT_EQ(slow.final_world_size, 2);
+    EXPECT_EQ(slow.loss_history, fast.loss_history);
+    EXPECT_EQ(slow.survivor_param_crcs, fast.survivor_param_crcs);
+  }
 }
 
 // --------------------------------------------------------- chaos soak --

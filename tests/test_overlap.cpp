@@ -1,6 +1,8 @@
 // Exchange engine tests (DESIGN §14): bit-identity and identical message
-// counts of overlap-on vs overlap-off (FP32 and the packed-FP16 wire),
-// bucket composition under the readiness shuffle, strict env parsing,
+// counts of a hand-streamed step vs the blocking Exchange (FP32 and the
+// packed-FP16 wire), run-to-run determinism of the trainer whatever the
+// exchange thread's timing, bucket composition under the readiness
+// shuffle, strict env parsing,
 // the bounded bucket-tag layout (regression for the tag overflow past
 // the elastic generation stride), binary16 overflow-boundary agreement
 // between the RTNE converter, CountHalfNonFinite's bit threshold and the
@@ -18,6 +20,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -67,10 +70,10 @@ TrainerOptions TinyTrainer() {
   o.tiramisu = Tiramisu::Config::Downscaled(4);
   o.learning_rate = 2e-3f;
   o.exchanger.transport = ReduceTransport::kMpiRing;
-  // Overlap-on must be bit-identical to overlap-off: the readiness
-  // shuffle stays off because with it the negotiated order inside a
-  // bucket follows message arrival, which moves the reduction's rounding
-  // (DESIGN §13).
+  // Runs must be bit-identical however the exchange thread's timing
+  // falls: the readiness shuffle stays off because with it the
+  // negotiated order inside a bucket follows message arrival, which
+  // moves the reduction's rounding (DESIGN §13).
   o.exchanger.shuffle_ready_order = false;
   return o;
 }
@@ -87,11 +90,11 @@ struct ExchangeOutcome {
 
 /// Runs one exchange over 6 ranks with a small fusion threshold (so the
 /// tensors split into several buckets) and returns rank 0's resulting
-/// gradients. `overlap == true` drives BeginStep/NotifyGradReady/WaitAll
-/// by hand on an exchanger with its exchange thread; `overlap == false`
-/// runs the blocking Exchange, which drives the same engine inline.
+/// gradients. `streamed == true` drives BeginStep/NotifyGradReady/WaitAll
+/// by hand, as the trainer does; `streamed == false` runs the blocking
+/// Exchange. Both go through the same engine on its exchange thread.
 ExchangeOutcome RunExchange(ReduceTransport transport, Precision wire,
-                            bool overlap, bool shuffle = false) {
+                            bool streamed, bool shuffle = false) {
   const int p = 6;
   SimWorld world(p);
   ExchangeOutcome out;
@@ -104,12 +107,11 @@ ExchangeOutcome RunExchange(ReduceTransport transport, Precision wire,
     opts.transport = transport;
     opts.wire_precision = wire;
     opts.shuffle_ready_order = shuffle;
-    opts.overlap = overlap;
     opts.fusion_threshold_bytes = 64;  // a few tensors per bucket
     opts.hybrid.topology.ranks_per_node = 3;
     opts.hybrid.mpi_ranks_per_node = 2;
     GradientExchanger exchanger(opts, 7);
-    if (overlap) {
+    if (streamed) {
       exchanger.BeginStep(comm, params, /*elastic=*/nullptr, kNoTimeout);
       for (int i = 0; i < static_cast<int>(params.size()); ++i) {
         exchanger.NotifyGradReady(i);
@@ -132,52 +134,50 @@ ExchangeOutcome RunExchange(ReduceTransport transport, Precision wire,
   return out;
 }
 
-class OverlapTransports : public ::testing::TestWithParam<ReduceTransport> {};
+class OverlapTransports
+    : public ::testing::TestWithParam<std::tuple<ReduceTransport, Precision>> {
+};
 
-TEST_P(OverlapTransports, OverlapOnIsBitIdenticalToOffFP32) {
-  const ExchangeOutcome off =
-      RunExchange(GetParam(), Precision::kFP32, /*overlap=*/false);
-  const ExchangeOutcome on =
-      RunExchange(GetParam(), Precision::kFP32, /*overlap=*/true);
-  EXPECT_GT(off.fused_buffers, 1);  // the threshold actually split buckets
-  EXPECT_EQ(on.fused_buffers, off.fused_buffers);
-  EXPECT_EQ(on.rank0_grads, off.rank0_grads);  // bit identity
-  // Both drives run one engine: the same per-bucket negotiations and
+TEST_P(OverlapTransports, StreamedStepMatchesBlockingExchange) {
+  const auto [transport, wire] = GetParam();
+  const ExchangeOutcome blocking =
+      RunExchange(transport, wire, /*streamed=*/false);
+  const ExchangeOutcome streamed =
+      RunExchange(transport, wire, /*streamed=*/true);
+  EXPECT_GT(blocking.fused_buffers, 1);  // the threshold split buckets
+  EXPECT_EQ(streamed.fused_buffers, blocking.fused_buffers);
+  EXPECT_TRUE(blocking.ranks_identical);
+  EXPECT_TRUE(streamed.ranks_identical);
+  EXPECT_EQ(streamed.rank0_grads, blocking.rank0_grads);  // bit identity
+  // One engine step either way: the same per-bucket negotiations and
   // reductions, message for message.
-  EXPECT_EQ(on.messages, off.messages);
-  EXPECT_EQ(on.bytes, off.bytes);
-}
-
-TEST_P(OverlapTransports, OverlapOnIsBitIdenticalToOffFP16Wire) {
-  const ExchangeOutcome off =
-      RunExchange(GetParam(), Precision::kFP16, /*overlap=*/false);
-  const ExchangeOutcome on =
-      RunExchange(GetParam(), Precision::kFP16, /*overlap=*/true);
-  EXPECT_EQ(on.fused_buffers, off.fused_buffers);
-  EXPECT_EQ(on.rank0_grads, off.rank0_grads);  // bit identity
-  EXPECT_EQ(on.messages, off.messages);
-  EXPECT_EQ(on.bytes, off.bytes);
+  EXPECT_EQ(streamed.messages, blocking.messages);
+  EXPECT_EQ(streamed.bytes, blocking.bytes);
 }
 
 TEST_P(OverlapTransports, ShuffledReadinessKeepsBucketsAndRankAgreement) {
   // The readiness shuffle reorders tensors inside each bucket before the
   // bucket is negotiated; buckets themselves follow the emission order,
-  // so the bucket count matches the unshuffled run in both drives.
+  // so the bucket count matches the unshuffled run.
+  const auto [transport, wire] = GetParam();
   const ExchangeOutcome plain =
-      RunExchange(GetParam(), Precision::kFP32, /*overlap=*/false);
-  for (const bool overlap : {false, true}) {
-    const ExchangeOutcome shuffled = RunExchange(
-        GetParam(), Precision::kFP32, overlap, /*shuffle=*/true);
-    EXPECT_TRUE(shuffled.ranks_identical) << "overlap " << overlap;
+      RunExchange(transport, wire, /*streamed=*/false);
+  for (const bool streamed : {false, true}) {
+    const ExchangeOutcome shuffled =
+        RunExchange(transport, wire, streamed, /*shuffle=*/true);
+    EXPECT_TRUE(shuffled.ranks_identical) << "streamed " << streamed;
     EXPECT_EQ(shuffled.fused_buffers, plain.fused_buffers)
-        << "overlap " << overlap;
+        << "streamed " << streamed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTransports, OverlapTransports,
-                         ::testing::Values(ReduceTransport::kMpiRing,
-                                           ReduceTransport::kMpiTree,
-                                           ReduceTransport::kHybrid));
+INSTANTIATE_TEST_SUITE_P(
+    AllTransports, OverlapTransports,
+    ::testing::Combine(::testing::Values(ReduceTransport::kMpiRing,
+                                         ReduceTransport::kMpiTree,
+                                         ReduceTransport::kHybrid),
+                       ::testing::Values(Precision::kFP32,
+                                         Precision::kFP16)));
 
 TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
   const int p = 4;
@@ -191,10 +191,9 @@ TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
     opts.transport = ReduceTransport::kMpiRing;
     opts.shuffle_ready_order = false;
     opts.fusion_threshold_bytes = 48;
-    opts.overlap = true;
     GradientExchanger exchanger(opts, 11);
-    // Two consecutive overlapped steps through one exchanger (the
-    // persistent exchange thread is reused).
+    // Two consecutive steps through one exchanger (the persistent
+    // exchange thread is reused).
     for (int s = 0; s < 2; ++s) {
       exchanger.BeginStep(comm, params, nullptr, kNoTimeout);
       for (int i = 0; i < static_cast<int>(params.size()); ++i) {
@@ -214,46 +213,46 @@ TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
 }
 
 // ------------------------------------------------- trainer bit identity --
+//
+// The exchange thread reduces buckets while backward still computes, so
+// when each bucket reduces depends on thread timing. None of that may
+// reach the arithmetic: a second run whose ranks straggle at random (the
+// step.backward.delay site, seeded) must reproduce the first run's
+// losses and every rank's parameter CRC bit for bit.
 
-TEST(OverlapBitIdentity, TrainerOverlapOnMatchesOff) {
+void ExpectRunsBitIdentical(const TrainerOptions& opts) {
+  FaultScope scope;
   ClimateDataset dataset(TinyData());
-  TrainerOptions off = TinyTrainer();
-  TrainerOptions on = off;
-  on.exchanger.overlap = true;
-
-  const TrainRunResult a = RunDistributedTraining(off, dataset, 4, 3, 8);
-  const TrainRunResult b = RunDistributedTraining(on, dataset, 4, 3, 8);
+  const TrainRunResult a = RunDistributedTraining(opts, dataset, 4, 3, 8);
+  FaultSpec straggle;
+  straggle.site = "step.backward.delay";
+  straggle.probability = 0.5;
+  straggle.seed = 17;
+  straggle.delay_seconds = 0.02;
+  FaultInjector::Global().Arm(straggle);
+  const TrainRunResult b = RunDistributedTraining(opts, dataset, 4, 3, 8);
+  EXPECT_GT(FaultInjector::Global().InjectionCount("step.backward.delay"), 0);
   EXPECT_EQ(a.loss_history, b.loss_history);
   EXPECT_EQ(a.accuracy_history, b.accuracy_history);
   EXPECT_EQ(a.survivor_param_crcs, b.survivor_param_crcs);
 }
 
-TEST(OverlapBitIdentity, TrainerOverlapOnMatchesOffFP16Wire) {
-  ClimateDataset dataset(TinyData());
-  TrainerOptions off = TinyTrainer();
-  off.exchanger.wire_precision = Precision::kFP16;
-  TrainerOptions on = off;
-  on.exchanger.overlap = true;
-
-  const TrainRunResult a = RunDistributedTraining(off, dataset, 4, 3, 8);
-  const TrainRunResult b = RunDistributedTraining(on, dataset, 4, 3, 8);
-  EXPECT_EQ(a.loss_history, b.loss_history);
-  EXPECT_EQ(a.survivor_param_crcs, b.survivor_param_crcs);
+TEST(OverlapBitIdentity, TrainerRunsAreBitIdentical) {
+  ExpectRunsBitIdentical(TinyTrainer());
 }
 
-TEST(OverlapBitIdentity, HybridTransportAlsoMatches) {
-  ClimateDataset dataset(TinyData());
-  TrainerOptions off = TinyTrainer();
-  off.exchanger.transport = ReduceTransport::kHybrid;
-  off.exchanger.hybrid.topology.ranks_per_node = 2;
-  off.exchanger.hybrid.mpi_ranks_per_node = 2;
-  TrainerOptions on = off;
-  on.exchanger.overlap = true;
+TEST(OverlapBitIdentity, TrainerRunsAreBitIdenticalFP16Wire) {
+  TrainerOptions opts = TinyTrainer();
+  opts.exchanger.wire_precision = Precision::kFP16;
+  ExpectRunsBitIdentical(opts);
+}
 
-  const TrainRunResult a = RunDistributedTraining(off, dataset, 4, 3, 8);
-  const TrainRunResult b = RunDistributedTraining(on, dataset, 4, 3, 8);
-  EXPECT_EQ(a.loss_history, b.loss_history);
-  EXPECT_EQ(a.survivor_param_crcs, b.survivor_param_crcs);
+TEST(OverlapBitIdentity, HybridTransportRunsAreBitIdentical) {
+  TrainerOptions opts = TinyTrainer();
+  opts.exchanger.transport = ReduceTransport::kHybrid;
+  opts.exchanger.hybrid.topology.ranks_per_node = 2;
+  opts.exchanger.hybrid.mpi_ranks_per_node = 2;
+  ExpectRunsBitIdentical(opts);
 }
 
 // --------------------------------------------------- bucket tag layout --
@@ -321,37 +320,25 @@ std::string FromEnvError(const char* name, const char* value) {
 }
 
 TEST(ExchangerOptionsEnv, FromEnvOverridesProgrammaticOptions) {
-  ::setenv("EXACLIM_OVERLAP", "1", 1);
   ::setenv("EXACLIM_FUSION_BYTES", "123456", 1);
   ::setenv("EXACLIM_WIRE", "fp16", 1);
-  const ExchangerOptions on = ExchangerOptions::FromEnv(ExchangerOptions{});
-  EXPECT_TRUE(on.overlap);
-  EXPECT_EQ(on.fusion_threshold_bytes, 123456);
-  EXPECT_EQ(on.wire_precision, Precision::kFP16);
+  const ExchangerOptions fp16 = ExchangerOptions::FromEnv(ExchangerOptions{});
+  EXPECT_EQ(fp16.fusion_threshold_bytes, 123456);
+  EXPECT_EQ(fp16.wire_precision, Precision::kFP16);
 
-  ::setenv("EXACLIM_OVERLAP", "off", 1);
   ::setenv("EXACLIM_WIRE", "fp32", 1);
   ExchangerOptions base;
-  base.overlap = true;
   base.wire_precision = Precision::kFP16;
-  const ExchangerOptions off = ExchangerOptions::FromEnv(base);
-  EXPECT_FALSE(off.overlap);
-  EXPECT_EQ(off.wire_precision, Precision::kFP32);
+  const ExchangerOptions fp32 = ExchangerOptions::FromEnv(base);
+  EXPECT_EQ(fp32.wire_precision, Precision::kFP32);
 
-  ::unsetenv("EXACLIM_OVERLAP");
   ::unsetenv("EXACLIM_FUSION_BYTES");
   ::unsetenv("EXACLIM_WIRE");
 
-  // Every documented spelling is accepted...
-  for (const char* v : {"on", "1", "true", "off", "0", "false"}) {
-    EXPECT_EQ(FromEnvError("EXACLIM_OVERLAP", v), "") << v;
-  }
-  // ...and anything else fails with a message naming the variable,
-  // instead of silently meaning something else.
+  // Malformed values fail with a message naming the variable, instead
+  // of silently meaning something else.
   for (const auto& [name, value] :
        std::vector<std::pair<const char*, const char*>>{
-           {"EXACLIM_OVERLAP", "no"},
-           {"EXACLIM_OVERLAP", ""},
            {"EXACLIM_FUSION_BYTES", "4MB"},
            {"EXACLIM_FUSION_BYTES", "abc"},
            {"EXACLIM_FUSION_BYTES", "0"},
@@ -469,10 +456,10 @@ TEST(WireBytes, FP16WireHalvesBytesOnTheWire) {
 
 // ----------------------------------------------------------- chaos soak --
 //
-// The same deterministic schedule as test_elastic's ChaosSmoke, with the
-// exchange overlapped: rank 4 dies at its step-3 entry, rank 1 dies
-// mid-exchange at step 4 — this time on its dedicated exchange thread,
-// with the RankKilledError rethrown out of WaitAll on the trainer thread.
+// The same deterministic schedule as test_elastic's ChaosSmoke with this
+// file's unshuffled trainer: rank 4 dies at its step-3 entry, rank 1 dies
+// mid-exchange at step 4 — on its exchange thread, with the
+// RankKilledError rethrown out of WaitAll on the trainer thread.
 
 constexpr char kChaosSchedule[] =
     "elastic.kill.4:1:7:1:0:3,elastic.exchange.kill.1:1:9:1:0:4";
@@ -482,7 +469,6 @@ TEST(OverlapChaosSmoke, TrainingSurvivesKillsWithOverlappedExchange) {
   FaultInjector::Global().ArmFromString(kChaosSchedule);
   ClimateDataset dataset(TinyData());
   TrainerOptions opts = TinyTrainer();
-  opts.exchanger.overlap = true;
   opts.elastic.enabled = true;
   opts.elastic.collective_timeout_s = 30.0;
   opts.elastic.rebuild_timeout_s = 20.0;

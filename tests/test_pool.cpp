@@ -203,6 +203,23 @@ TEST_F(PoolTest, ScratchSlotsDrawFromTheArena) {
   EXPECT_EQ(AcquireScratch(ScratchSlot::kStagingDecode, 8), big);
 }
 
+TEST_F(PoolTest, ScratchOfAnExitedThreadReturnsToThePool) {
+  // A thread whose first pool use is AcquireScratch (the gradient
+  // exchange thread) builds its scratch slots before its free-list
+  // cache, so at thread exit the slots release after the cache is gone.
+  // Those blocks must still reach the central lists: a run of such
+  // threads reuses one block instead of stranding one per thread.
+  const auto scratch_thread = [] {
+    std::thread([] {
+      AcquireScratch(ScratchSlot::kExchangeFusion, (1u << 18) + 1);
+    }).join();
+  };
+  scratch_thread();
+  const std::int64_t blocks = GetPoolStats().block_count;
+  for (int i = 0; i < 12; ++i) scratch_thread();
+  EXPECT_EQ(GetPoolStats().block_count, blocks);
+}
+
 // --------------------------------------- training-step level contracts --
 
 TrainerOptions SmallTrainerOptions() {

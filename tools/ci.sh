@@ -30,8 +30,10 @@
 #   7. TSan: Debug build + `stress`-labelled tests   (preset: tsan)
 #   8. fault-smoke: fault suite re-run under TSan with a fixed
 #      EXACLIM_FAULTS spec (env-driven injection path, DESIGN §8)
+#   9. chaos-smoke: elastic chaos soak under TSan via EXACLIM_FAULTS
 #   10. overlap-smoke (TSan): exchange-thread-vs-backward suites re-run
 #      under TSan, incl. the chaos kill on the exchange thread
+#      (stages 8-10 fail when their gtest filter selects no test)
 #   11. perfbench-selftest: the end-to-end benchmark builds against the
 #      library and every workload emits every metric (perfbench/)
 set -euo pipefail
@@ -45,6 +47,22 @@ run() {
   echo
   echo "==> $*"
   "$@"
+}
+
+# Fails unless `filter` selects at least one test of gtest binary `bin`.
+# A filter that matches nothing makes gtest exit 0 with zero tests run
+# (this gtest has no --gtest_fail_if_no_test_selected), so a renamed
+# suite would otherwise turn a stage into a silent no-op.
+require_tests() {
+  local bin=$1 filter=$2 n
+  n=$("$bin" --gtest_filter="$filter" --gtest_list_tests |
+        grep -c '^  ' || true)
+  echo
+  echo "==> $bin --gtest_filter='$filter' selects $n test(s)"
+  if [[ "$n" -eq 0 ]]; then
+    echo "gtest filter '$filter' selects no test in $bin" >&2
+    exit 1
+  fi
 }
 
 # ---- 1. lint -------------------------------------------------------------
@@ -137,16 +155,17 @@ run python3 tools/check_alloc_budget.py "$BENCH_DIR"/BENCH_alloc_census.json \
   tools/alloc_budget_pool_off.json
 
 # ---- 5b. overlap-smoke (bench half) --------------------------------------
-# The exchange engine (DESIGN §14) driven from its own thread must beat
-# the same engine driven inline. bench_overlap times both drives under a
-# deterministic 5 ms per-message wire latency (the comm.delay fault
-# site), so the win is structural rather than scheduler luck — sleep
-# latency is hideable behind backward on any core count, and CPU load
-# only grows the hiding window. Both drives send the same messages.
-# Gates: the overlapped step must be no slower than the serialized
-# ("serialized" = inline drive) step (the headline), its exposed WaitAll
-# tail must stay well under the whole exchange the engine driven inline
-# runs after backward (the sharp structural gate), the packed FP16 wire
+# The exchange engine (DESIGN §14) fed as backward closes each bucket
+# must beat the same engine fed only after backward. bench_overlap times
+# both under a deterministic 5 ms per-message wire latency (the
+# comm.delay fault site), so the win is structural rather than scheduler
+# luck — sleep latency is hideable behind backward on any core count,
+# and CPU load only grows the hiding window. The bench itself fails
+# unless both modes send the same messages and bytes and end with the
+# same parameters. Gates: the overlapped step must be no slower than
+# the serialized step (the headline), its exposed WaitAll tail must stay
+# well under the whole exchange the serialized step runs after backward
+# (the sharp structural gate), the packed FP16 wire
 # must actually halve the bytes on the wire, and the exchange path must
 # stay within its steady-state allocation ratchet
 # (tools/alloc_budget_exchange.json). The TSan half of overlap-smoke is
@@ -182,6 +201,7 @@ run env TSAN_OPTIONS=halt_on_error=1 ctest --preset tsan -j "$JOBS"
 # killed at launch (staging degrades around it) plus deterministic
 # producer faults (pipeline retries/skips). FaultSmoke asserts correct
 # staged bytes and nonzero fault.* counters under exactly this spec.
+require_tests ./build-tsan/tests/test_fault 'FaultSmoke.*'
 run env TSAN_OPTIONS=halt_on_error=1 \
   EXACLIM_FAULTS="comm.kill.1:1:7,pipeline.produce:1:11:4" \
   ./build-tsan/tests/test_fault --gtest_filter='FaultSmoke.*'
@@ -192,19 +212,21 @@ run env TSAN_OPTIONS=halt_on_error=1 \
 # mid-exchange at step 4; the survivors must rebuild to generation 2,
 # resync weights, finish all steps with bit-identical replicas, and the
 # whole recovery machinery must be race-free.
+require_tests ./build-tsan/tests/test_elastic 'ChaosSmoke.*'
 run env TSAN_OPTIONS=halt_on_error=1 \
   EXACLIM_FAULTS="elastic.kill.4:1:7:1:0:3,elastic.exchange.kill.1:1:9:1:0:4" \
   ./build-tsan/tests/test_elastic --gtest_filter='ChaosSmoke.*'
 
 # ---- 10. overlap-smoke (TSan half) ---------------------------------------
-# With overlap on, the exchange engine runs gradient reduction on a
-# dedicated exchange thread while the trainer thread still emits
-# grad-ready notifications (DESIGN §14) — exactly the pairing TSan exists
-# for; with overlap off the same engine is driven inline on the trainer
-# thread. Re-run the bit-identity (both drives) + chaos overlap suites
+# The exchange engine runs gradient reduction on a dedicated exchange
+# thread while the trainer thread still emits grad-ready notifications
+# (DESIGN §14) — exactly the pairing TSan exists for. Re-run the
+# streamed-vs-blocking, run-to-run bit-identity and chaos overlap suites
 # under TSan, including the chaos schedule where rank 1's kill fires on
 # the exchange thread and the RankKilledError must propagate through
 # WaitAll to the trainer thread.
+require_tests ./build-tsan/tests/test_overlap \
+  'Overlap*:AllTransports/*:BucketTagLayout.*'
 run env TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_overlap \
   --gtest_filter='Overlap*:AllTransports/*:BucketTagLayout.*'
