@@ -6,6 +6,9 @@
 //    parallelism scales the production rate;
 //  * a prefetch queue decouples the consumer: as long as production rate
 //    exceeds consumption rate, the "GPU" never waits.
+// It first times sample generation itself: a full 16-channel GetSample
+// against the Piz Daint MakeBatch, which paints only its 4 channels and
+// the labeler's 5th (DESIGN §16).
 //
 // Emits BENCH_input_pipeline.json (median + p16/p84 over repeated runs)
 // for the bench-smoke CI stage.
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "data/climate.hpp"
+#include "data/dataset.hpp"
 #include "io/ncf.hpp"
 #include "io/pipeline.hpp"
 #include "io/sample_io.hpp"
@@ -73,6 +77,41 @@ PipelineRun RunPipeline(const std::vector<fs::path>& paths, int workers,
   return run;
 }
 
+double MsPerSample(Clock::time_point start, std::size_t samples) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+             .count() /
+         static_cast<double>(samples);
+}
+
+// Generation cost at the default 96x144 grid, the two paths interleaved
+// over the repeats so both see the same machine load.
+void MeasureGeneration(obs::BenchReport& report) {
+  constexpr int kRepeats = 5;
+  const std::vector<std::int64_t> indices{0, 1, 2, 3};
+  ClimateDataset::Options opts;
+  opts.channels.assign(kPizDaintChannels.begin(), kPizDaintChannels.end());
+  const ClimateDataset dataset(opts);
+  std::vector<double> get_sample_ms, make_batch_ms;
+  for (int r = 0; r < kRepeats; ++r) {
+    auto start = Clock::now();
+    for (const std::int64_t i : indices) {
+      (void)dataset.GetSample(DatasetSplit::kTrain, i);
+    }
+    get_sample_ms.push_back(MsPerSample(start, indices.size()));
+    start = Clock::now();
+    (void)dataset.MakeBatch(DatasetSplit::kTrain, indices);
+    make_batch_ms.push_back(MsPerSample(start, indices.size()));
+  }
+  report.AddSeries("get_sample_ms_per_sample", get_sample_ms);
+  report.AddSeries("make_batch_ms_per_sample", make_batch_ms);
+  std::printf(
+      "Sample generation, 96x144 grid (median of %d repeats):\n"
+      "  GetSample, all 16 channels:  %6.2f ms/sample\n"
+      "  MakeBatch, Piz Daint subset: %6.2f ms/sample\n\n",
+      kRepeats, Summarize(get_sample_ms).median,
+      Summarize(make_batch_ms).median);
+}
+
 // Median throughput over `rounds` runs, recorded into the bench report.
 double MeasureConfig(obs::BenchReport& report, std::string_view metric,
                      const std::vector<fs::path>& paths, int workers,
@@ -104,6 +143,7 @@ int Main() {
   }
 
   obs::BenchReport report("input_pipeline");
+  MeasureGeneration(report);
 
   std::printf(
       "Sec V-A2 — input pipeline throughput (real NCF files, 2 ms decode "

@@ -26,11 +26,26 @@ int PoissonSample(Rng& rng, double mean) {
   return k - 1;
 }
 
-float& FieldAt(Tensor& fields, int c, std::int64_t y, std::int64_t x,
-               std::int64_t h, std::int64_t w) {
-  (void)h;
-  return fields.Data()[static_cast<std::size_t>((c * h + y) * w + x)];
-}
+/// The [C, H, W] fields an event is planted into. Signatures land on the
+/// painted channels only, so a channel outside the mask stays zero.
+class PlantTarget {
+ public:
+  PlantTarget(Tensor& fields, const ChannelMask& channels, std::int64_t h,
+              std::int64_t w)
+      : data_(fields.Raw()), channels_(channels), h_(h), w_(w) {}
+
+  void Add(int c, std::int64_t y, std::int64_t x, double v) const {
+    if (channels_[static_cast<std::size_t>(c)]) {
+      data_[static_cast<std::size_t>((c * h_ + y) * w_ + x)] +=
+          static_cast<float>(v);
+    }
+  }
+
+ private:
+  float* data_;
+  const ChannelMask& channels_;
+  std::int64_t h_, w_;
+};
 
 }  // namespace
 
@@ -46,7 +61,9 @@ ClimateGenerator::ClimateGenerator(const ClimateGeneratorOptions& opts)
                 "grid too small for event synthesis");
 }
 
-void ClimateGenerator::PaintBackground(Tensor& fields, Rng& rng) const {
+void ClimateGenerator::PaintBackground(Tensor& fields,
+                                       const ChannelMask& channels,
+                                       Rng& rng) const {
   const std::int64_t h = opts_.height, w = opts_.width;
   // Each channel: latitude-dependent mean state plus a few smooth
   // planetary waves plus white noise.
@@ -63,6 +80,14 @@ void ClimateGenerator::PaintBackground(Tensor& fields, Rng& rng) const {
       wave.amp = rng.UniformDouble(0.1, 0.35);
     }
     const float lat_slope = rng.Uniform(-0.6f, 0.6f);
+    float* plane = fields.Raw() + c * h * w;
+    if (!channels[static_cast<std::size_t>(c)]) {
+      // An unread channel consumes exactly the draws its noise would, so
+      // every later channel and event sees the same stream.
+      std::fill(plane, plane + h * w, 0.0f);
+      rng.SkipNormal(h * w);
+      continue;
+    }
     for (std::int64_t y = 0; y < h; ++y) {
       const double lat = static_cast<double>(y) / (h - 1) - 0.5;  // [-.5,.5]
       for (std::int64_t x = 0; x < w; ++x) {
@@ -74,15 +99,17 @@ void ClimateGenerator::PaintBackground(Tensor& fields, Rng& rng) const {
                                    wave.phase);
         }
         v += rng.Normal(0.0f, opts_.background_noise);
-        FieldAt(fields, c, y, x, h, w) = static_cast<float>(v);
+        plane[y * w + x] = static_cast<float>(v);
       }
     }
   }
 }
 
-void ClimateGenerator::PlantCyclone(ClimateSample& sample, Rng& rng) const {
+void ClimateGenerator::PlantCyclone(ClimateSample& sample,
+                                    const ChannelMask& channels,
+                                    Rng& rng) const {
   const std::int64_t h = opts_.height, w = opts_.width;
-  Tensor& f = sample.fields;
+  const PlantTarget f(sample.fields, channels, h, w);
   // TCs live in the tropics band on either side of the equator.
   const bool north = rng.Bernoulli(0.5);
   const std::int64_t cy = north
@@ -103,9 +130,8 @@ void ClimateGenerator::PlantCyclone(ClimateSample& sample, Rng& rng) const {
       const double envelope = std::exp(-0.5 * (r / radius) * (r / radius));
       if (envelope < 1e-3) continue;
       // Deep pressure minimum.
-      FieldAt(f, kPSL, y, x, h, w) -= static_cast<float>(intensity * envelope);
-      FieldAt(f, kPS, y, x, h, w) -=
-          static_cast<float>(0.8 * intensity * envelope);
+      f.Add(kPSL, y, x, -(intensity * envelope));
+      f.Add(kPS, y, x, -(0.8 * intensity * envelope));
       // Azimuthal vortex winds (Rankine-like profile).
       const double tangential =
           intensity * (r / radius) * std::exp(0.5 - 0.5 * (r / radius) *
@@ -113,22 +139,17 @@ void ClimateGenerator::PlantCyclone(ClimateSample& sample, Rng& rng) const {
       if (r > 0) {
         const double ux = -static_cast<double>(dy) / r * tangential;
         const double vy = static_cast<double>(dx) / r * tangential;
-        FieldAt(f, kU850, y, x, h, w) += static_cast<float>(ux);
-        FieldAt(f, kV850, y, x, h, w) += static_cast<float>(vy);
-        FieldAt(f, kUBOT, y, x, h, w) += static_cast<float>(0.8 * ux);
-        FieldAt(f, kVBOT, y, x, h, w) += static_cast<float>(0.8 * vy);
+        f.Add(kU850, y, x, ux);
+        f.Add(kV850, y, x, vy);
+        f.Add(kUBOT, y, x, 0.8 * ux);
+        f.Add(kVBOT, y, x, 0.8 * vy);
       }
       // Moisture, rain and the upper-level warm core.
-      FieldAt(f, kTMQ, y, x, h, w) += static_cast<float>(1.6 * intensity *
-                                                         envelope);
-      FieldAt(f, kPRECT, y, x, h, w) +=
-          static_cast<float>(2.0 * intensity * envelope);
-      FieldAt(f, kT200, y, x, h, w) +=
-          static_cast<float>(warm_core * envelope);
-      FieldAt(f, kT500, y, x, h, w) +=
-          static_cast<float>(0.7 * warm_core * envelope);
-      FieldAt(f, kZ200, y, x, h, w) +=
-          static_cast<float>(0.4 * intensity * envelope);
+      f.Add(kTMQ, y, x, 1.6 * intensity * envelope);
+      f.Add(kPRECT, y, x, 2.0 * intensity * envelope);
+      f.Add(kT200, y, x, warm_core * envelope);
+      f.Add(kT500, y, x, 0.7 * warm_core * envelope);
+      f.Add(kZ200, y, x, 0.4 * intensity * envelope);
       // Truth mask: the dynamically significant core (~1.6 radii).
       if (r <= 1.6 * radius) {
         sample.truth[static_cast<std::size_t>(y * w + x)] =
@@ -138,9 +159,11 @@ void ClimateGenerator::PlantCyclone(ClimateSample& sample, Rng& rng) const {
   }
 }
 
-void ClimateGenerator::PlantRiver(ClimateSample& sample, Rng& rng) const {
+void ClimateGenerator::PlantRiver(ClimateSample& sample,
+                                  const ChannelMask& channels,
+                                  Rng& rng) const {
   const std::int64_t h = opts_.height, w = opts_.width;
-  Tensor& f = sample.fields;
+  const PlantTarget f(sample.fields, channels, h, w);
   // A quadratic Bezier filament from the tropics toward mid-latitudes.
   const bool north = rng.Bernoulli(0.5);
   const double y0 = north ? rng.UniformDouble(0.40, 0.48)
@@ -178,16 +201,11 @@ void ClimateGenerator::PlantRiver(ClimateSample& sample, Rng& rng) const {
         const double r = std::sqrt(static_cast<double>(dy * dy + dx * dx));
         const double envelope = std::exp(-0.5 * (r / width) * (r / width));
         if (envelope < 5e-2) continue;
-        FieldAt(f, kTMQ, y, x, h, w) +=
-            static_cast<float>(intensity * envelope * 0.5);
-        FieldAt(f, kU850, y, x, h, w) +=
-            static_cast<float>(0.5 * intensity * envelope * dx_dt / norm);
-        FieldAt(f, kV850, y, x, h, w) +=
-            static_cast<float>(0.5 * intensity * envelope * dy_dt / norm);
-        FieldAt(f, kPRECT, y, x, h, w) +=
-            static_cast<float>(0.6 * intensity * envelope);
-        FieldAt(f, kQREFHT, y, x, h, w) +=
-            static_cast<float>(0.8 * intensity * envelope);
+        f.Add(kTMQ, y, x, intensity * envelope * 0.5);
+        f.Add(kU850, y, x, 0.5 * intensity * envelope * dx_dt / norm);
+        f.Add(kV850, y, x, 0.5 * intensity * envelope * dy_dt / norm);
+        f.Add(kPRECT, y, x, 0.6 * intensity * envelope);
+        f.Add(kQREFHT, y, x, 0.8 * intensity * envelope);
         if (r <= 1.2 * width &&
             sample.truth[static_cast<std::size_t>(y * w + x)] ==
                 kBackground) {
@@ -200,22 +218,24 @@ void ClimateGenerator::PlantRiver(ClimateSample& sample, Rng& rng) const {
 }
 
 ClimateSample ClimateGenerator::Generate(std::uint64_t seed,
-                                         std::int64_t index) const {
+                                         std::int64_t index,
+                                         const ChannelMask& channels) const {
   Rng rng = Rng(seed).Fork(static_cast<std::uint64_t>(index));
   ClimateSample sample;
   sample.height = opts_.height;
   sample.width = opts_.width;
-  sample.fields = Tensor(
+  // PaintBackground writes every plane, painted or zeroed.
+  sample.fields = Tensor::Uninitialized(
       TensorShape{kNumClimateChannels, opts_.height, opts_.width});
   sample.truth.assign(
       static_cast<std::size_t>(opts_.height * opts_.width), kBackground);
 
-  PaintBackground(sample.fields, rng);
+  PaintBackground(sample.fields, channels, rng);
   const int n_tc = PoissonSample(rng, opts_.mean_cyclones);
   const int n_ar = PoissonSample(rng, opts_.mean_rivers);
   // Rivers first so cyclone cores override overlapping AR pixels.
-  for (int i = 0; i < n_ar; ++i) PlantRiver(sample, rng);
-  for (int i = 0; i < n_tc; ++i) PlantCyclone(sample, rng);
+  for (int i = 0; i < n_ar; ++i) PlantRiver(sample, channels, rng);
+  for (int i = 0; i < n_tc; ++i) PlantCyclone(sample, channels, rng);
   return sample;
 }
 

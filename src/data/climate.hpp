@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,11 @@ enum ClimateChannel : int {
 };
 inline constexpr int kNumClimateChannels = 16;
 
+/// The channels a ClimateGenerator::Generate call paints: bit c is
+/// channel c.
+using ChannelMask = std::bitset<kNumClimateChannels>;
+inline constexpr ChannelMask kAllChannels{0xFFFFu};
+
 std::string_view ChannelName(int channel);
 
 /// One simulated CAM5 snapshot: `channels` x H x W fields, the planted
@@ -61,10 +67,13 @@ struct ClimateSample {
 /// rivers (long narrow moisture filaments advecting poleward). Event
 /// counts/sizes are tuned so label frequencies approximate the paper's
 /// 98.2 / 1.7 / 0.1 % class imbalance.
-/// All 16 channels are always generated; channel sub-selection (the
-/// 4-channel Piz Daint mode of Sec V-B3) happens at batch assembly in
-/// data/dataset.hpp, as in the paper where both modes read the same CAM5
-/// output.
+/// Generate paints the channels a caller reads and leaves the rest zero,
+/// as a reader of the paper's CAM5 files loads only the variables it
+/// trains on: the 4-channel Piz Daint mode of Sec V-B3 and the 16-channel
+/// Summit mode read the same output. A skipped channel still consumes its
+/// exact share of the random stream, so every painted channel, every
+/// planted event and the truth mask are bit-identical whatever the mask
+/// (DESIGN §16).
 struct ClimateGeneratorOptions {
   std::int64_t height = 96;
   std::int64_t width = 144;
@@ -78,15 +87,20 @@ class ClimateGenerator {
  public:
   explicit ClimateGenerator(const ClimateGeneratorOptions& opts);
 
-  /// Generates sample `index` deterministically from (seed, index).
-  ClimateSample Generate(std::uint64_t seed, std::int64_t index) const;
+  /// Generates sample `index` deterministically from (seed, index),
+  /// painting the channels in `channels`; the others hold zeros.
+  ClimateSample Generate(std::uint64_t seed, std::int64_t index,
+                         const ChannelMask& channels = kAllChannels) const;
 
   const ClimateGeneratorOptions& options() const { return opts_; }
 
  private:
-  void PaintBackground(Tensor& fields, Rng& rng) const;
-  void PlantCyclone(ClimateSample& sample, Rng& rng) const;
-  void PlantRiver(ClimateSample& sample, Rng& rng) const;
+  void PaintBackground(Tensor& fields, const ChannelMask& channels,
+                       Rng& rng) const;
+  void PlantCyclone(ClimateSample& sample, const ChannelMask& channels,
+                    Rng& rng) const;
+  void PlantRiver(ClimateSample& sample, const ChannelMask& channels,
+                  Rng& rng) const;
 
   ClimateGeneratorOptions opts_;
 };

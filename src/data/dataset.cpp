@@ -14,9 +14,11 @@ ClimateDataset::ClimateDataset(const Options& opts)
       train_size_(opts.num_samples * 8 / 10),
       test_size_(opts.num_samples / 10) {
   EXACLIM_CHECK(opts_.num_samples >= 10, "need at least 10 samples");
+  batch_channels_ = opts_.channels.empty() ? kAllChannels : kLabelerChannels;
   for (const int c : opts_.channels) {
     EXACLIM_CHECK(c >= 0 && c < kNumClimateChannels,
                   "bad channel index " << c);
+    batch_channels_.set(static_cast<std::size_t>(c));
   }
 }
 
@@ -41,13 +43,18 @@ std::int64_t ClimateDataset::GlobalIndex(DatasetSplit split,
   return 0;
 }
 
-ClimateSample ClimateDataset::GetSample(DatasetSplit split,
-                                        std::int64_t i) const {
+ClimateSample ClimateDataset::Sample(DatasetSplit split, std::int64_t i,
+                                     const ChannelMask& channels) const {
   ClimateSample sample =
-      generator_.Generate(opts_.seed, GlobalIndex(split, i));
+      generator_.Generate(opts_.seed, GlobalIndex(split, i), channels);
   labeler_.LabelInPlace(sample);
   if (!opts_.use_heuristic_labels) sample.labels = sample.truth;
   return sample;
+}
+
+ClimateSample ClimateDataset::GetSample(DatasetSplit split,
+                                        std::int64_t i) const {
+  return Sample(split, i, kAllChannels);
 }
 
 Batch ClimateDataset::MakeBatch(
@@ -62,7 +69,7 @@ Batch ClimateDataset::MakeBatch(
 
   for (std::int64_t b = 0; b < n; ++b) {
     const ClimateSample sample =
-        GetSample(split, indices[static_cast<std::size_t>(b)]);
+        Sample(split, indices[static_cast<std::size_t>(b)], batch_channels_);
     for (std::int64_t ci = 0; ci < c; ++ci) {
       const int src_c = opts_.channels.empty()
                             ? static_cast<int>(ci)
@@ -92,7 +99,8 @@ std::array<double, kNumClimateClasses> ClimateDataset::MeasureFrequencies(
   std::array<std::int64_t, kNumClimateClasses> counts{};
   std::int64_t total = 0;
   for (std::int64_t i = 0; i < std::min(n, train_size_); ++i) {
-    const ClimateSample sample = GetSample(DatasetSplit::kTrain, i);
+    const ClimateSample sample =
+        Sample(DatasetSplit::kTrain, i, kLabelerChannels);
     for (const std::uint8_t l : sample.labels) {
       ++counts[l];
       ++total;

@@ -53,10 +53,12 @@ class ClimateDataset {
   std::int64_t height() const { return opts_.generator.height; }
   std::int64_t width() const { return opts_.generator.width; }
 
-  /// Generates + labels sample `i` of the split.
+  /// Generates + labels sample `i` of the split, all 16 channels painted.
   ClimateSample GetSample(DatasetSplit split, std::int64_t i) const;
 
   /// Assembles a batch from split-local indices (with channel subsetting).
+  /// Each sample paints only the batch's channels and the labeler's
+  /// inputs; the result is bit-identical to slicing GetSample's.
   Batch MakeBatch(DatasetSplit split,
                   std::span<const std::int64_t> indices) const;
 
@@ -67,7 +69,7 @@ class ClimateDataset {
       const;
 
   /// Measures label class frequencies over the first `n` train samples —
-  /// the input to MakeClassWeights.
+  /// the input to MakeClassWeights. Paints only the labeler's inputs.
   std::array<double, kNumClimateClasses> MeasureFrequencies(
       std::int64_t n) const;
 
@@ -75,8 +77,12 @@ class ClimateDataset {
 
  private:
   std::int64_t GlobalIndex(DatasetSplit split, std::int64_t i) const;
+  ClimateSample Sample(DatasetSplit split, std::int64_t i,
+                       const ChannelMask& channels) const;
 
   Options opts_;
+  /// What MakeBatch paints: `channels` plus the labeler's inputs.
+  ChannelMask batch_channels_;
   ClimateGenerator generator_;
   HeuristicLabeler labeler_;
   std::int64_t train_size_;

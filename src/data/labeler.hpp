@@ -34,6 +34,12 @@ struct HeuristicLabelerOptions {
   double ar_min_elongation = 1.8;
 };
 
+/// The channels Label reads: PSL minima checked against T200 and the
+/// U850/V850 wind for cyclones, the TMQ floodfill for rivers.
+inline constexpr ChannelMask kLabelerChannels{
+    (1u << kTMQ) | (1u << kU850) | (1u << kV850) | (1u << kPSL) |
+    (1u << kT200)};
+
 class HeuristicLabeler {
  public:
   HeuristicLabeler() : HeuristicLabelerOptions_{} {}

@@ -178,6 +178,20 @@ void GradientExchanger::BeginStep(Communicator& comm,
                                   double timeout_s) {
   EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(!step_open_, "BeginStep while a step is already open");
+  // The hybrid scheme reduces over whole nodes of the full world (a
+  // shrunk view falls back to the ring, but comm.size() never shrinks).
+  // Reject a partial node here, on every rank, before any message moves.
+  if (opts_.transport == ReduceTransport::kHybrid) {
+    const int rpn = opts_.hybrid.topology.ranks_per_node;
+    EXACLIM_CHECK(rpn >= 1 && comm.size() % rpn == 0,
+                  "hybrid transport: world size "
+                      << comm.size()
+                      << " is not a multiple of "
+                         "hybrid.topology.ranks_per_node = "
+                      << rpn
+                      << "; pick a ranks_per_node that divides the world "
+                         "size, or ReduceTransport::kMpiRing");
+  }
   ElasticWorld& world = elastic != nullptr ? *elastic : Identity(comm);
   EXACLIM_CHECK(world.view().my_index >= 0,
                 "rank " << comm.rank()

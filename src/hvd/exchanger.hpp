@@ -123,6 +123,8 @@ class GradientExchanger {
   /// data) and the step counter is NOT advanced, so the retried step
   /// reproduces the same shuffle. After a shrink the hybrid transport
   /// falls back to the group ring (survivors rarely form whole nodes).
+  /// Throws, before any message, when the hybrid transport's world size
+  /// is not a multiple of hybrid.topology.ranks_per_node.
   void BeginStep(Communicator& comm, const std::vector<Param*>& params,
                  ElasticWorld* elastic, double timeout_s);
   /// Announces that `param_index`'s gradient is final for this step.

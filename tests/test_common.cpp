@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -171,6 +174,107 @@ TEST(Rng, NormalMoments) {
   const double var = sumsq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.05);
   EXPECT_NEAR(var, 9.0, 0.2);
+}
+
+// The in-repo engine and normal are pinned to libstdc++'s stream: the
+// std types below are the oracles (DESIGN §16).
+
+TEST(Rng, EngineTenThousandthDrawIsTheStandardsValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  Mt19937_64 engine;
+  for (int i = 1; i < 10000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ull);
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64UnderStdDistributions) {
+  // 4 seeds x 2.5M raw draws, with the std distributions and std::shuffle
+  // consuming both engines between them.
+  for (const std::uint64_t seed :
+       {0ull, 1ull, 5489ull, 0x9e3779b97f4a7c15ull}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 oracle(seed);
+    std::int64_t raw_mismatches = 0;
+    for (int i = 0; i < 2'500'000; ++i) {
+      raw_mismatches += ours() != oracle() ? 1 : 0;
+      if (i % 1009 != 0) continue;
+      std::uniform_int_distribution<std::int64_t> ints(-7, 1000 + i);
+      EXPECT_EQ(ints(ours), ints(oracle));
+      std::uniform_real_distribution<double> reals(-2.0, 3.0);
+      EXPECT_EQ(reals(ours), reals(oracle));
+      std::bernoulli_distribution coin(0.3);
+      EXPECT_EQ(coin(ours), coin(oracle));
+      std::vector<int> a(1 + i % 37), b(a.size());
+      std::iota(a.begin(), a.end(), 0);
+      std::iota(b.begin(), b.end(), 0);
+      std::shuffle(a.begin(), a.end(), ours);
+      std::shuffle(b.begin(), b.end(), oracle);
+      EXPECT_EQ(a, b);
+    }
+    EXPECT_EQ(raw_mismatches, 0) << "seed " << seed;
+  }
+}
+
+TEST(Rng, CanonicalFloatMatchesUnsignedConversion) {
+  // Every bit length, both round-to-even neighbours of the sticky-bit
+  // boundary, and the extremes.
+  std::vector<std::uint64_t> draws{0, 1, ~0ull, ~0ull - 1, 1ull << 63,
+                                   (1ull << 63) - 1, (1ull << 63) + 1};
+  std::mt19937_64 bits(17);
+  for (int len = 1; len <= 64; ++len) {
+    const std::uint64_t top = std::uint64_t{1} << (len - 1);
+    for (const std::uint64_t delta : {0ull, 1ull, 2ull, 3ull}) {
+      draws.push_back(top + delta);
+      draws.push_back(top | ((top - 1) - delta % top));
+    }
+    for (int k = 0; k < 1000; ++k) {
+      draws.push_back(top | (bits() & (top - 1)));
+    }
+  }
+  for (const std::uint64_t u : draws) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(CanonicalFloat(u)),
+              std::bit_cast<std::uint32_t>(static_cast<float>(u) * 0x1p-64f))
+        << u;
+  }
+}
+
+TEST(Rng, NormalIsBitEqualToStdNormalDistribution) {
+  // Rng::Normal builds no distribution; the oracle is a fresh
+  // std::normal_distribution<float> per draw, as Rng::Normal used to be.
+  const std::pair<float, float> params[] = {
+      {0.0f, 1.0f}, {0.0f, 0.35f}, {2.0f, 3.0f}, {-1.5f, 0.01f}};
+  Rng ours(2018);
+  std::mt19937_64 oracle(2018);
+  std::int64_t mismatches = 0;
+  for (int i = 0; i < 10'000'000; ++i) {
+    const auto [mean, sd] = params[i % 4];
+    const float a = ours.Normal(mean, sd);
+    const float b = std::normal_distribution<float>(mean, sd)(oracle);
+    mismatches += std::bit_cast<std::uint32_t>(a) !=
+                          std::bit_cast<std::uint32_t>(b)
+                      ? 1
+                      : 0;
+  }
+  EXPECT_EQ(mismatches, 0);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(ours.engine()(), oracle()) << "engine diverged at draw " << i;
+  }
+}
+
+TEST(Rng, SkipNormalLeavesTheEngineWhereNormalDoes) {
+  for (const std::int64_t count : {1, 2, 3, 311, 312, 313, 13824}) {
+    Rng drawn(77), skipped_bulk(77), skipped_one(77);
+    for (std::int64_t i = 0; i < count; ++i) {
+      (void)drawn.Normal();
+      skipped_one.SkipNormal();
+    }
+    skipped_bulk.SkipNormal(count);
+    for (int i = 0; i < 700; ++i) {
+      const std::uint64_t next = drawn.engine()();
+      ASSERT_EQ(skipped_bulk.engine()(), next) << count << " normals";
+      ASSERT_EQ(skipped_one.engine()(), next) << count << " normals";
+    }
+  }
 }
 
 // ---------------------------------------------------------- ThreadPool ---

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <span>
+#include <vector>
 
+#include "common/checksum.hpp"
 #include "data/climate.hpp"
 #include "data/dataset.hpp"
 #include "data/labeler.hpp"
@@ -109,6 +113,27 @@ TEST(ClimateGenerator, TruthClassImbalanceMatchesPaperRegime) {
   EXPECT_LT(ar, 0.06);
   EXPECT_GT(tc, 0.0002);
   EXPECT_LT(tc, 0.012);
+}
+
+TEST(ClimateGenerator, UnpaintedChannelsAreZeroAndPaintedOnesUnchanged) {
+  ClimateGenerator gen({});
+  const auto full = gen.Generate(11, 5);
+  const ChannelMask painted{(1u << kTMQ) | (1u << kPSL)};
+  const auto masked = gen.Generate(11, 5, painted);
+  EXPECT_EQ(masked.truth, full.truth);
+  const std::size_t plane = static_cast<std::size_t>(96 * 144);
+  for (int c = 0; c < kNumClimateChannels; ++c) {
+    const float* got = masked.fields.Raw() + c * plane;
+    const float* want = full.fields.Raw() + c * plane;
+    if (painted[static_cast<std::size_t>(c)]) {
+      EXPECT_EQ(std::memcmp(got, want, plane * sizeof(float)), 0)
+          << ChannelName(c);
+    } else {
+      EXPECT_TRUE(std::all_of(got, got + plane,
+                              [](float v) { return v == 0.0f; }))
+          << ChannelName(c);
+    }
+  }
 }
 
 // -------------------------------------------------- ConnectedComponents --
@@ -278,6 +303,104 @@ TEST(ClimateDataset, TruthLabelsModeBypassesHeuristics) {
   ClimateDataset ds(opts);
   const auto s = ds.GetSample(DatasetSplit::kTrain, 1);
   EXPECT_EQ(s.labels, s.truth);
+}
+
+// ---------------------------------------------------- Masked batches ---
+
+// The batch MakeBatch promises: each sample's full 16-channel GetSample,
+// sliced to the dataset's channels, with its labels.
+Batch BatchFromFullSamples(const ClimateDataset& ds, DatasetSplit split,
+                           std::span<const std::int64_t> indices) {
+  const std::int64_t n = static_cast<std::int64_t>(indices.size());
+  const std::int64_t c = ds.num_channels(), hw = ds.height() * ds.width();
+  const auto& channels = ds.options().channels;
+  Batch batch;
+  batch.fields = Tensor(TensorShape::NCHW(n, c, ds.height(), ds.width()));
+  for (std::int64_t b = 0; b < n; ++b) {
+    const ClimateSample s =
+        ds.GetSample(split, indices[static_cast<std::size_t>(b)]);
+    for (std::int64_t ci = 0; ci < c; ++ci) {
+      const std::int64_t src =
+          channels.empty() ? ci : channels[static_cast<std::size_t>(ci)];
+      std::memcpy(batch.fields.Raw() + (b * c + ci) * hw,
+                  s.fields.Raw() + src * hw, sizeof(float) * hw);
+    }
+    batch.labels.insert(batch.labels.end(), s.labels.begin(),
+                        s.labels.end());
+  }
+  return batch;
+}
+
+TEST(ClimateDataset, MaskedBatchesEqualSlicedFullSamples) {
+  struct Case {
+    const char* label;
+    std::vector<int> channels;
+    bool heuristic_labels = true;
+  };
+  const Case cases[] = {
+      {"Piz Daint", {kPizDaintChannels.begin(), kPizDaintChannels.end()}},
+      {"UBOT,VBOT,PRECT,T500", {kUBOT, kVBOT, kPRECT, kT500}},
+      {"all 16", {}},
+      {"ZBOT alone", {kZBOT}},
+      {"Piz Daint, truth labels",
+       {kPizDaintChannels.begin(), kPizDaintChannels.end()},
+       false},
+  };
+  for (const Case& tc : cases) {
+    ClimateDataset::Options opts;
+    opts.num_samples = 100;  // 80 / 10 / 10
+    opts.generator.height = 48;
+    opts.generator.width = 64;
+    opts.channels = tc.channels;
+    opts.use_heuristic_labels = tc.heuristic_labels;
+    const ClimateDataset ds(opts);
+    // 64 samples: 44 train, every test and every validation sample, in
+    // batches of up to 8.
+    for (const auto& [split, count] :
+         {std::pair{DatasetSplit::kTrain, 44}, {DatasetSplit::kTest, 10},
+          {DatasetSplit::kValidation, 10}}) {
+      for (std::int64_t first = 0; first < count; first += 8) {
+        std::vector<std::int64_t> idx;
+        const std::int64_t end = std::min<std::int64_t>(first + 8, count);
+        for (std::int64_t i = first; i < end; ++i) idx.push_back(i);
+        const Batch got = ds.MakeBatch(split, idx);
+        const Batch want = BatchFromFullSamples(ds, split, idx);
+        ASSERT_EQ(got.fields.shape(), want.fields.shape()) << tc.label;
+        EXPECT_EQ(std::memcmp(got.fields.Raw(), want.fields.Raw(),
+                              sizeof(float) * static_cast<std::size_t>(
+                                                  got.fields.NumElements())),
+                  0)
+            << tc.label << ", batch from " << first;
+        EXPECT_EQ(got.labels, want.labels)
+            << tc.label << ", batch from " << first;
+      }
+    }
+  }
+}
+
+TEST(ClimateDataset, FullSamplesMatchTheirPinnedChecksum) {
+  // CRC-32 over the fields, labels and truth of train samples 0..3 at the
+  // default options, as generated with std::mt19937_64 and a fresh
+  // std::normal_distribution<float> per draw: the all-16-channel path
+  // stays bit for bit what it was.
+  const ClimateDataset ds(ClimateDataset::Options{});
+  std::uint32_t crc = 0;
+  for (std::int64_t i = 0; i < 4; ++i) {
+    const ClimateSample s = ds.GetSample(DatasetSplit::kTrain, i);
+    crc = Crc32(std::as_bytes(s.fields.Data()), crc);
+    crc = Crc32(std::span<const std::uint8_t>(s.labels), crc);
+    crc = Crc32(std::span<const std::uint8_t>(s.truth), crc);
+  }
+  EXPECT_EQ(crc, 0x5f8a40bcu);
+}
+
+TEST(ClimateDataset, MeasuredFrequenciesMatchPinnedValues) {
+  // Pinned from the same std-engine generator; MeasureFrequencies now
+  // paints only the labeler's inputs.
+  const auto freq = ClimateDataset(SmallOptions()).MeasureFrequencies(16);
+  EXPECT_EQ(freq[kBackground], 0x1.fa14p-1);
+  EXPECT_EQ(freq[kAtmosphericRiver], 0x1.3855555555555p-7);
+  EXPECT_EQ(freq[kTropicalCyclone], 0x1.0aaaaaaaaaaabp-9);
 }
 
 // -------------------------------------------------------------- Stats ---

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
 
 #include "stats/stats.hpp"
 #include "train/trainer.hpp"
@@ -132,6 +134,50 @@ TEST(RankTrainer, EvaluateProducesConfusionMatrix) {
   EXPECT_EQ(cm.total(), 2 * 32 * 32);
   EXPECT_GE(cm.MeanIoU(), 0.0);
   EXPECT_LE(cm.MeanIoU(), 1.0);
+}
+
+TEST(RankTrainer, HybridTransportRejectsPartialNodes) {
+  // The default exchanger runs the hybrid transport at 6 ranks per node.
+  // A world that is not a whole number of nodes must fail on every rank,
+  // from Step on the rank thread, before any rank sends a message.
+  ClimateDataset dataset(TinyData());
+  const auto weights = MakeClassWeights(dataset.MeasureFrequencies(8),
+                                        WeightingScheme::kInverseSqrt);
+  const Batch batch =
+      dataset.MakeBatch(DatasetSplit::kTrain, std::vector<std::int64_t>{0});
+  // Runs one step on `ranks` ranks; returns how many ranks' Step threw.
+  const auto rejecting_ranks = [&](int ranks,
+                                   const ExchangerOptions& exchanger) {
+    TrainerOptions o = TinyTrainer();
+    o.exchanger = exchanger;
+    std::atomic<int> rejected{0};
+    SimWorld world(ranks);
+    world.Run([&](Communicator& comm) {
+      RankTrainer trainer(o, weights, comm.rank());
+      try {
+        EXPECT_TRUE(std::isfinite(trainer.Step(batch, &comm).loss));
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("world size " + std::to_string(ranks)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("hybrid.topology.ranks_per_node = 6"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("kMpiRing"), std::string::npos) << what;
+        ++rejected;
+      }
+    });
+    return rejected.load();
+  };
+  for (const int ranks : {1, 2, 3, 4, 6, 7, 8}) {
+    EXPECT_EQ(rejecting_ranks(ranks, ExchangerOptions{}),
+              ranks == 6 ? 0 : ranks)
+        << ranks << " ranks";
+  }
+  ExchangerOptions four_per_node;
+  four_per_node.hybrid.topology.ranks_per_node = 4;
+  EXPECT_EQ(rejecting_ranks(8, four_per_node), 0);
 }
 
 TEST(RunDistributedTraining, LossTrendsDownAcrossRanks) {

@@ -92,6 +92,12 @@ run ctest --preset release -j "$JOBS"
 BENCH_DIR=$(mktemp -d)
 run env EXACLIM_BENCH_DIR="$BENCH_DIR" ./build/bench/bench_input_pipeline
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_*.json
+# Structural: a Piz Daint MakeBatch paints 5 of the 16 channels (its 4
+# plus the labeler's T200) and only advances the stream through the
+# other 11 (DESIGN §16), so it must cost well under a full GetSample
+# (~0.4-0.5 measured; painting all 16 reads about 1.0).
+run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_input_pipeline.json \
+  --assert-le make_batch_ms_per_sample get_sample_ms_per_sample 0.75
 
 # ---- 4. perf-smoke -------------------------------------------------------
 # The engine comparison in bench_micro_conv (gbench cases skipped) times

@@ -307,6 +307,29 @@ class RawMutexRule(Rule):
                     "MutexLock / CondVar from common/sync.hpp")
 
 
+class RngOwnerRule(Rule):
+    id = "rng-owner"
+    doc = ("no std::mt19937 / std::mt19937_64 and no std::*_distribution "
+           "in src/ outside src/common/rng.hpp. exaclim::Rng owns the "
+           "random stream (its MT19937-64 and polar normal are pinned to "
+           "libstdc++'s output, DESIGN §16), so every draw in the library "
+           "goes through it. Tests keep the std types as oracles.")
+
+    RE = re.compile(r"std::(mt19937(?:_64)?|\w+_distribution)\b")
+    ALLOWED = {Path("src/common/rng.hpp")}
+
+    def check(self, ctx: FileContext, linter: Linter) -> None:
+        if ctx.rel.parts[0] != "src" or ctx.rel in self.ALLOWED:
+            return
+        for lineno, code in enumerate(ctx.code_lines, 1):
+            m = self.RE.search(code)
+            if m:
+                linter.report_line(
+                    ctx, lineno, self.id,
+                    f"std::{m.group(1)} outside common/rng.hpp; draw "
+                    "through exaclim::Rng")
+
+
 class NakedNewRule(Rule):
     id = "naked-new"
     doc = ("no naked `new` / `delete` in library code — use "
@@ -610,6 +633,7 @@ RULES: list[Rule] = [
     PragmaOnceRule(),
     EndlRule(),
     RawMutexRule(),
+    RngOwnerRule(),
     NakedNewRule(),
     UnboundedRecvRule(),
     IncludePathRule(),

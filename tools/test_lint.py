@@ -50,7 +50,7 @@ class RegistryTest(unittest.TestCase):
     def test_expected_rules_registered(self):
         self.assertEqual(
             {r.id for r in lint.RULES},
-            {"pragma-once", "endl", "raw-mutex", "naked-new",
+            {"pragma-once", "endl", "raw-mutex", "rng-owner", "naked-new",
              "unbounded-recv", "include-path", "guarded-include",
              "hot-path-alloc", "hot-path-vector", "env-prefix",
              "env-documented", "module-deps", "alloc-guard-include"})
@@ -108,6 +108,40 @@ class RawMutexTest(unittest.TestCase):
         f = run_lint({"src/a.cpp":
                       "std::mutex m;  // lint:allow(raw-mutex)\n"})
         self.assertNotIn("raw-mutex", rules_fired(f))
+
+
+class RngOwnerTest(unittest.TestCase):
+    def test_engine_fires(self):
+        for engine in ("std::mt19937", "std::mt19937_64"):
+            f = run_lint({"src/data/a.cpp": f"{engine} gen(7);\n"})
+            self.assertIn("rng-owner", rules_fired(f), engine)
+
+    def test_distribution_fires(self):
+        f = run_lint({"src/nn/a.cpp":
+                      "float v = std::normal_distribution<float>(0, 1)"
+                      "(rng.engine());\n"})
+        self.assertIn("rng-owner", rules_fired(f))
+
+    def test_rng_hpp_exempt(self):
+        f = run_lint({"src/common/rng.hpp":
+                      "#pragma once\n"
+                      "std::uniform_int_distribution<int> d(0, 3);\n"})
+        self.assertNotIn("rng-owner", rules_fired(f))
+
+    def test_tests_exempt(self):
+        f = run_lint({"tests/a.cpp": "std::mt19937_64 oracle(5489);\n"})
+        self.assertNotIn("rng-owner", rules_fired(f))
+
+    def test_rng_and_comment_clean(self):
+        f = run_lint({"src/data/a.cpp":
+                      "Rng rng(7);  // not a std::mt19937_64\n"
+                      "float v = rng.Normal();\n"})
+        self.assertNotIn("rng-owner", rules_fired(f))
+
+    def test_suppressed(self):
+        f = run_lint({"src/data/a.cpp":
+                      "std::mt19937 gen(7);  // lint:allow(rng-owner)\n"})
+        self.assertNotIn("rng-owner", rules_fired(f))
 
 
 class NakedNewTest(unittest.TestCase):
