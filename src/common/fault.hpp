@@ -25,7 +25,8 @@ namespace exaclim {
 ///   fs.read                       MockGlobalFs::Read throws (transient I/O)
 ///   pipeline.produce              InputPipeline producer attempt throws
 ///   checkpoint.write              SaveCheckpoint fails before the rename
-///   epoch.step                    RunEpochs throws mid-epoch (job kill)
+///   epoch.step                    RunDistributedTraining's writer rank
+///                                 throws at step entry (job kill)
 ///   elastic.kill.<rank>           kill rank <rank> at training-step entry
 ///   elastic.exchange.kill.<rank>  kill rank <rank> mid-exchange, after the
 ///                                 tensor order was negotiated (peers starve

@@ -13,26 +13,15 @@ void RollLongitude(Batch& batch, std::int64_t shift, std::int64_t height,
                 "batch shape mismatch");
   shift = ((shift % width) + width) % width;
   if (shift == 0) return;
-
-  std::vector<float> row(static_cast<std::size_t>(width));
-  const std::int64_t planes = s.n() * s.c();
-  for (std::int64_t p = 0; p < planes; ++p) {
-    for (std::int64_t y = 0; y < height; ++y) {
-      float* base = batch.fields.Raw() + (p * height + y) * width;
-      for (std::int64_t x = 0; x < width; ++x) {
-        row[static_cast<std::size_t>((x + shift) % width)] = base[x];
-      }
-      std::copy(row.begin(), row.end(), base);
+  // Rotating each row right by `shift` moves pixel x to (x + shift) %
+  // width, in place.
+  const auto roll_rows = [&](auto* row, std::int64_t rows) {
+    for (std::int64_t r = 0; r < rows; ++r, row += width) {
+      std::rotate(row, row + width - shift, row + width);
     }
-  }
-  std::vector<std::uint8_t> label_row(static_cast<std::size_t>(width));
-  for (std::int64_t ny = 0; ny < s.n() * height; ++ny) {
-    std::uint8_t* base = batch.labels.data() + ny * width;
-    for (std::int64_t x = 0; x < width; ++x) {
-      label_row[static_cast<std::size_t>((x + shift) % width)] = base[x];
-    }
-    std::copy(label_row.begin(), label_row.end(), base);
-  }
+  };
+  roll_rows(batch.fields.Raw(), s.n() * s.c() * height);
+  roll_rows(batch.labels.data(), s.n() * height);
 }
 
 void MirrorLatitude(Batch& batch, std::span<const std::int64_t> v_channels,

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -10,9 +13,11 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/logging.hpp"
 #include "common/pool.hpp"
 #include "common/sync.hpp"
 #include "obs/obs.hpp"
+#include "train/checkpoint.hpp"
 
 namespace exaclim {
 
@@ -339,11 +344,46 @@ ConfusionMatrix RankTrainer::Evaluate(const ClimateDataset& dataset,
   return cm;
 }
 
+namespace {
+
+/// Loads the checkpoint at `path` into `trainer` and returns the epoch
+/// index it recorded. Throws exaclim::Error on anything unusable: an
+/// unreadable or corrupt file, a missing index, or an index that is not
+/// an integer in [0, epochs] (it sizes the batch-stream replay).
+int LoadResumeEpoch(const std::filesystem::path& path, int epochs,
+                    RankTrainer& trainer) {
+  std::map<std::string, double> meta;
+  LoadCheckpoint(path, trainer.params(), &meta,
+                 trainer.model().StateTensors());
+  const auto it = meta.find("epoch");
+  EXACLIM_CHECK(it != meta.end(),
+                "checkpoint " << path << " carries no epoch index");
+  // NaN fails both comparisons, so the cast only ever sees an integer.
+  const double epoch = it->second;
+  EXACLIM_CHECK(epoch >= 0 && epoch <= epochs && epoch == std::floor(epoch),
+                "checkpoint " << path << " records epoch " << epoch
+                              << ", not an integer in [0, " << epochs
+                              << "]");
+  return static_cast<int>(epoch);
+}
+
+}  // namespace
+
 TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
                                       const ClimateDataset& dataset,
                                       int ranks, int steps,
-                                      std::int64_t images_per_rank) {
+                                      std::int64_t images_per_rank,
+                                      const TrainRunOptions& run) {
   EXACLIM_CHECK(ranks >= 1 && steps >= 1, "need ranks >= 1, steps >= 1");
+  const int steps_per_epoch =
+      run.steps_per_epoch == 0 ? steps : run.steps_per_epoch;
+  EXACLIM_CHECK(steps_per_epoch >= 1 && steps % steps_per_epoch == 0,
+                "steps (" << steps << ") must be a multiple of "
+                          << "steps_per_epoch (" << run.steps_per_epoch
+                          << ")");
+  EXACLIM_CHECK(!run.resume || !run.checkpoint_path.empty(),
+                "resume needs a checkpoint_path");
+  const int epochs = steps / steps_per_epoch;
   // EXACLIM_ELASTIC / EXACLIM_ELASTIC_TIMEOUT /
   // EXACLIM_ELASTIC_REBUILD_TIMEOUT override the programmatic options,
   // so elasticity can be armed on an existing binary alongside
@@ -363,53 +403,116 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
   result.survived.assign(static_cast<std::size_t>(ranks), 0);
   result.survivor_param_crcs.assign(static_cast<std::size_t>(ranks), 0);
   Mutex result_mutex;
+  // Epochs whose end was handled: an elastic rewind can replay an
+  // epoch's last step, and its validation and checkpoint count once.
+  int epochs_ended = 0;
   const bool elastic_on = opts.elastic.enabled;
+  using Clock = std::chrono::steady_clock;
 
   SimWorld world(ranks);
   world.Run([&](Communicator& comm) {
-    RankTrainer trainer(opts, weights, comm.rank());
+    std::optional<RankTrainer> trainer(std::in_place, opts, weights,
+                                       comm.rank());
     ElasticWorld elastic(comm, opts.elastic);
+    // The lowest live rank records the curves, validates and writes the
+    // checkpoint, so the curve continues across the death of rank 0.
+    const auto is_writer = [&] {
+      return elastic.view().WorldRank(0) == comm.rank();
+    };
+
+    // Resume: every rank loads the checkpoint. An unusable one is
+    // rejected and the run starts fresh on a newly built replica (the
+    // load may have stopped halfway) — restart-safety must never depend
+    // on a file that may itself be the casualty of the crash.
+    int start_epoch = 0;
+    bool resumed = false;
+    if (run.resume && std::filesystem::exists(run.checkpoint_path)) {
+      try {
+        start_epoch = LoadResumeEpoch(run.checkpoint_path, epochs, *trainer);
+        resumed = true;
+      } catch (const Error& e) {
+        trainer.emplace(opts, weights, comm.rank());
+        if (is_writer()) {
+          FaultCounterBump("fault.checkpoint.rejected");
+          EXACLIM_LOG(kWarn) << "ignoring unusable checkpoint "
+                             << run.checkpoint_path << ": " << e.what();
+        }
+      }
+    }
+    const int start_step = start_epoch * steps_per_epoch;
+    {
+      // Every rank read the same file, so they agree on the resume point.
+      MutexLock lock(result_mutex);
+      result.start_epoch = start_epoch;
+      result.resumed = resumed;
+      epochs_ended = start_epoch;
+    }
+
     // Sec V-A1 local shards: each rank samples its own subset. After a
     // shrink the surviving ranks reshard by view index, so the dead
     // ranks' data keeps being visited.
     auto shard = dataset.LocalShard(comm.rank(), images_per_rank);
     Rng batch_rng =
         Rng(opts.seed ^ 0xba7c4).Fork(static_cast<std::uint64_t>(comm.rank()));
+    // A resumed run replays the skipped epochs' draws, so every later
+    // batch is the one the uninterrupted run draws.
+    for (std::int64_t i = 0;
+         i < static_cast<std::int64_t>(start_step) * opts.local_batch; ++i) {
+      (void)batch_rng.Index(shard.size());
+    }
+    // Augmentation draws from its own stream, keyed by (rank, step), so
+    // it never moves the batch stream.
+    const Rng augment_rng =
+        Rng(opts.seed ^ 0xa06e7).Fork(static_cast<std::uint64_t>(comm.rank()));
 
     std::int64_t local_recoveries = 0;
     std::int64_t local_resync_bytes = 0;
+    auto epoch_start = Clock::now();
     try {
-      for (int s = 0; s < steps; ++s) {
-        if (elastic_on) {
+      for (int s = start_step; s < steps; ++s) {
+        FaultInjector& injector = FaultInjector::Global();
+        if (elastic_on && injector.ArmedSiteCount() > 0 &&
+            injector.ShouldInject("elastic.kill." +
+                                  std::to_string(comm.rank()))) {
           // Chaos site "elastic.kill.<rank>": die at step entry, before
           // this rank joins the exchange — its peers discover the death
           // from inside their bounded collectives.
-          FaultInjector& injector = FaultInjector::Global();
-          if (injector.ArmedSiteCount() > 0 &&
-              injector.ShouldInject("elastic.kill." +
-                                    std::to_string(comm.rank()))) {
-            comm.KillSelf();
-            throw RankKilledError("rank " + std::to_string(comm.rank()) +
-                                  " killed at step entry by the chaos "
-                                  "schedule");
-          }
+          comm.KillSelf();
+          throw RankKilledError("rank " + std::to_string(comm.rank()) +
+                                " killed at step entry by the chaos "
+                                "schedule");
+        }
+        // Chaos site "epoch.step": the whole job dies at step entry.
+        // Only the writer consults it, so the kill lands at a
+        // deterministic (epoch, step) after the last checkpoint is safe.
+        if (injector.ArmedSiteCount() > 0 && is_writer() &&
+            injector.ShouldInject("epoch.step")) {
+          FaultCounterBump("fault.epoch.step_kills");
+          throw Error("injected fault: epoch.step at epoch " +
+                      std::to_string(s / steps_per_epoch) + " step " +
+                      std::to_string(s % steps_per_epoch));
         }
         std::vector<std::int64_t> indices(
             static_cast<std::size_t>(opts.local_batch));
         for (auto& idx : indices) {
           idx = shard[batch_rng.Index(shard.size())];
         }
-        const Batch batch = dataset.MakeBatch(DatasetSplit::kTrain, indices);
+        Batch batch = dataset.MakeBatch(DatasetSplit::kTrain, indices);
+        if (run.augment) {
+          Rng rng = augment_rng.Fork(static_cast<std::uint64_t>(s));
+          AugmentBatch(batch, *run.augment, rng, dataset.height(),
+                       dataset.width());
+        }
 
         RankTrainer::StepResult step;
         if (elastic_on) {
-          const auto es = trainer.StepElastic(batch, comm, elastic);
+          const auto es = trainer->StepElastic(batch, comm, elastic);
           if (!es.exchange.ok()) {
             // A peer died mid-exchange. Every survivor observed a failed
             // collective, so nobody applied this step: rebuild the world,
             // resync weights from the lowest-ranked survivor, reshard,
             // and retry the same step index on the shrunk world.
-            const auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = Clock::now();
             const CollectiveResult rebuilt = elastic.Rebuild();
             EXACLIM_CHECK(rebuilt.ok(),
                           "rank " << comm.rank()
@@ -417,7 +520,7 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
                                   << es.exchange.suspect_rank << " died");
             std::int64_t bytes = 0;
             const CollectiveResult resync =
-                trainer.ResyncFromRoot(comm, elastic, &bytes);
+                trainer->ResyncFromRoot(comm, elastic, &bytes);
             EXACLIM_CHECK(resync.ok(),
                           "rank " << comm.rank()
                                   << ": weight resync failed (suspect rank "
@@ -425,9 +528,7 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
             shard = dataset.LocalShard(elastic.view().my_index,
                                        images_per_rank);
             const double secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+                std::chrono::duration<double>(Clock::now() - t0).count();
             ++local_recoveries;
             local_resync_bytes += bytes;
             if (auto* g = obs::GaugeOrNull("elastic.generation")) {
@@ -449,21 +550,58 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
           }
           step = es.step;
         } else {
-          step = trainer.Step(batch, &comm);
+          step = trainer->Step(batch, &comm);
         }
 
-        // Loss history follows the lowest live rank so the curve
-        // continues across the death of rank 0.
-        const bool recorder =
-            elastic_on ? elastic.view().WorldRank(0) == comm.rank()
-                       : comm.rank() == 0;
-        if (recorder) {
+        if (!is_writer()) continue;
+        {
           MutexLock lock(result_mutex);
           result.loss_history[static_cast<std::size_t>(s)] = step.loss;
           result.accuracy_history[static_cast<std::size_t>(s)] =
               step.pixel_accuracy;
           if (!step.update_applied) ++result.skipped_steps;
         }
+        const int epoch = (s + 1) / steps_per_epoch;  // epochs completed
+        if ((s + 1) % steps_per_epoch != 0) continue;
+        {
+          MutexLock lock(result_mutex);
+          if (epoch <= epochs_ended) continue;
+          epochs_ended = epoch;
+        }
+        const auto train_end = Clock::now();
+        std::optional<ConfusionMatrix> validation;
+        if (run.validation_samples > 0) {
+          validation = trainer->Evaluate(dataset, DatasetSplit::kValidation,
+                                         run.validation_samples);
+        }
+        const auto validation_end = Clock::now();
+        bool saved = false;
+        if (!run.checkpoint_path.empty()) {
+          // A failed write (e.g. the injected checkpoint.write crash)
+          // costs the checkpoint, not the run: a restart falls back to
+          // the last good one.
+          try {
+            SaveCheckpoint(run.checkpoint_path, trainer->params(),
+                           {{"epoch", static_cast<double>(epoch)}},
+                           trainer->model().StateTensors());
+            saved = true;
+          } catch (const Error& e) {
+            FaultCounterBump("fault.checkpoint.save_failures");
+            EXACLIM_LOG(kWarn) << "checkpoint write failed after epoch "
+                               << epoch << ": " << e.what();
+          }
+        }
+        {
+          MutexLock lock(result_mutex);
+          result.train_seconds +=
+              std::chrono::duration<double>(train_end - epoch_start).count();
+          result.validation_seconds +=
+              std::chrono::duration<double>(validation_end - train_end)
+                  .count();
+          if (validation) result.validation.push_back(*validation);
+          result.checkpoints_written += saved ? 1 : 0;
+        }
+        epoch_start = Clock::now();
       }
     } catch (const RankKilledError&) {
       // This rank was chaos-killed. Its mailbox is already drained and
@@ -474,14 +612,23 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
     MutexLock lock(result_mutex);
     result.survived[static_cast<std::size_t>(comm.rank())] = 1;
     result.survivor_param_crcs[static_cast<std::size_t>(comm.rank())] =
-        trainer.ParamsCrc32();
+        trainer->ParamsCrc32();
     result.final_world_size = elastic.view().size();
     result.final_generation =
         std::max(result.final_generation, elastic.generation());
     result.recoveries = std::max(result.recoveries, local_recoveries);
     result.resync_bytes = std::max(result.resync_bytes, local_resync_bytes);
   });
-  result.final_loss = result.loss_history.back();
+  // The histories cover only the steps this call ran.
+  const auto skipped =
+      static_cast<std::ptrdiff_t>(result.start_epoch) * steps_per_epoch;
+  result.loss_history.erase(result.loss_history.begin(),
+                            result.loss_history.begin() + skipped);
+  result.accuracy_history.erase(result.accuracy_history.begin(),
+                                result.accuracy_history.begin() + skipped);
+  if (!result.loss_history.empty()) {
+    result.final_loss = result.loss_history.back();
+  }
   return result;
 }
 

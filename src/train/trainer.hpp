@@ -1,10 +1,13 @@
 #pragma once
 
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "comm/elastic.hpp"
 #include "comm/world.hpp"
+#include "data/augment.hpp"
 #include "data/dataset.hpp"
 #include "hvd/exchanger.hpp"
 #include "models/deeplab.hpp"
@@ -133,15 +136,47 @@ class RankTrainer {
   LossScaler scaler_;
 };
 
-/// Convergence-run driver (the engine behind Fig 6 / Fig 7 benches):
-/// trains over `ranks` simulated data-parallel ranks for `steps` steps,
-/// each rank drawing batches from its own local shard (Sec V-A1
-/// resampling), and records the rank-0 loss curve.
+/// Epoch structure of a RunDistributedTraining run: the per-epoch
+/// validation pass of the paper's convergence runs (Sec VI: "a series of
+/// additional calculations is carried out on the validation data set
+/// after each epoch ... this overhead is negligible once amortized over
+/// the steps"), physically-consistent augmentation of every training
+/// batch, and checkpoint/restart (DESIGN §8). By default the whole run
+/// is one epoch with none of the three.
+struct TrainRunOptions {
+  /// 0 makes the whole run one epoch; otherwise `steps` must be a
+  /// multiple of it.
+  int steps_per_epoch = 0;
+  /// Samples of the validation split evaluated after each epoch; 0 skips
+  /// validation.
+  std::int64_t validation_samples = 0;
+  /// Augmentation (data/augment.hpp) applied to every training batch.
+  std::optional<AugmentOptions> augment;
+  /// Non-empty: a checkpoint (params, batch-norm running statistics and
+  /// the epoch index) is written here atomically after every epoch.
+  std::filesystem::path checkpoint_path;
+  /// Restart from the checkpoint at checkpoint_path when it is readable;
+  /// a corrupt one (or one whose epoch index is out of range) is
+  /// rejected ("fault.checkpoint.rejected") and the run starts fresh.
+  bool resume = false;
+};
+
+/// Outcome of RunDistributedTraining. The per-step histories cover the
+/// steps this call ran: from start_epoch * steps_per_epoch to the end.
 struct TrainRunResult {
   std::vector<double> loss_history;       // per step (lowest live rank)
   std::vector<double> accuracy_history;   // per step (lowest live rank)
   std::int64_t skipped_steps = 0;         // FP16 overflow skips
   double final_loss = 0.0;
+
+  // Epochs (lowest live rank): one validation matrix per epoch run when
+  // validating, wall time split between training and validation.
+  std::vector<ConfusionMatrix> validation;
+  double train_seconds = 0.0;
+  double validation_seconds = 0.0;
+  int start_epoch = 0;  // first epoch run (> 0 after a resume)
+  bool resumed = false;
+  int checkpoints_written = 0;
 
   // Elastic outcome (populated when opts.elastic.enabled; with no
   // failures: final_world_size == ranks, generation 0, 0 recoveries).
@@ -151,12 +186,38 @@ struct TrainRunResult {
   std::int64_t resync_bytes = 0;    // weight bytes re-broadcast in memory
   std::vector<char> survived;       // per world rank: finished the run
   std::vector<std::uint32_t> survivor_param_crcs;  // per rank, 0 if dead
+
+  /// Fraction of wall time spent validating (the Sec VI overhead).
+  double ValidationFraction() const {
+    const double total = train_seconds + validation_seconds;
+    return total > 0 ? validation_seconds / total : 0.0;
+  }
 };
 
+/// The training driver (the engine behind the Fig 6 / Fig 7 benches and
+/// the examples): trains over `ranks` simulated data-parallel ranks for
+/// `steps` steps, each rank drawing batches from its own local shard of
+/// `images_per_rank` samples (Sec V-A1 resampling), and records the
+/// lowest live rank's loss curve. That rank also validates and writes
+/// the checkpoint at each epoch end; on resume every rank loads it.
+///
+/// A resumed run replays the batch stream up to the checkpointed epoch,
+/// so it trains on the same batches (and augmentations) as the
+/// uninterrupted run, and the checkpoint restores the parameters and the
+/// validating rank's batch-norm running statistics. It does not restore
+/// optimizer or loss-scaler state, nor the other ranks' running
+/// statistics (which no validation reads). So losses, validation metrics
+/// and every rank's final parameters match the uninterrupted run bit for
+/// bit only with a stateless optimizer (plain SGD, momentum 0, no LARC,
+/// no lag) in FP32. On more than 2 ranks that also takes
+/// `exchanger.shuffle_ready_order = false`: with the shuffle on, the
+/// negotiated tensor order follows message arrival, and any two runs —
+/// resumed or not — agree only to reduction rounding.
 TrainRunResult RunDistributedTraining(const TrainerOptions& opts,
                                       const ClimateDataset& dataset,
                                       int ranks, int steps,
-                                      std::int64_t images_per_rank = 32);
+                                      std::int64_t images_per_rank = 32,
+                                      const TrainRunOptions& run = {});
 
 /// Builds the model described by the options (used by benches that need
 /// a standalone replica, e.g. for evaluation).

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "common/alloc_tracker.hpp"
 #include "data/augment.hpp"
 #include "train/checkpoint.hpp"
 #include "train/trainer.hpp"
@@ -117,6 +118,26 @@ TEST(Augment, RollLongitudeIsPeriodicShift) {
                 original.labels[static_cast<std::size_t>(y * 5 + x)]);
     }
   }
+}
+
+TEST(Augment, RollAllocatesNothing) {
+  // Augmentation runs on the driver's step path: a roll rotates rows in
+  // place.
+  Batch b = MakeBatch(2, 3, 8, 12);
+  const Batch original = b;
+  SetAllocTracking(true);
+  std::int64_t violations = -1;
+  {
+    ScopedAllocCheck guard(EXACLIM_ALLOC_SITE("test.augment_roll"),
+                           ScopedAllocCheck::Mode::kAssertNoAlloc);
+    RollLongitude(b, 5, 8, 12);
+    violations = guard.violations();
+  }
+  SetAllocTracking(false);
+  EXPECT_EQ(violations, 0);
+  EXPECT_EQ(b.fields.At(1, 2, 7, 5), original.fields.At(1, 2, 7, 0));
+  EXPECT_EQ(b.labels[static_cast<std::size_t>(8 * 12 + 7 * 12 + 5)],
+            original.labels[static_cast<std::size_t>(8 * 12 + 7 * 12)]);
 }
 
 TEST(Augment, FullRollIsIdentity) {

@@ -10,17 +10,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -34,7 +37,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "train/checkpoint.hpp"
-#include "train/epoch.hpp"
+#include "train/trainer.hpp"
 
 namespace exaclim {
 namespace {
@@ -855,8 +858,12 @@ TEST_F(CheckpointFault, MissingDatasetErrorListsWhatIsPresent) {
 
 // --------------------------------------------------------- epoch layer --
 
+// Checkpoint/restart of the training driver (DESIGN §8): 4 epochs of 4
+// steps, validated after each epoch.
 class EpochFault : public ::testing::Test {
  protected:
+  static constexpr int kSteps = 16;
+
   void SetUp() override {
     FaultInjector::Global().Reset();
     dir_ = fs::temp_directory_path() /
@@ -890,28 +897,41 @@ class EpochFault : public ::testing::Test {
     o.lag = 0;
     o.learning_rate = 2e-3f;
     o.local_batch = 2;
+    o.exchanger.transport = ReduceTransport::kMpiRing;
     return o;
   }
 
-  static EpochRunnerOptions BaseOpts() {
-    EpochRunnerOptions opts;
-    opts.epochs = 4;
+  static TrainRunOptions BaseOpts() {
+    TrainRunOptions opts;
     opts.steps_per_epoch = 4;
     opts.validation_samples = 2;
     return opts;
   }
 
+  static TrainRunResult Train(const ClimateDataset& dataset, int ranks,
+                              const TrainRunOptions& opts, int steps = kSteps,
+                              const TrainerOptions& t = StatelessTrainer()) {
+    return RunDistributedTraining(t, dataset, ranks, steps,
+                                  /*images_per_rank=*/8, opts);
+  }
+
   fs::path dir_;
 };
 
+std::vector<std::uint64_t> Bits(std::span<const double> values) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
 TEST_F(EpochFault, PeriodicCheckpointsAreWritten) {
   const ClimateDataset dataset(SmallData());
-  EpochRunnerOptions opts = BaseOpts();
-  opts.checkpoint_every = 2;
+  TrainRunOptions opts = BaseOpts();
   opts.checkpoint_path = dir_ / "ckpt.ncf";
-  const auto result = RunEpochs(StatelessTrainer(), dataset, opts);
-  EXPECT_EQ(result.checkpoints_written, 2);  // after epochs 2 and 4
+  const auto result = Train(dataset, 1, opts);
+  EXPECT_EQ(result.checkpoints_written, 4);  // one per epoch
   EXPECT_FALSE(result.resumed);
+  EXPECT_EQ(result.validation.size(), 4u);
 
   std::map<std::string, double> meta;
   Rng rng(StatelessTrainer().seed);
@@ -922,43 +942,56 @@ TEST_F(EpochFault, PeriodicCheckpointsAreWritten) {
 
 TEST_F(EpochFault, MidRunKillThenResumeMatchesUninterruptedRun) {
   const ClimateDataset dataset(SmallData());
-  const TrainerOptions trainer = StatelessTrainer();
+  // One writer, every rank reads. Beyond 2 ranks the readiness shuffle
+  // makes the negotiated order follow message arrival, and any two runs
+  // agree only to reduction rounding; with it off a seed fixes every bit.
+  for (const auto& [ranks, shuffle] :
+       {std::pair{1, true}, std::pair{2, true}, std::pair{4, false}}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    TrainerOptions trainer = StatelessTrainer();
+    trainer.exchanger.shuffle_ready_order = shuffle;
+    // Augmented, so the resume must replay the batch stream only.
+    TrainRunOptions base = BaseOpts();
+    base.augment = AugmentOptions{.meridional_channels = {2}};
+    // Reference: the uninterrupted 4-epoch trajectory.
+    const auto reference = Train(dataset, ranks, base, kSteps, trainer);
+    ASSERT_EQ(reference.loss_history.size(), std::size_t{kSteps});
+    ASSERT_EQ(reference.validation.size(), 4u);
 
-  // Reference: the uninterrupted 4-epoch trajectory.
-  const auto reference = RunEpochs(trainer, dataset, BaseOpts());
-  ASSERT_EQ(reference.train_loss.size(), 4u);
+    // Interrupted run: checkpoint every epoch, the job dies at epoch 2
+    // step 0 (the writer has consulted the site for 2 epochs * 4 steps).
+    TrainRunOptions opts = base;
+    opts.checkpoint_path = dir_ / ("ckpt_" + std::to_string(ranks) + ".ncf");
+    FaultSpec kill = Spec("epoch.step", 1.0, 0, 1);
+    kill.skip_first = 2 * opts.steps_per_epoch;
+    FaultInjector::Global().Arm(kill);
+    EXPECT_THROW(Train(dataset, ranks, opts, kSteps, trainer), Error);
+    FaultInjector::Global().Reset();
 
-  // Interrupted run: checkpoint every epoch, die at epoch 2 step 0
-  // (the injector's evaluated-counter has seen 2 epochs * 4 steps).
-  EpochRunnerOptions opts = BaseOpts();
-  opts.checkpoint_every = 1;
-  opts.checkpoint_path = dir_ / "ckpt.ncf";
-  FaultSpec kill = Spec("epoch.step", 1.0, 0, 1);
-  kill.skip_first = 2 * opts.steps_per_epoch;
-  FaultInjector::Global().Arm(kill);
-  EXPECT_THROW(RunEpochs(trainer, dataset, opts), Error);
-  FaultInjector::Global().Reset();
-
-  // Resume: picks up after the last completed epoch and retraces the
-  // reference trajectory exactly.
-  opts.resume = true;
-  const auto resumed = RunEpochs(trainer, dataset, opts);
-  EXPECT_TRUE(resumed.resumed);
-  EXPECT_EQ(resumed.start_epoch, 2);
-  ASSERT_EQ(resumed.train_loss.size(), 2u);
-  EXPECT_DOUBLE_EQ(resumed.train_loss[0], reference.train_loss[2]);
-  EXPECT_DOUBLE_EQ(resumed.train_loss[1], reference.train_loss[3]);
-  // Batch-norm running statistics are checkpointed alongside the params
-  // (Layer::StateTensors), so validation metrics are bit-exact too.
-  ASSERT_EQ(resumed.validation_miou.size(), 2u);
-  EXPECT_DOUBLE_EQ(resumed.validation_miou[0], reference.validation_miou[2]);
-  EXPECT_DOUBLE_EQ(resumed.validation_miou[1], reference.validation_miou[3]);
+    // Resume: picks up after the last completed epoch and retraces the
+    // reference trajectory exactly.
+    opts.resume = true;
+    const auto resumed = Train(dataset, ranks, opts, kSteps, trainer);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.start_epoch, 2);
+    const std::span<const double> tail(reference.loss_history);
+    EXPECT_EQ(Bits(resumed.loss_history), Bits(tail.subspan(8)));
+    // Batch-norm running statistics are checkpointed alongside the
+    // params (Layer::StateTensors), so validation metrics are bit-exact
+    // too.
+    ASSERT_EQ(resumed.validation.size(), 2u);
+    for (std::size_t e = 0; e < 2; ++e) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(resumed.validation[e].MeanIoU()),
+                std::bit_cast<std::uint64_t>(
+                    reference.validation[e + 2].MeanIoU()));
+    }
+    EXPECT_EQ(resumed.survivor_param_crcs, reference.survivor_param_crcs);
+  }
 }
 
 TEST_F(EpochFault, CorruptCheckpointFallsBackToFreshStart) {
   const ClimateDataset dataset(SmallData());
-  EpochRunnerOptions opts = BaseOpts();
-  opts.epochs = 1;
+  TrainRunOptions opts = BaseOpts();
   opts.steps_per_epoch = 2;
   opts.checkpoint_path = dir_ / "ckpt.ncf";
   opts.resume = true;
@@ -966,10 +999,53 @@ TEST_F(EpochFault, CorruptCheckpointFallsBackToFreshStart) {
     std::ofstream garbage(opts.checkpoint_path, std::ios::binary);
     garbage << "this is not an NCF container";
   }
-  const auto result = RunEpochs(StatelessTrainer(), dataset, opts);
+  const auto result = Train(dataset, 1, opts, /*steps=*/2);
   EXPECT_FALSE(result.resumed);
   EXPECT_EQ(result.start_epoch, 0);
-  EXPECT_EQ(result.train_loss.size(), 1u);
+  EXPECT_EQ(result.loss_history.size(), 2u);
+}
+
+TEST_F(EpochFault, OutOfRangeEpochIndexIsRejected) {
+  // The epoch index comes from a file: anything but an integer in
+  // [0, epochs] is handled like a corrupt checkpoint — rejected, and the
+  // run starts fresh from the seed's replica, not from the file's
+  // params (saved here from a differently seeded model, so a half-done
+  // load would show).
+  const ClimateDataset dataset(SmallData());
+  TrainRunOptions opts = BaseOpts();
+  opts.steps_per_epoch = 1;
+  opts.validation_samples = 0;
+  const auto fresh = Train(dataset, 2, opts, /*steps=*/2);
+
+  opts.checkpoint_path = dir_ / "ckpt.ncf";
+  opts.resume = true;
+  Rng rng(StatelessTrainer().seed + 1);
+  Tiramisu other(Tiramisu::Config::Downscaled(4), rng);
+  obs::Enable();
+  const auto rejected = [] {
+    obs::Counter* c = obs::CounterOrNull("fault.checkpoint.rejected");
+    return c == nullptr ? std::int64_t{0} : c->value();
+  };
+  for (const double epoch :
+       {-3.0, std::numeric_limits<double>::quiet_NaN(), 3.0, 0.5}) {
+    SCOPED_TRACE("epoch=" + std::to_string(epoch));
+    SaveCheckpoint(opts.checkpoint_path, other.Params(), {{"epoch", epoch}});
+    const std::int64_t before = rejected();
+    const auto result = Train(dataset, 2, opts, /*steps=*/2);
+    EXPECT_EQ(rejected(), before + 1);
+    EXPECT_FALSE(result.resumed);
+    EXPECT_EQ(result.start_epoch, 0);
+    EXPECT_EQ(Bits(result.loss_history), Bits(fresh.loss_history));
+    EXPECT_EQ(result.survivor_param_crcs, fresh.survivor_param_crcs);
+  }
+  obs::Disable();
+
+  // The upper bound itself is a finished run: resumed, nothing to train.
+  SaveCheckpoint(opts.checkpoint_path, other.Params(), {{"epoch", 2.0}});
+  const auto done = Train(dataset, 2, opts, /*steps=*/2);
+  EXPECT_TRUE(done.resumed);
+  EXPECT_EQ(done.start_epoch, 2);
+  EXPECT_TRUE(done.loss_history.empty());
 }
 
 // -------------------------------------------------------- smoke + e2e --

@@ -8,7 +8,6 @@
 #include "optim/larc.hpp"
 #include "optim/loss_scaler.hpp"
 #include "optim/optimizer.hpp"
-#include "optim/schedule.hpp"
 
 namespace exaclim {
 namespace {
@@ -263,35 +262,6 @@ TEST(GradientLag, StillConvergesOnQuadratic) {
     lag.Step();
   }
   EXPECT_LT(q.Distance(), 1e-3f);
-}
-
-// ---------------------------------------------------------- LRSchedule --
-
-TEST(LRSchedule, WarmupRampsLinearly) {
-  LRSchedule sched({.base_lr = 1.0f, .warmup_steps = 10});
-  EXPECT_NEAR(sched.At(0), 0.1f, 1e-6f);
-  EXPECT_NEAR(sched.At(4), 0.5f, 1e-6f);
-  EXPECT_NEAR(sched.At(9), 1.0f, 1e-6f);
-  EXPECT_NEAR(sched.At(100), 1.0f, 1e-6f);  // constant after warm-up
-}
-
-TEST(LRSchedule, PolyDecayReachesEndFraction) {
-  LRSchedule sched({.base_lr = 1.0f, .warmup_steps = 0, .total_steps = 100,
-                    .end_lr_fraction = 0.1f});
-  EXPECT_NEAR(sched.At(0), 1.0f, 1e-5f);
-  EXPECT_NEAR(sched.At(50), 0.55f, 1e-5f);
-  EXPECT_NEAR(sched.At(100), 0.1f, 1e-5f);
-  EXPECT_NEAR(sched.At(500), 0.1f, 1e-5f);
-}
-
-TEST(ScaleLearningRate, LinearAndPaperSettings) {
-  EXPECT_FLOAT_EQ(ScaleLearningRate(0.001f, 100, 400), 0.004f);
-  // Fig 6 settings: LR 0.0001@384 -> 0.0064@1536 -> 0.4096@6144 follows
-  // lr ∝ ranks^3 between those points.
-  const float lr1536 = ScaleLearningRate(0.0001f, 384, 1536, 3.0);
-  EXPECT_NEAR(lr1536, 0.0064f, 1e-6f);
-  const float lr6144 = ScaleLearningRate(0.0001f, 384, 6144, 3.0);
-  EXPECT_NEAR(lr6144, 0.4096f, 1e-5f);
 }
 
 // ---------------------------------------------------------- LossScaler --

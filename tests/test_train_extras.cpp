@@ -1,10 +1,10 @@
-// Tests for the epoch runner (Sec VI validation-overhead accounting) and
+// Tests for the driver's epochs (Sec VI validation-overhead accounting) and
 // the strong-scaling mode of the at-scale model (Sec III-A).
 
 #include <gtest/gtest.h>
 
 #include "netsim/scale.hpp"
-#include "train/epoch.hpp"
+#include "train/trainer.hpp"
 
 namespace exaclim {
 namespace {
@@ -23,7 +23,19 @@ TrainerOptions SmallTrainer() {
   o.arch = TrainerOptions::Arch::kTiramisu;
   o.tiramisu = Tiramisu::Config::Downscaled(4);
   o.learning_rate = 2e-3f;
+  o.exchanger.transport = ReduceTransport::kMpiRing;
   return o;
+}
+
+// Mean loss of each epoch in a run's loss history.
+std::vector<double> EpochMeans(const TrainRunResult& r, int steps_per_epoch) {
+  std::vector<double> means;
+  for (std::size_t b = 0; b < r.loss_history.size(); b += steps_per_epoch) {
+    double sum = 0.0;
+    for (int s = 0; s < steps_per_epoch; ++s) sum += r.loss_history[b + s];
+    means.push_back(sum / steps_per_epoch);
+  }
+  return means;
 }
 
 TEST(EpochRunner, LossFallsAcrossEpochs) {
@@ -31,14 +43,15 @@ TEST(EpochRunner, LossFallsAcrossEpochs) {
   TrainerOptions trainer = SmallTrainer();
   trainer.learning_rate = 1e-3f;
   trainer.local_batch = 2;
-  EpochRunnerOptions opts;
-  opts.epochs = 4;
+  TrainRunOptions opts;
   opts.steps_per_epoch = 15;
   opts.validation_samples = 2;
-  const auto result = RunEpochs(trainer, dataset, opts);
-  ASSERT_EQ(result.train_loss.size(), 4u);
-  ASSERT_EQ(result.validation_miou.size(), 4u);
-  EXPECT_LT(result.train_loss.back(), result.train_loss.front());
+  const auto result = RunDistributedTraining(trainer, dataset, /*ranks=*/1,
+                                             /*steps=*/60, 32, opts);
+  const auto epoch_loss = EpochMeans(result, opts.steps_per_epoch);
+  ASSERT_EQ(epoch_loss.size(), 4u);
+  ASSERT_EQ(result.validation.size(), 4u);
+  EXPECT_LT(epoch_loss.back(), epoch_loss.front());
 }
 
 TEST(EpochRunner, ValidationOverheadIsSmallFraction) {
@@ -46,27 +59,31 @@ TEST(EpochRunner, ValidationOverheadIsSmallFraction) {
   // over the steps" — with epoch-sized step counts it stays a small
   // fraction of wall time.
   const ClimateDataset dataset(SmallData());
-  EpochRunnerOptions opts;
-  opts.epochs = 2;
+  TrainRunOptions opts;
   opts.steps_per_epoch = 25;
   opts.validation_samples = 2;
-  const auto result = RunEpochs(SmallTrainer(), dataset, opts);
+  const auto result =
+      RunDistributedTraining(SmallTrainer(), dataset, 1, 50, 32, opts);
   EXPECT_GT(result.train_seconds, 0.0);
   EXPECT_LT(result.ValidationFraction(), 0.25);
 }
 
 TEST(EpochRunner, AugmentedTrainingRuns) {
   const ClimateDataset dataset(SmallData());
-  EpochRunnerOptions opts;
-  opts.epochs = 2;
+  TrainRunOptions opts;
   opts.steps_per_epoch = 10;
   opts.validation_samples = 2;
-  opts.augment = true;
-  opts.augment_options.meridional_channels = {2};
-  const auto result = RunEpochs(SmallTrainer(), dataset, opts);
-  for (const double l : result.train_loss) {
+  opts.augment = AugmentOptions{.meridional_channels = {2}};
+  const auto augmented =
+      RunDistributedTraining(SmallTrainer(), dataset, 2, 20, 16, opts);
+  for (const double l : augmented.loss_history) {
     EXPECT_TRUE(std::isfinite(l));
   }
+  // The rolled/mirrored inputs change the trajectory.
+  opts.augment.reset();
+  const auto plain =
+      RunDistributedTraining(SmallTrainer(), dataset, 2, 20, 16, opts);
+  EXPECT_NE(augmented.loss_history, plain.loss_history);
 }
 
 // ------------------------------------------------------ StrongScaling ---

@@ -16,10 +16,11 @@ or `// lint:allow(rule-id)` / `// lint:allow(rule-a,rule-b)` to suppress
 only the named rules. File-scoped rules (pragma-once, guarded-include,
 alloc-guard-include) are structural and cannot be line-suppressed.
 
-Repo-scoped rules (env-documented) also cross-check the tree against
-README.md once every file has been linted; they run only on the default
-full-tree walk, since a partial walk cannot tell a stale README row from
-a file it skipped.
+Repo-scoped rules (env-documented, src-reachable) also cross-check the
+tree once every file has been linted — against README.md, or from the
+bench/examples/perfbench entry points; they run only on the default
+full-tree walk, since a partial walk cannot tell a stale finding from a
+file it skipped.
 
 Hot-path regions: code between `// hot-path: begin` and
 `// hot-path: end` markers — plus every file listed in
@@ -609,6 +610,68 @@ class ModuleDepsRule(Rule):
                     "add it to target_link_libraries in src/CMakeLists.txt")
 
 
+class SrcReachableRule(Rule):
+    id = "src-reachable"
+    doc = ("every src/ file is reachable from bench/, examples/ or "
+           "perfbench/ through quoted #includes, a header's same-named "
+           ".cpp, and the .cpp files src/CMakeLists.txt names in a reached "
+           "module's directory — code only tests reach belongs in tests/ "
+           "or nowhere. File-scoped, not line-suppressible; skipped in a "
+           "tree with none of the three entry directories.")
+
+    ENTRY_DIRS = ("bench", "examples", "perfbench")
+    INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+    CMAKE_TU_RE = re.compile(r"\b(\w+/\w+\.cpp)\b")
+
+    def check(self, ctx: FileContext, linter: Linter) -> None:
+        pass  # repo-scoped: everything happens in finish()
+
+    def edges(self, root: Path, path: Path) -> list[Path]:
+        """Files `path` pulls in: its resolvable quoted includes, and a
+        header's same-named .cpp."""
+        out = []
+        for raw in path.read_text(encoding="utf-8").splitlines():
+            m = self.INCLUDE_RE.match(strip_comments_keep_strings(raw))
+            if not m:
+                continue
+            for base in (root / "src", path.parent, root / "tests"):
+                if (base / m.group(1)).is_file():
+                    out.append((base / m.group(1)).resolve())
+                    break
+        if path.suffix == ".hpp" and path.with_suffix(".cpp").is_file():
+            out.append(path.with_suffix(".cpp"))
+        return out
+
+    def finish(self, linter: Linter) -> None:
+        root = linter.root.resolve()
+        src = root / "src"
+        entries = [p.resolve() for d in self.ENTRY_DIRS if (root / d).is_dir()
+                   for p in sorted((root / d).rglob("*"))
+                   if p.suffix in CPP_SUFFIXES and p.is_file()]
+        if not entries or not src.is_dir():
+            return
+        cmake = src / "CMakeLists.txt"
+        named = [src / t for t in self.CMAKE_TU_RE.findall(
+            cmake.read_text(encoding="utf-8") if cmake.is_file() else "")]
+        reached: set[Path] = set()
+        stack = entries
+        while stack:
+            path = stack.pop()
+            if path in reached:
+                continue
+            reached.add(path)
+            stack.extend(self.edges(root, path))
+            # A reached module also compiles the TUs CMake names for it.
+            stack.extend(t for t in named
+                         if t.parent == path.parent and t.is_file())
+        for path in sorted(src.rglob("*")):
+            if path.suffix in CPP_SUFFIXES and path.is_file() and \
+                    path.resolve() not in reached:
+                linter.report(path.relative_to(root), 1, self.id,
+                              "no bench/, examples/ or perfbench/ file "
+                              "reaches this file; only tests use it")
+
+
 class AllocGuardIncludeRule(Rule):
     id = "alloc-guard-include"
     doc = ("files using EXACLIM_ASSERT_NO_ALLOC (or the census macros) "
@@ -643,6 +706,7 @@ RULES: list[Rule] = [
     EnvPrefixRule(),
     EnvDocumentedRule(),
     ModuleDepsRule(),
+    SrcReachableRule(),
     AllocGuardIncludeRule(),
 ]
 

@@ -53,7 +53,8 @@ class RegistryTest(unittest.TestCase):
             {"pragma-once", "endl", "raw-mutex", "rng-owner", "naked-new",
              "unbounded-recv", "include-path", "guarded-include",
              "hot-path-alloc", "hot-path-vector", "env-prefix",
-             "env-documented", "module-deps", "alloc-guard-include"})
+             "env-documented", "module-deps", "src-reachable",
+             "alloc-guard-include"})
 
 
 class PragmaOnceTest(unittest.TestCase):
@@ -450,6 +451,53 @@ class ModuleDepsTest(unittest.TestCase):
                       "src/comm/a.cpp": '#include "tensor/cast.hpp"'
                                         '  // lint:allow(module-deps)\n'})
         self.assertNotIn("module-deps", rules_fired(f))
+
+
+class SrcReachableTest(unittest.TestCase):
+    LIB = {"src/a/x.hpp": '#pragma once\n#include "b/y.hpp"\n',
+           "src/a/x.cpp": '#include "a/x.hpp"\n',
+           "src/b/y.hpp": "#pragma once\n",
+           "src/b/y.cpp": '#include "b/y.hpp"\n'}
+
+    def unreached(self, files: dict[str, str]) -> list[str]:
+        return sorted(f.split(":", 1)[0] for f in run_lint(files)
+                      if "[src-reachable]" in f)
+
+    def test_test_only_file_fires(self):
+        f = self.unreached({**self.LIB, "bench/b.cpp": "int main();\n",
+                            "tests/t.cpp": '#include "a/x.hpp"\n'})
+        self.assertEqual(f, sorted(self.LIB))
+
+    def test_transitive_include_and_paired_cpp_clean(self):
+        f = self.unreached({**self.LIB,
+                            "examples/e.cpp": '#include "a/x.hpp"\n'})
+        self.assertEqual(f, [])
+
+    def test_perfbench_entry_and_sibling_include(self):
+        f = self.unreached({**self.LIB,
+                            "src/b/y.hpp": '#pragma once\n#include "z.hpp"\n',
+                            "src/b/z.hpp": "#pragma once\n",
+                            "perfbench/w/main.cpp": '#include "b/y.hpp"\n'})
+        self.assertEqual(f, ["src/a/x.cpp", "src/a/x.hpp"])
+
+    def test_cmake_named_tu_of_reached_module_clean(self):
+        f = self.unreached({
+            **self.LIB,
+            "src/CMakeLists.txt": "set_source_files_properties("
+                                  "${DIR}/b/y_avx2.cpp PROPERTIES X)\n",
+            "src/b/y_avx2.cpp": "int k;\n",
+            "src/b/orphan.cpp": "int o;\n",
+            "bench/b.cpp": '#include "b/y.hpp"\n'})
+        self.assertEqual(f, ["src/a/x.cpp", "src/a/x.hpp",
+                             "src/b/orphan.cpp"])
+
+    def test_commented_include_ignored(self):
+        f = self.unreached({**self.LIB,
+                            "bench/b.cpp": '// #include "a/x.hpp"\n'})
+        self.assertEqual(f, sorted(self.LIB))
+
+    def test_tree_without_entry_points_skipped(self):
+        self.assertEqual(self.unreached(self.LIB), [])
 
 
 class AllocGuardIncludeTest(unittest.TestCase):
