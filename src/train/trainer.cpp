@@ -574,7 +574,7 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
           validation = trainer->Evaluate(dataset, DatasetSplit::kValidation,
                                          run.validation_samples);
         }
-        const auto validation_end = Clock::now();
+        const auto validation_end = validation ? Clock::now() : train_end;
         bool saved = false;
         if (!run.checkpoint_path.empty()) {
           // A failed write (e.g. the injected checkpoint.write crash)

@@ -1005,6 +1005,32 @@ TEST_F(EpochFault, CorruptCheckpointFallsBackToFreshStart) {
   EXPECT_EQ(result.loss_history.size(), 2u);
 }
 
+TEST_F(EpochFault, ResumeWithoutCheckpointFileStartsFresh) {
+  // The first launch of a resumable job: no file yet is not a rejection.
+  // The run trains from step 0 like a plain one and writes its epochs.
+  const ClimateDataset dataset(SmallData());
+  const auto plain = Train(dataset, 2, BaseOpts());
+
+  TrainRunOptions opts = BaseOpts();
+  opts.checkpoint_path = dir_ / "not_yet_written.ncf";
+  opts.resume = true;
+  obs::Enable();
+  const auto rejected = [] {
+    obs::Counter* c = obs::CounterOrNull("fault.checkpoint.rejected");
+    return c == nullptr ? std::int64_t{0} : c->value();
+  };
+  const std::int64_t before = rejected();
+  const auto result = Train(dataset, 2, opts);
+  EXPECT_EQ(rejected(), before);
+  obs::Disable();
+  EXPECT_FALSE(result.resumed);
+  EXPECT_EQ(result.start_epoch, 0);
+  EXPECT_EQ(result.checkpoints_written, 4);
+  EXPECT_TRUE(fs::exists(opts.checkpoint_path));
+  EXPECT_EQ(Bits(result.loss_history), Bits(plain.loss_history));
+  EXPECT_EQ(result.survivor_param_crcs, plain.survivor_param_crcs);
+}
+
 TEST_F(EpochFault, OutOfRangeEpochIndexIsRejected) {
   // The epoch index comes from a file: anything but an integer in
   // [0, epochs] is handled like a corrupt checkpoint — rejected, and the

@@ -86,6 +86,41 @@ TEST(EpochRunner, AugmentedTrainingRuns) {
   EXPECT_NE(augmented.loss_history, plain.loss_history);
 }
 
+TEST(EpochRunner, DefaultOptionsRunOneBareEpoch) {
+  // No TrainRunOptions: the whole run is one epoch with no validation,
+  // augmentation or checkpoint, and a seed fixes every loss bit.
+  const ClimateDataset dataset(SmallData());
+  const auto a = RunDistributedTraining(SmallTrainer(), dataset, 2, 6, 16);
+  ASSERT_EQ(a.loss_history.size(), 6u);
+  EXPECT_TRUE(a.validation.empty());
+  EXPECT_EQ(a.validation_seconds, 0.0);
+  EXPECT_EQ(a.ValidationFraction(), 0.0);
+  EXPECT_EQ(a.checkpoints_written, 0);
+  EXPECT_EQ(a.start_epoch, 0);
+  EXPECT_FALSE(a.resumed);
+  const auto b = RunDistributedTraining(SmallTrainer(), dataset, 2, 6, 16);
+  EXPECT_EQ(a.loss_history, b.loss_history);
+  EXPECT_EQ(a.survivor_param_crcs, b.survivor_param_crcs);
+}
+
+TEST(EpochRunner, RejectsInconsistentEpochOptions) {
+  const ClimateDataset dataset(SmallData());
+  TrainRunOptions opts;
+  opts.steps_per_epoch = 4;  // 10 steps is not a whole number of epochs
+  EXPECT_THROW(
+      (void)RunDistributedTraining(SmallTrainer(), dataset, 1, 10, 16, opts),
+      Error);
+  opts.steps_per_epoch = -5;
+  EXPECT_THROW(
+      (void)RunDistributedTraining(SmallTrainer(), dataset, 1, 10, 16, opts),
+      Error);
+  opts.steps_per_epoch = 5;
+  opts.resume = true;  // nowhere to resume from
+  EXPECT_THROW(
+      (void)RunDistributedTraining(SmallTrainer(), dataset, 1, 10, 16, opts),
+      Error);
+}
+
 // ------------------------------------------------------ StrongScaling ---
 
 ScaleOptions SummitDeepLab() {
