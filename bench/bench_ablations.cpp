@@ -86,7 +86,6 @@ int Main() {
       cfg.in_channels = 4;
       o.tiramisu = cfg;
       o.learning_rate = 2e-3f;
-      o.exchanger.transport = ReduceTransport::kMpiRing;
       const auto start = Clock::now();
       const auto result = RunDistributedTraining(o, dataset, 1, 40, 16);
       const double secs =
@@ -179,7 +178,6 @@ int Main() {
     o.learning_rate = 0.5f;  // deliberately large-batch-style LR
     o.use_larc = use_larc;
     o.larc.trust_coefficient = 5e-3f;
-    o.exchanger.transport = ReduceTransport::kMpiRing;
     const auto result = RunDistributedTraining(o, dataset, 1, 30, 16);
     bool finite = true;
     for (const double l : result.loss_history) {
@@ -217,7 +215,6 @@ int Main() {
       t.tiramisu = Tiramisu::Config::Downscaled(4);
       t.learning_rate = 2e-3f;
       t.lag = lag;
-      t.exchanger.transport = ReduceTransport::kMpiRing;
       const auto result = RunDistributedTraining(t, dataset, 2, 30, 16);
       std::printf("  real convergence, lag %d: final loss %.4f\n", lag,
                   FinalSmoothedLoss(result));
@@ -240,7 +237,6 @@ int Main() {
         auto params = model.Params();
         for (Param* p : params) p->grad.Fill(0.5f);
         ExchangerOptions eo;
-        eo.transport = ReduceTransport::kMpiRing;
         eo.fusion_threshold_bytes = threshold;
         GradientExchanger exchanger(eo, 4);
         exchanger.Exchange(comm, params);
@@ -350,7 +346,6 @@ int Main() {
     o.use_larc = true;
     o.larc.trust_coefficient = 5e-3f;
     o.larc.clip = clip;
-    o.exchanger.transport = ReduceTransport::kMpiRing;
     const auto result = RunDistributedTraining(o, dataset, 1, 30, 16);
     double worst = 0.0;
     for (const double l : result.loss_history) {

@@ -31,12 +31,12 @@ int main() {
               freq[0] * 100, freq[1] * 100, freq[2] * 100);
 
   // 2. Training configuration: weighted loss (inverse-sqrt frequencies),
-  //    Adam + LARC, hierarchical control plane, ring all-reduce.
+  //    Adam + LARC, hierarchical control plane, the paper's hybrid
+  //    all-reduce (4 ranks share one 6-GPU node: the node's ring).
   TrainerOptions opts;
   opts.arch = TrainerOptions::Arch::kTiramisu;
   opts.tiramisu = Tiramisu::Config::Downscaled(4);
   opts.learning_rate = 2e-3f;
-  opts.exchanger.transport = ReduceTransport::kMpiRing;
 
   // 3. Train for 100 steps over 4 simulated ranks, as 2 epochs of 50
   //    steps, validating the trained model after each epoch.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/workspace.hpp"
@@ -17,19 +18,12 @@ void AddInto(std::span<float> acc, std::span<const float> other) {
 
 /// How often a waiting rank re-checks liveness: a death fails a bounded
 /// collective within one slice instead of after the whole deadline.
-constexpr double kDeadScanSlice = 0.025;
+constexpr double kLivenessScanSlice = 0.025;
 
-/// First dead rank in `scan`'s scope, or -1.
-int FirstDead(const Communicator& comm, const RankGroup& group,
-              DeadScan scan) {
-  if (scan == DeadScan::kWorld) {
-    for (int rank = 0; rank < comm.size(); ++rank) {
-      if (comm.PeerDead(rank)) return rank;
-    }
-    return -1;
-  }
-  for (int i = 0; i < group.size(); ++i) {
-    if (comm.PeerDead(group.WorldRank(i))) return group.WorldRank(i);
+/// First dead rank in `group`'s scope, or -1.
+int FirstDead(const Communicator& comm, const RankGroup& group) {
+  for (const int rank : group.scope()) {
+    if (comm.PeerDead(rank)) return rank;
   }
   return -1;
 }
@@ -39,11 +33,9 @@ int FirstDead(const Communicator& comm, const RankGroup& group,
 /// and reports the suspect.
 CollectiveResult TimedRecvFloats(Communicator& comm, const RankGroup& group,
                                  int src, int tag, std::span<float> data,
-                                 const Deadline& deadline, DeadScan scan,
-                                 WireFormat wire) {
-  const RecvResult r =
-      RecvScanningForDead(comm, group, src, tag, deadline, scan);
-  if (!r.ok()) return FailedRecv(comm, group, r.src, r.status, scan);
+                                 const Deadline& deadline, WireFormat wire) {
+  const RecvResult r = RecvScanningForDead(comm, group, src, tag, deadline);
+  if (!r.ok()) return FailedRecv(comm, group, r.src, r.status);
   EXACLIM_CHECK(r.payload.size() == WireBytes(data.size(), wire),
                 "collective recv size mismatch: got "
                     << r.payload.size() << " expected "
@@ -74,8 +66,8 @@ void RequireCollective(const Communicator& comm, const char* what,
                                 : " is unresponsive"));
 }
 
-RankGroup::RankGroup(std::span<const int> ranks, int my_world_rank)
-    : ranks_(ranks.begin(), ranks.end()), my_index_(-1) {
+RankGroup::RankGroup(std::vector<int> ranks, int my_world_rank)
+    : ranks_(std::move(ranks)), my_index_(-1) {
   EXACLIM_CHECK(!ranks_.empty(), "empty rank group");
   for (std::size_t i = 0; i < ranks_.size(); ++i) {
     if (ranks_[i] == my_world_rank) {
@@ -89,24 +81,30 @@ RankGroup::RankGroup(std::span<const int> ranks, int my_world_rank)
 RankGroup RankGroup::World(const Communicator& comm) {
   std::vector<int> ranks(static_cast<std::size_t>(comm.size()));
   std::iota(ranks.begin(), ranks.end(), 0);
-  return RankGroup(ranks, comm.rank());
+  return RankGroup(std::move(ranks), comm.rank());
+}
+
+RankGroup RankGroup::Subgroup(std::vector<int> world_ranks) const {
+  RankGroup sub(std::move(world_ranks), WorldRank(my_index_));
+  const std::span<const int> parent_scope = scope();
+  sub.scope_.assign(parent_scope.begin(), parent_scope.end());
+  return sub;
 }
 
 RecvResult RecvScanningForDead(Communicator& comm, const RankGroup& group,
-                               int src, int tag, const Deadline& deadline,
-                               DeadScan scan) {
+                               int src, int tag, const Deadline& deadline) {
   for (;;) {
     const double remaining = deadline.Remaining();
     const double slice = remaining == kNoTimeout
-                             ? kDeadScanSlice
-                             : std::min(kDeadScanSlice, remaining);
+                             ? kLivenessScanSlice
+                             : std::min(kLivenessScanSlice, remaining);
     RecvResult r = comm.RecvTimeout(src, tag, slice);
     if (r.ok()) return r;
     if (r.status == RecvStatus::kPeerDead) {
       r.src = src;
       return r;
     }
-    const int dead = FirstDead(comm, group, scan);
+    const int dead = FirstDead(comm, group);
     if (dead >= 0) {
       r.status = RecvStatus::kPeerDead;
       r.src = dead;
@@ -120,14 +118,14 @@ RecvResult RecvScanningForDead(Communicator& comm, const RankGroup& group,
 }
 
 CollectiveResult FailedRecv(const Communicator& comm, const RankGroup& group,
-                            int waited, RecvStatus status, DeadScan scan) {
+                            int waited, RecvStatus status) {
   CollectiveResult result;
   result.suspect_rank = waited;
   result.status = status == RecvStatus::kPeerDead
                       ? CollectiveStatus::kPeerDead
                       : CollectiveStatus::kTimeout;
   if (result.status == CollectiveStatus::kTimeout) {
-    const int dead = FirstDead(comm, group, scan);
+    const int dead = FirstDead(comm, group);
     if (dead >= 0) {
       result.status = CollectiveStatus::kPeerDead;
       result.suspect_rank = dead;
@@ -196,7 +194,7 @@ void DecodeFloats(std::span<const std::byte> payload, std::span<float> out,
 CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
                                    int root_index, std::span<float> data,
                                    const Deadline& deadline, int tag,
-                                   DeadScan scan, WireFormat wire) {
+                                   WireFormat wire) {
   const int n = group.size();
   if (n == 1) return {};
   const int vrank = (group.my_index() - root_index + n) % n;
@@ -205,8 +203,8 @@ CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
     while (mask <= vrank) mask <<= 1;
     mask >>= 1;
     const int parent = group.WorldRank(((vrank - mask) + root_index) % n);
-    CollectiveResult r = TimedRecvFloats(comm, group, parent, tag, data,
-                                         deadline, scan, wire);
+    CollectiveResult r =
+        TimedRecvFloats(comm, group, parent, tag, data, deadline, wire);
     if (!r.ok()) return r;
   } else if (wire == WireFormat::kFP16) {
     // Quantise what the root keeps to match what everyone receives off
@@ -235,7 +233,7 @@ void GroupBroadcast(Communicator& comm, const RankGroup& group,
 CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
                                 int root_index, std::span<float> data,
                                 const Deadline& deadline, int tag,
-                                DeadScan scan, WireFormat wire) {
+                                WireFormat wire) {
   const int n = group.size();
   if (n == 1) return {};
   const int vrank = (group.my_index() - root_index + n) % n;
@@ -255,7 +253,7 @@ CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
     if (vsrc < n) {
       CollectiveResult r = TimedRecvFloats(
           comm, group, group.WorldRank((vsrc + root_index) % n), tag,
-          incoming, deadline, scan, wire);
+          incoming, deadline, wire);
       if (!r.ok()) return r;
       AddInto(data, incoming);
     }
@@ -274,7 +272,7 @@ CollectiveResult TryGroupAllreduceRing(Communicator& comm,
                                        const RankGroup& group,
                                        std::span<float> data,
                                        const Deadline& deadline, int tag,
-                                       DeadScan scan, WireFormat wire) {
+                                       WireFormat wire) {
   const int n = group.size();
   if (n == 1) return {};
   const auto shards = ComputeShards(data.size(), n);
@@ -294,7 +292,7 @@ CollectiveResult TryGroupAllreduceRing(Communicator& comm,
                wire);
     CollectiveResult recv = TimedRecvFloats(
         comm, group, prev, tag + k, std::span<float>(incoming, r.count),
-        deadline, scan, wire);
+        deadline, wire);
     if (!recv.ok()) return recv;
     AddInto(std::span<float>(data.data() + r.offset, r.count),
             std::span<const float>(incoming, r.count));
@@ -317,8 +315,7 @@ CollectiveResult TryGroupAllreduceRing(Communicator& comm,
                wire);
     CollectiveResult recv = TimedRecvFloats(
         comm, group, prev, tag + n + k,
-        std::span<float>(data.data() + r.offset, r.count), deadline, scan,
-        wire);
+        std::span<float>(data.data() + r.offset, r.count), deadline, wire);
     if (!recv.ok()) return recv;
   }
   return {};
@@ -335,12 +332,11 @@ CollectiveResult TryGroupAllreduceTree(Communicator& comm,
                                        const RankGroup& group,
                                        std::span<float> data,
                                        const Deadline& deadline, int tag,
-                                       DeadScan scan, WireFormat wire) {
+                                       WireFormat wire) {
   CollectiveResult r =
-      TryGroupReduce(comm, group, 0, data, deadline, tag, scan, wire);
+      TryGroupReduce(comm, group, 0, data, deadline, tag, wire);
   if (!r.ok()) return r;
-  return TryGroupBroadcast(comm, group, 0, data, deadline, tag + 1, scan,
-                           wire);
+  return TryGroupBroadcast(comm, group, 0, data, deadline, tag + 1, wire);
 }
 
 void GroupAllreduceTree(Communicator& comm, const RankGroup& group,

@@ -55,49 +55,50 @@ void RequireCollective(const Communicator& comm, const char* what,
 
 /// The participating world ranks of a collective; the calling rank must
 /// be a member. All members must call with an identical group and tag.
+/// A waiting member scans the group's scope for dead ranks: its own
+/// members, so elastic generations ignore dead ex-members; a Subgroup
+/// keeps its parent's scope, so a phase over a few members still fails
+/// fast on any death in the enclosing collective (the hybrid's phases).
 class RankGroup {
  public:
-  RankGroup(std::span<const int> ranks, int my_world_rank);
+  RankGroup(std::vector<int> ranks, int my_world_rank);
 
   /// Every world rank in order: member i is world rank i.
   static RankGroup World(const Communicator& comm);
 
+  /// The group of `world_ranks` (the calling rank among them), scanning
+  /// this group's scope.
+  RankGroup Subgroup(std::vector<int> world_ranks) const;
+
   int size() const { return static_cast<int>(ranks_.size()); }
   int my_index() const { return my_index_; }
   int WorldRank(int index) const { return ranks_.at(static_cast<std::size_t>(index)); }
+  /// World ranks whose death fails a wait inside this group.
+  std::span<const int> scope() const {
+    return scope_.empty() ? std::span<const int>(ranks_) : scope_;
+  }
 
  private:
   std::vector<int> ranks_;
+  std::vector<int> scope_;  // empty: the members themselves
   int my_index_;
 };
 
-/// Scope of the liveness scan a waiting rank runs inside a bounded
-/// collective, and of the scan that upgrades its timeout to a death.
-/// kGroup (the default) only aborts on a dead *member* — elastic
-/// generations deliberately keep collectives alive while ex-members stay
-/// dead in the world. kWorld aborts on a death anywhere; correct only
-/// when the caller knows any death dooms the operation, e.g. the hybrid
-/// allreduce whose subgroup phases require the entire generation-0 world.
-/// Over RankGroup::World the two scopes coincide.
-enum class DeadScan { kGroup, kWorld };
-
 /// Receives from `src` (a world rank, or kAnySource) in short slices,
-/// scanning `scan`'s scope for dead ranks in between, so a death fails
+/// scanning `group`'s scope for dead ranks in between, so a death fails
 /// the wait within one slice even when this rank's wait edge is with a
 /// live peer that is itself stuck on the dead one. On the healthy path
 /// this consumes exactly the same messages as one long wait. On failure
 /// `src` of the result names the dead rank (kPeerDead) or echoes the
 /// waited-on source (kTimeout).
 RecvResult RecvScanningForDead(Communicator& comm, const RankGroup& group,
-                               int src, int tag, const Deadline& deadline,
-                               DeadScan scan = DeadScan::kGroup);
+                               int src, int tag, const Deadline& deadline);
 
 /// Failure result for a receive from `waited` that ended with `status`.
-/// A kTimeout while a rank in `scan`'s scope is dead names that rank:
+/// A kTimeout while a rank in `group`'s scope is dead names that rank:
 /// the timeout is its cascade. Otherwise the timeout names `waited`.
 CollectiveResult FailedRecv(const Communicator& comm, const RankGroup& group,
-                            int waited, RecvStatus status,
-                            DeadScan scan = DeadScan::kGroup);
+                            int waited, RecvStatus status);
 
 /// Even partition of [0, n) into `parts` contiguous shards — the ring's
 /// reduce-scatter layout and the hybrid's per-MPI-rank split.
@@ -151,7 +152,6 @@ void GroupBroadcast(Communicator& comm, const RankGroup& group,
 CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
                                    int root_index, std::span<float> data,
                                    const Deadline& deadline, int tag,
-                                   DeadScan scan = DeadScan::kGroup,
                                    WireFormat wire = WireFormat::kFP32);
 
 /// Binomial-tree sum-reduction to the member at `root_index` (other
@@ -161,7 +161,6 @@ void GroupReduce(Communicator& comm, const RankGroup& group, int root_index,
 CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
                                 int root_index, std::span<float> data,
                                 const Deadline& deadline, int tag,
-                                DeadScan scan = DeadScan::kGroup,
                                 WireFormat wire = WireFormat::kFP32);
 
 /// Ring reduce-scatter + allgather within the group (in-place sum; the
@@ -174,7 +173,6 @@ CollectiveResult TryGroupAllreduceRing(Communicator& comm,
                                        const RankGroup& group,
                                        std::span<float> data,
                                        const Deadline& deadline, int tag,
-                                       DeadScan scan = DeadScan::kGroup,
                                        WireFormat wire = WireFormat::kFP32);
 
 /// Tree (reduce to member 0 at `tag` + broadcast at `tag + 1`)
@@ -185,7 +183,6 @@ CollectiveResult TryGroupAllreduceTree(Communicator& comm,
                                        const RankGroup& group,
                                        std::span<float> data,
                                        const Deadline& deadline, int tag,
-                                       DeadScan scan = DeadScan::kGroup,
                                        WireFormat wire = WireFormat::kFP32);
 
 }  // namespace exaclim

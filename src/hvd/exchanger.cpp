@@ -43,7 +43,11 @@ GradientExchanger::GradientExchanger(const ExchangerOptions& opts,
     : opts_(opts),
       control_(MakeControlPlane(opts.hierarchical_control,
                                 opts.control_radix)),
-      rng_(seed) {}
+      rng_(seed) {
+  if (opts_.transport == ReduceTransport::kHybrid) {
+    CheckHybridOptions(opts_.hybrid);
+  }
+}
 
 GradientExchanger::~GradientExchanger() {
   if (exchange_thread_.joinable()) {
@@ -128,34 +132,26 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   if (fp16) RoundTripHalf(fusion);
   const WireFormat wire = fp16 ? WireFormat::kFP16 : WireFormat::kFP32;
 
-  const ElasticView& view = elastic.view();
   const int tag = elastic.GenTag(BucketTag(bucket_index));
   CollectiveResult reduce_result;
   switch (opts_.transport) {
     case ReduceTransport::kMpiRing:
-      reduce_result = TryGroupAllreduceRing(comm, group, fusion, deadline,
-                                            tag, DeadScan::kGroup, wire);
+      reduce_result =
+          TryGroupAllreduceRing(comm, group, fusion, deadline, tag, wire);
       break;
     case ReduceTransport::kMpiTree:
-      reduce_result = TryGroupAllreduceTree(comm, group, fusion, deadline,
-                                            tag, DeadScan::kGroup, wire);
+      reduce_result =
+          TryGroupAllreduceTree(comm, group, fusion, deadline, tag, wire);
       break;
     case ReduceTransport::kHybrid:
-      // The hybrid scheme needs whole nodes; a shrunk view falls back
-      // to the bandwidth-optimal group ring over the survivors.
-      if (view.generation == 0 && view.size() == comm.size()) {
-        reduce_result = TryHybridAllreduce(comm, fusion, opts_.hybrid,
-                                           deadline, tag, wire);
-      } else {
-        reduce_result = TryGroupAllreduceRing(comm, group, fusion, deadline,
-                                              tag, DeadScan::kGroup, wire);
-      }
+      reduce_result = TryHybridAllreduce(comm, group, fusion, opts_.hybrid,
+                                         deadline, tag, wire);
       break;
   }
   if (!reduce_result.ok()) return reduce_result;
 
   const float inv_world =
-      opts_.average ? 1.0f / static_cast<float>(view.size()) : 1.0f;
+      opts_.average ? 1.0f / static_cast<float>(group.size()) : 1.0f;
   for (auto& v : fusion) v *= inv_world;
   if (fp16) RoundTripHalf(fusion);
 
@@ -178,20 +174,6 @@ void GradientExchanger::BeginStep(Communicator& comm,
                                   double timeout_s) {
   EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(!step_open_, "BeginStep while a step is already open");
-  // The hybrid scheme reduces over whole nodes of the full world (a
-  // shrunk view falls back to the ring, but comm.size() never shrinks).
-  // Reject a partial node here, on every rank, before any message moves.
-  if (opts_.transport == ReduceTransport::kHybrid) {
-    const int rpn = opts_.hybrid.topology.ranks_per_node;
-    EXACLIM_CHECK(rpn >= 1 && comm.size() % rpn == 0,
-                  "hybrid transport: world size "
-                      << comm.size()
-                      << " is not a multiple of "
-                         "hybrid.topology.ranks_per_node = "
-                      << rpn
-                      << "; pick a ranks_per_node that divides the world "
-                         "size, or ReduceTransport::kMpiRing");
-  }
   ElasticWorld& world = elastic != nullptr ? *elastic : Identity(comm);
   EXACLIM_CHECK(world.view().my_index >= 0,
                 "rank " << comm.rank()

@@ -46,7 +46,7 @@ const char* ToString(ReduceTransport t);
 /// never concurrently in flight on an edge.
 inline constexpr int kBucketTagBase = 40000;
 /// Tags a single bucket's collective may touch: the group ring uses
-/// tag+k and tag+n+k (2n tags), the hybrid offsets by up to 500+owner.
+/// tag+k and tag+n+k (2n tags), the hybrid offsets by up to 500+shard.
 inline constexpr int kBucketTagStride = 700;
 inline constexpr int kBucketTagSlots =
     (kGenTagStride - kBucketTagBase) / kBucketTagStride;
@@ -96,6 +96,7 @@ struct ExchangerOptions {
 
 class GradientExchanger {
  public:
+  /// Throws when the hybrid transport's options fail CheckHybridOptions.
   GradientExchanger(const ExchangerOptions& opts, std::uint64_t seed);
   ~GradientExchanger();
 
@@ -121,10 +122,9 @@ class GradientExchanger {
   /// bucket never eats into it. On failure the partial step must be
   /// discarded by the caller (gradients may hold partially averaged
   /// data) and the step counter is NOT advanced, so the retried step
-  /// reproduces the same shuffle. After a shrink the hybrid transport
-  /// falls back to the group ring (survivors rarely form whole nodes).
-  /// Throws, before any message, when the hybrid transport's world size
-  /// is not a multiple of hybrid.topology.ranks_per_node.
+  /// reproduces the same shuffle. Every transport reduces over the
+  /// view's members, whatever their number; the hybrid places them on
+  /// nodes by world rank, so a shrunk view leaves ragged nodes.
   void BeginStep(Communicator& comm, const std::vector<Param*>& params,
                  ElasticWorld* elastic, double timeout_s);
   /// Announces that `param_index`'s gradient is final for this step.

@@ -1,80 +1,89 @@
 #include "hvd/hybrid.hpp"
 
-#include <numeric>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "comm/collectives.hpp"
 #include "common/error.hpp"
 
 namespace exaclim {
 
-CollectiveResult TryHybridAllreduce(Communicator& comm, std::span<float> data,
+void CheckHybridOptions(const HybridAllreduceOptions& opts) {
+  EXACLIM_CHECK(opts.topology.ranks_per_node >= 1 &&
+                    opts.mpi_ranks_per_node >= 1,
+                "hybrid allreduce: topology.ranks_per_node = "
+                    << opts.topology.ranks_per_node
+                    << " and mpi_ranks_per_node = " << opts.mpi_ranks_per_node
+                    << " must both be >= 1");
+}
+
+CollectiveResult TryHybridAllreduce(Communicator& comm, const RankGroup& group,
+                                    std::span<float> data,
                                     const HybridAllreduceOptions& opts,
                                     const Deadline& deadline, int tag,
                                     WireFormat wire) {
-  const int p = comm.size();
-  const Topology& topo = opts.topology;
-  const int rpn = topo.ranks_per_node;
-  EXACLIM_CHECK(p % rpn == 0,
-                "hybrid allreduce: world size " << p
-                                                << " not a multiple of "
-                                                << rpn);
-  const int nodes = p / rpn;
-  const int mpi_ranks = std::min<int>(opts.mpi_ranks_per_node, rpn);
-  const int rank = comm.rank();
-  const int node = topo.NodeOf(rank);
-  const int local = topo.LocalRank(rank);
+  CheckHybridOptions(opts);
+  const int n = group.size();
+  const auto node_of = [&](int i) {
+    return opts.topology.NodeOf(group.WorldRank(i));
+  };
+  // The members `keep(i)` selects. Every phase runs over such a subgroup,
+  // so it scans `group`'s scope: a death anywhere in the group dooms the
+  // result, and waiting out the deadline inside an unaffected node would
+  // just delay recovery.
+  const auto select = [&](auto keep) {
+    std::vector<int> ranks;
+    ranks.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      if (keep(i)) ranks.push_back(group.WorldRank(i));
+    }
+    return group.Subgroup(std::move(ranks));
+  };
+  const RankGroup node = select(
+      [&](int i) { return node_of(i) == node_of(group.my_index()); });
 
-  // Group of this node's local ranks.
-  std::vector<int> node_ranks(static_cast<std::size_t>(rpn));
-  std::iota(node_ranks.begin(), node_ranks.end(), node * rpn);
-  const RankGroup node_group(node_ranks, rank);
+  // Phase 1 (NCCL): intra-node ring all-reduce.
+  CollectiveResult r =
+      TryGroupAllreduceRing(comm, node, data, deadline, tag, wire);
+  if (!r.ok() || node.size() == n) return r;
 
-  // Phase 1 (NCCL): intra-node ring all-reduce. All phases scan the
-  // whole world for deaths: the hybrid scheme only runs over the full
-  // generation-0 world, so a death anywhere dooms it — waiting out the
-  // deadline inside an unaffected subgroup would just delay recovery.
-  if (rpn > 1) {
-    CollectiveResult r = TryGroupAllreduceRing(comm, node_group, data,
-                                               deadline, tag,
-                                               DeadScan::kWorld, wire);
+  // Phase 2 (MPI): on a node of m members, member k mod m owns shard k
+  // and all-reduces it with shard k's owner on every other node.
+  const int m = node.size();
+  const int shard_count =
+      std::min(opts.mpi_ranks_per_node, opts.topology.ranks_per_node);
+  const auto shards = ComputeShards(data.size(), shard_count);
+  for (int k = 0; k < shard_count; ++k) {
+    const auto& s = shards[static_cast<std::size_t>(k)];
+    if (k % m != node.my_index() || s.count == 0) continue;
+    const RankGroup peers = select([&](int i) {
+      int local = 0;  // i's index among its node's members
+      int members = 0;
+      for (int j = 0; j < n; ++j) {
+        if (node_of(j) != node_of(i)) continue;
+        local += j < i ? 1 : 0;
+        ++members;
+      }
+      return local == k % members;
+    });
+    const std::span<float> shard(data.data() + s.offset, s.count);
+    r = opts.inter_node_tree
+            ? TryGroupAllreduceTree(comm, peers, shard, deadline,
+                                    tag + 100 + k, wire)
+            : TryGroupAllreduceRing(comm, peers, shard, deadline,
+                                    tag + 100 + k, wire);
     if (!r.ok()) return r;
-  }
-  if (nodes == 1) return {};
-
-  // Phase 2 (MPI): the first `mpi_ranks` local ranks each all-reduce one
-  // shard with their same-indexed peers across nodes.
-  const auto shards = ComputeShards(data.size(), mpi_ranks);
-  if (local < mpi_ranks) {
-    std::vector<int> peer_ranks(static_cast<std::size_t>(nodes));
-    for (int nd = 0; nd < nodes; ++nd) {
-      peer_ranks[static_cast<std::size_t>(nd)] = topo.GlobalRank(nd, local);
-    }
-    const RankGroup peers(peer_ranks, rank);
-    const auto& s = shards[static_cast<std::size_t>(local)];
-    std::span<float> shard(data.data() + s.offset, s.count);
-    if (!shard.empty()) {
-      const int shard_tag = tag + 100 + local;
-      CollectiveResult r =
-          opts.inter_node_tree
-              ? TryGroupAllreduceTree(comm, peers, shard, deadline,
-                                      shard_tag, DeadScan::kWorld, wire)
-              : TryGroupAllreduceRing(comm, peers, shard, deadline,
-                                      shard_tag, DeadScan::kWorld, wire);
-      if (!r.ok()) return r;
-    }
   }
 
   // Phase 3 (NCCL): each shard owner broadcasts its shard node-locally.
-  if (rpn > 1) {
-    for (int owner = 0; owner < mpi_ranks; ++owner) {
-      const auto& s = shards[static_cast<std::size_t>(owner)];
-      if (s.count == 0) continue;
-      CollectiveResult r = TryGroupBroadcast(
-          comm, node_group, owner,
-          std::span<float>(data.data() + s.offset, s.count), deadline,
-          tag + 500 + owner, DeadScan::kWorld, wire);
-      if (!r.ok()) return r;
-    }
+  for (int k = 0; k < shard_count; ++k) {
+    const auto& s = shards[static_cast<std::size_t>(k)];
+    if (s.count == 0) continue;
+    r = TryGroupBroadcast(comm, node, k % m,
+                          std::span<float>(data.data() + s.offset, s.count),
+                          deadline, tag + 500 + k, wire);
+    if (!r.ok()) return r;
   }
   return {};
 }
@@ -82,9 +91,10 @@ CollectiveResult TryHybridAllreduce(Communicator& comm, std::span<float> data,
 void HybridAllreduce(Communicator& comm, std::span<float> data,
                      const HybridAllreduceOptions& opts, int tag,
                      WireFormat wire) {
-  RequireCollective(
-      comm, "HybridAllreduce",
-      TryHybridAllreduce(comm, data, opts, Deadline(kNoTimeout), tag, wire));
+  const RankGroup world = RankGroup::World(comm);
+  RequireCollective(comm, "HybridAllreduce",
+                    TryHybridAllreduce(comm, world, data, opts,
+                                       Deadline(kNoTimeout), tag, wire));
 }
 
 }  // namespace exaclim

@@ -9,19 +9,21 @@ namespace exaclim {
 
 /// The paper's hybrid NCCL+MPI all-reduce (Sec V-A3).
 ///
-/// Three phases, run over a flat communicator with a node topology:
-///  1. intra-node ring all-reduce over the node's GPUs (the NCCL/NVLink
-///     phase) — afterwards all local ranks hold the node-local sum;
-///  2. `mpi_ranks_per_node` of the local ranks each take one shard
-///     (a "quarter" with the paper's 4-of-6 split) and all-reduce it with
-///     the same-indexed rank on every other node (the MPI/InfiniBand
-///     phase, one shard per virtual IB device);
+/// Three phases over the members of a RankGroup, where member r sits on
+/// node r / ranks_per_node (nodes may be partial; empty ones are skipped):
+///  1. intra-node ring all-reduce over the node's members (the
+///     NCCL/NVLink phase) — afterwards they hold the node-local sum;
+///  2. on a node of m members, member k mod m owns shard k of
+///     min(mpi_ranks_per_node, ranks_per_node) (a "quarter" with the
+///     paper's 4-of-6 split) and all-reduces it with shard k's owner on
+///     every other node (the MPI/InfiniBand phase, one shard per virtual
+///     IB device); every rank runs its shards in increasing k;
 ///  3. each shard owner broadcasts its fully reduced shard within the
 ///     node (the NCCL broadcast phase), leaving every rank with the
 ///     complete result.
 ///
-/// Ranks whose world size is a single node degenerate to phase 1 only
-/// (Piz Daint's 1 GPU/node instead skips phase 1 and 3).
+/// Members on a single node degenerate to phase 1 only (Piz Daint's 1
+/// GPU/node instead skips phase 1 and 3).
 struct HybridAllreduceOptions {
   Topology topology{.ranks_per_node = 6};
   int mpi_ranks_per_node = 4;
@@ -30,19 +32,23 @@ struct HybridAllreduceOptions {
   bool inter_node_tree = true;
 };
 
-/// In-place sum across all ranks. World size must be a whole number of
-/// nodes. All ranks must call collectively. `wire` selects the message
-/// encoding (packed binary16 halves every phase's traffic; each phase
-/// quantises kept data exactly where it quantises sent data, so all
-/// ranks still finish bit-identical — see comm/collectives.hpp).
+/// Throws unless ranks_per_node and mpi_ranks_per_node are both >= 1.
+void CheckHybridOptions(const HybridAllreduceOptions& opts);
+
+/// In-place sum across all ranks of the world. All ranks must call
+/// collectively. `wire` selects the message encoding (packed binary16
+/// halves every phase's traffic; each phase quantises kept data exactly
+/// where it quantises sent data, so all ranks still finish bit-identical
+/// — see comm/collectives.hpp).
 void HybridAllreduce(Communicator& comm, std::span<float> data,
                      const HybridAllreduceOptions& opts, int tag = 9500,
                      WireFormat wire = WireFormat::kFP32);
 
-/// Deadline-aware variant: returns instead of hanging when a rank dies
-/// in any of the three phases. The blocking form delegates here with
-/// kNoTimeout (identical message pattern and combining order).
-CollectiveResult TryHybridAllreduce(Communicator& comm, std::span<float> data,
+/// Deadline-aware form over `group` (e.g. a shrunk elastic view): returns
+/// instead of hanging when a rank in `group`'s scope dies. The blocking
+/// form delegates here over RankGroup::World with kNoTimeout.
+CollectiveResult TryHybridAllreduce(Communicator& comm, const RankGroup& group,
+                                    std::span<float> data,
                                     const HybridAllreduceOptions& opts,
                                     const Deadline& deadline, int tag = 9500,
                                     WireFormat wire = WireFormat::kFP32);

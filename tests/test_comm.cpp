@@ -174,7 +174,7 @@ TEST_P(CollectiveSizes, BroadcastDistributesRootData) {
                                       const RankGroup& group,
                                       std::span<float> data) {
     return TryGroupBroadcast(comm, group, root, data, Deadline(kNoTimeout),
-                             1100, DeadScan::kGroup, wire());
+                             1100, wire());
   });
   for (const auto& data : out) EXPECT_EQ(data, expected);
 }
@@ -185,7 +185,7 @@ TEST_P(CollectiveSizes, ReduceSumsToRoot) {
                                       const RankGroup& group,
                                       std::span<float> data) {
     return TryGroupReduce(comm, group, 0, data, Deadline(kNoTimeout), 1200,
-                          DeadScan::kGroup, wire());
+                          wire());
   });
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(out[0][i], expected[i], Tolerance(expected[i]));
@@ -201,9 +201,9 @@ TEST_P(CollectiveSizes, AllreduceAllAlgorithmsAgree) {
                                          std::span<float> data) {
       const Deadline deadline(kNoTimeout);
       return ring ? TryGroupAllreduceRing(comm, group, data, deadline, 1500,
-                                          DeadScan::kGroup, wire())
+                                          wire())
                   : TryGroupAllreduceTree(comm, group, data, deadline, 1500,
-                                          DeadScan::kGroup, wire());
+                                          wire());
     });
     for (std::size_t i = 0; i < len; ++i) {
       EXPECT_NEAR(out[0][i], expected[i], Tolerance(expected[i]))

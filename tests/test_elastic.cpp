@@ -185,7 +185,8 @@ void RunKillMatrixCase(Scheme scheme, int victim) {
                                   deadline, 1500);
         break;
       case Scheme::kHybrid:
-        r = TryHybridAllreduce(comm, data, hybrid, deadline);
+        r = TryHybridAllreduce(comm, RankGroup::World(comm), data, hybrid,
+                               deadline);
         break;
     }
     EXPECT_EQ(r.status, CollectiveStatus::kPeerDead)
@@ -222,6 +223,86 @@ TEST(CollectiveKillMatrix, HybridMiddleRankDies) {
 }
 TEST(CollectiveKillMatrix, HybridLastRankDies) {
   RunKillMatrixCase(Scheme::kHybrid, 3);
+}
+
+// Generation 1 after rank 1 died: the view {0, 2, 3, 4, 5} at 2 ranks
+// per node forms the ragged nodes {0}, {2, 3}, {4, 5}. Every phase of
+// the hybrid scans the view, so the dead ex-member never fails it, while
+// a death inside the view fails every member within a few scan slices —
+// also members whose own wait is on a live rank of another node (with
+// rank 4 dead, ranks 2 and 3 wait on rank 0, which cannot finish its
+// shard reductions).
+
+constexpr double kShrunkDeadline = 30.0;
+
+void RunShrunkHybridCase(int victim) {
+  const std::vector<int> view{0, 2, 3, 4, 5};
+  HybridAllreduceOptions hybrid;
+  hybrid.topology.ranks_per_node = 2;
+  hybrid.mpi_ranks_per_node = 2;
+  const std::size_t len = 37;
+  std::vector<float> expected(len, 0.0f);
+  for (const int r : view) {
+    for (std::size_t i = 0; i < len; ++i) {
+      expected[i] += static_cast<float>(r + 1) + 0.25f * static_cast<float>(i);
+    }
+  }
+
+  std::vector<std::vector<float>> out(6);
+  std::vector<double> seconds(6, 0.0);
+  std::vector<CollectiveResult> results(6);
+  SimWorld world(6);
+  world.Run([&](Communicator& comm) {
+    if (comm.rank() == 1 || comm.rank() == victim) {
+      comm.KillSelf();
+      return;
+    }
+    std::vector<float> data(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<float>(comm.rank() + 1) +
+                0.25f * static_cast<float>(i);
+    }
+    // A late joiner keeps the others waiting through several scan
+    // slices, so they do scan while rank 1 is dead.
+    if (comm.rank() == 5) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const auto me = static_cast<std::size_t>(comm.rank());
+    results[me] = TryHybridAllreduce(comm, RankGroup(view, comm.rank()),
+                                     data, hybrid, Deadline(kShrunkDeadline),
+                                     kGenTagStride + 1500);
+    seconds[me] = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    out[me] = std::move(data);
+  });
+  for (const int rank : view) {
+    if (rank == victim) continue;
+    const auto me = static_cast<std::size_t>(rank);
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    if (victim < 0) {
+      EXPECT_TRUE(results[me].ok()) << ToString(results[me].status);
+      for (std::size_t i = 0; i < len; ++i) {
+        EXPECT_NEAR(out[me][i], expected[i], 1e-4f) << "i " << i;
+      }
+      EXPECT_EQ(out[me], out[0]);
+    } else {
+      EXPECT_EQ(results[me].status, CollectiveStatus::kPeerDead)
+          << ToString(results[me].status);
+      EXPECT_EQ(results[me].suspect_rank, victim);
+      // Scan slices are 25 ms; the deadline is far away.
+      EXPECT_LT(seconds[me], kShrunkDeadline / 6);
+    }
+  }
+}
+
+TEST(CollectiveKillMatrix, HybridOverShrunkViewIgnoresDeadExMember) {
+  RunShrunkHybridCase(-1);
+}
+TEST(CollectiveKillMatrix, HybridOverShrunkViewFailsFastOnMemberDeath) {
+  RunShrunkHybridCase(4);
+  RunShrunkHybridCase(0);  // the lone member of its node
 }
 
 // ------------------------------------------- generation >= 1 timeouts --
@@ -511,8 +592,19 @@ TEST(ElasticDeadline, BackwardLongerThanCollectiveTimeoutStillExchanges) {
 constexpr char kChaosSchedule[] =
     "elastic.kill.4:1:7:1:0:3,elastic.exchange.kill.1:1:9:1:0:4";
 
-TrainRunResult RunChaosSoak(const ClimateDataset& dataset) {
-  return RunDistributedTraining(TinyElasticTrainer(), dataset, /*ranks=*/6,
+// Over the hybrid at 2 ranks per node the survivors {0, 2, 3, 5} end on
+// the ragged nodes {0}, {2, 3}, {5}.
+TrainerOptions ChaosTrainer(ReduceTransport transport) {
+  TrainerOptions o = TinyElasticTrainer();
+  o.exchanger.transport = transport;
+  o.exchanger.hybrid.topology.ranks_per_node = 2;
+  o.exchanger.hybrid.mpi_ranks_per_node = 2;
+  return o;
+}
+
+TrainRunResult RunChaosSoak(const TrainerOptions& opts,
+                            const ClimateDataset& dataset) {
+  return RunDistributedTraining(opts, dataset, /*ranks=*/6,
                                 /*steps=*/7, /*images_per_rank=*/8);
 }
 
@@ -552,7 +644,9 @@ void CheckChaosOutcome(const TrainRunResult& result) {
   EXPECT_TRUE(std::isfinite(result.final_loss));
 }
 
-TEST(ChaosSmoke, TrainingSurvivesTwoMidRunKills) {
+class ChaosSmoke : public ::testing::TestWithParam<ReduceTransport> {};
+
+TEST_P(ChaosSmoke, TrainingSurvivesTwoMidRunKills) {
   FaultScope scope;
   FaultInjector& injector = FaultInjector::Global();
   // tools/ci.sh chaos-smoke drives this test through EXACLIM_FAULTS to
@@ -563,7 +657,8 @@ TEST(ChaosSmoke, TrainingSurvivesTwoMidRunKills) {
   }
   obs::Enable();
   ClimateDataset dataset(TinyData());
-  const TrainRunResult result = RunChaosSoak(dataset);
+  const TrainerOptions opts = ChaosTrainer(GetParam());
+  const TrainRunResult result = RunChaosSoak(opts, dataset);
   CheckChaosOutcome(result);
 
   if (auto* g = obs::GaugeOrNull("elastic.generation")) {
@@ -581,11 +676,19 @@ TEST(ChaosSmoke, TrainingSurvivesTwoMidRunKills) {
   // Bounded loss regression: losing a third of the world mid-run must
   // not blow the loss up relative to an unfaulted reference run.
   FaultInjector::Global().Reset();
-  const TrainRunResult reference = RunChaosSoak(dataset);
+  const TrainRunResult reference = RunChaosSoak(opts, dataset);
   EXPECT_EQ(reference.recoveries, 0);
   EXPECT_TRUE(std::isfinite(reference.final_loss));
   EXPECT_LT(result.final_loss, reference.final_loss * 1.5 + 0.5);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, ChaosSmoke,
+    ::testing::Values(ReduceTransport::kMpiRing, ReduceTransport::kHybrid),
+    [](const ::testing::TestParamInfo<ReduceTransport>& info) {
+      return info.param == ReduceTransport::kHybrid ? std::string("hybrid")
+                                                    : std::string("ring");
+    });
 
 }  // namespace
 }  // namespace exaclim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -49,6 +50,19 @@ TEST(RankGroup, WorldListsEveryRankInOrder) {
     EXPECT_EQ(g.my_index(), comm.rank());
     for (int i = 0; i < 4; ++i) EXPECT_EQ(g.WorldRank(i), i);
   });
+}
+
+TEST(RankGroup, SubgroupScansTheParentScope) {
+  const std::vector<int> view{1, 2, 4, 5};
+  const RankGroup group(view, 4);
+  EXPECT_TRUE(std::ranges::equal(group.scope(), view));
+  const RankGroup node = group.Subgroup({4, 5});
+  EXPECT_EQ(node.size(), 2);
+  EXPECT_EQ(node.my_index(), 0);
+  EXPECT_EQ(node.WorldRank(1), 5);
+  EXPECT_TRUE(std::ranges::equal(node.scope(), view));
+  EXPECT_TRUE(std::ranges::equal(node.Subgroup({4}).scope(), view));
+  EXPECT_THROW(group.Subgroup({1, 5}), Error);  // rank 4 not a member
 }
 
 TEST(GroupCollectives, SubsetAllreduceLeavesOthersUntouched) {
@@ -289,13 +303,31 @@ TEST(HybridAllreduce, TinyPayloadFewerElementsThanShards) {
   });
 }
 
-TEST(HybridAllreduce, RejectsPartialNode) {
-  SimWorld world(5);
-  EXPECT_THROW(world.Run([](Communicator& comm) {
-                 std::vector<float> data(4, 1.0f);
-                 HybridAllreduce(comm, data, {});
-               }),
-               Error);
+TEST(HybridAllreduce, RejectsNonPositiveRankCounts) {
+  // Both counts size the node and shard layout; ranks_per_node = 0 used
+  // to divide by zero before anything was checked. The exchanger checks
+  // its hybrid options at construction, before the first step.
+  for (const int bad : {0, -1}) {
+    for (const bool per_node : {true, false}) {
+      SCOPED_TRACE((per_node ? "ranks_per_node = " : "mpi_ranks_per_node = ") +
+                   std::to_string(bad));
+      HybridAllreduceOptions opts;
+      (per_node ? opts.topology.ranks_per_node : opts.mpi_ranks_per_node) =
+          bad;
+      EXPECT_THROW(CheckHybridOptions(opts), Error);
+      SimWorld world(2);
+      EXPECT_THROW(world.Run([&](Communicator& comm) {
+                     std::vector<float> data(4, 1.0f);
+                     HybridAllreduce(comm, data, opts);
+                   }),
+                   Error);
+      ExchangerOptions exchanger;
+      exchanger.hybrid = opts;
+      EXPECT_THROW({ GradientExchanger e(exchanger, 1); }, Error);
+      exchanger.transport = ReduceTransport::kMpiRing;
+      EXPECT_NO_THROW({ GradientExchanger e(exchanger, 1); });
+    }
+  }
 }
 
 // --------------------------------------------------- GradientExchanger --

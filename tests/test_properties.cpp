@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 
 #include "comm/collectives.hpp"
@@ -63,13 +66,18 @@ TEST(PropertyCollectives, FuzzedAllreduceMatchesBruteForce) {
 }
 
 TEST(PropertyCollectives, FuzzedHybridMatchesBruteForce) {
+  // Any world size, so the last node is often ragged, under both wires.
   Rng fuzz(77);
-  for (int trial = 0; trial < 8; ++trial) {
+  int ragged[2] = {0, 0};  // per wire: trials whose last node is partial
+  for (int trial = 0; trial < 16; ++trial) {
     const int rpn = static_cast<int>(fuzz.Int(1, 4));
     const int nodes = static_cast<int>(fuzz.Int(1, 3));
-    const int ranks = rpn * nodes;
+    const int ranks = static_cast<int>(fuzz.Int(1, rpn * nodes));
     const auto len = static_cast<std::size_t>(fuzz.Int(1, 200));
     const int mpi_ranks = static_cast<int>(fuzz.Int(1, rpn));
+    const WireFormat wire =
+        trial % 4 < 2 ? WireFormat::kFP32 : WireFormat::kFP16;
+    if (ranks % rpn != 0) ++ragged[wire == WireFormat::kFP16 ? 1 : 0];
 
     std::vector<float> expected(len, 0.0f);
     std::vector<std::vector<float>> inputs(
@@ -85,18 +93,33 @@ TEST(PropertyCollectives, FuzzedHybridMatchesBruteForce) {
     }
     SimWorld world(ranks);
     world.Run([&](Communicator& comm) {
-      auto data = inputs[static_cast<std::size_t>(comm.rank())];
+      auto& data = inputs[static_cast<std::size_t>(comm.rank())];
       HybridAllreduceOptions opts;
       opts.topology.ranks_per_node = rpn;
       opts.mpi_ranks_per_node = mpi_ranks;
       opts.inter_node_tree = trial % 2 == 0;
-      HybridAllreduce(comm, data, opts);
-      for (std::size_t i = 0; i < len; ++i) {
-        ASSERT_NEAR(data[i], expected[i], 1e-4f)
-            << "trial " << trial << " rpn " << rpn << " nodes " << nodes;
-      }
+      HybridAllreduce(comm, data, opts, 9500, wire);
     });
+    const std::string where = "trial " + std::to_string(trial) + " rpn " +
+                              std::to_string(rpn) + " ranks " +
+                              std::to_string(ranks) + " wire " +
+                              ToString(wire);
+    // Packed binary16 partial sums lose up to half an ulp per hop.
+    for (std::size_t i = 0; i < len; ++i) {
+      const float tol = wire == WireFormat::kFP16
+                            ? 1e-2f * std::max(1.0f, std::abs(expected[i]))
+                            : 1e-4f;
+      ASSERT_NEAR(inputs[0][i], expected[i], tol) << where << " i " << i;
+    }
+    for (int r = 1; r < ranks; ++r) {
+      ASSERT_EQ(std::memcmp(inputs[static_cast<std::size_t>(r)].data(),
+                            inputs[0].data(), len * sizeof(float)),
+                0)
+          << where << ": rank " << r << " differs from rank 0";
+    }
   }
+  EXPECT_GT(ragged[0], 0);
+  EXPECT_GT(ragged[1], 0);
 }
 
 // ------------------------------------------------------- Half fuzz ------

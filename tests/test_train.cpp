@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -136,48 +135,36 @@ TEST(RankTrainer, EvaluateProducesConfusionMatrix) {
   EXPECT_LE(cm.MeanIoU(), 1.0);
 }
 
-TEST(RankTrainer, HybridTransportRejectsPartialNodes) {
-  // The default exchanger runs the hybrid transport at 6 ranks per node.
-  // A world that is not a whole number of nodes must fail on every rank,
-  // from Step on the rank thread, before any rank sends a message.
+TEST(RunDistributedTraining, HybridTrainsAtEveryWorldSize) {
+  // The default exchanger runs the hybrid transport at 6 ranks per node,
+  // and any world size trains: the last node may be partial. Up to 6
+  // ranks the world is one node, whose hybrid is exactly the group ring,
+  // so with the readiness shuffle off it ends on the ring's parameters.
   ClimateDataset dataset(TinyData());
-  const auto weights = MakeClassWeights(dataset.MeasureFrequencies(8),
-                                        WeightingScheme::kInverseSqrt);
-  const Batch batch =
-      dataset.MakeBatch(DatasetSplit::kTrain, std::vector<std::int64_t>{0});
-  // Runs one step on `ranks` ranks; returns how many ranks' Step threw.
-  const auto rejecting_ranks = [&](int ranks,
-                                   const ExchangerOptions& exchanger) {
-    TrainerOptions o = TinyTrainer();
-    o.exchanger = exchanger;
-    std::atomic<int> rejected{0};
-    SimWorld world(ranks);
-    world.Run([&](Communicator& comm) {
-      RankTrainer trainer(o, weights, comm.rank());
-      try {
-        EXPECT_TRUE(std::isfinite(trainer.Step(batch, &comm).loss));
-      } catch (const Error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("world size " + std::to_string(ranks)),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("hybrid.topology.ranks_per_node = 6"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("kMpiRing"), std::string::npos) << what;
-        ++rejected;
-      }
-    });
-    return rejected.load();
-  };
+  TrainerOptions hybrid = TinyTrainer();
+  hybrid.exchanger = ExchangerOptions{};
+  hybrid.exchanger.shuffle_ready_order = false;
+  TrainerOptions four_per_node = hybrid;
+  four_per_node.exchanger.hybrid.topology.ranks_per_node = 4;
+  TrainerOptions ring = hybrid;
+  ring.exchanger.transport = ReduceTransport::kMpiRing;
   for (const int ranks : {1, 2, 3, 4, 6, 7, 8}) {
-    EXPECT_EQ(rejecting_ranks(ranks, ExchangerOptions{}),
-              ranks == 6 ? 0 : ranks)
-        << ranks << " ranks";
+    SCOPED_TRACE(std::to_string(ranks) + " ranks");
+    for (const TrainerOptions* o : {&hybrid, &four_per_node}) {
+      const TrainRunResult r = RunDistributedTraining(*o, dataset, ranks, 2, 4);
+      ASSERT_EQ(r.loss_history.size(), 2u);
+      EXPECT_TRUE(std::isfinite(r.final_loss));
+      for (const std::uint32_t crc : r.survivor_param_crcs) {
+        EXPECT_EQ(crc, r.survivor_param_crcs[0]);
+      }
+      if (o == &hybrid && ranks <= 6) {
+        const TrainRunResult flat =
+            RunDistributedTraining(ring, dataset, ranks, 2, 4);
+        EXPECT_EQ(r.loss_history, flat.loss_history);
+        EXPECT_EQ(r.survivor_param_crcs, flat.survivor_param_crcs);
+      }
+    }
   }
-  ExchangerOptions four_per_node;
-  four_per_node.hybrid.topology.ranks_per_node = 4;
-  EXPECT_EQ(rejecting_ranks(8, four_per_node), 0);
 }
 
 TEST(RunDistributedTraining, LossTrendsDownAcrossRanks) {

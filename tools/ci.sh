@@ -30,7 +30,8 @@
 #   7. TSan: Debug build + `stress`-labelled tests   (preset: tsan)
 #   8. fault-smoke: fault suite re-run under TSan with a fixed
 #      EXACLIM_FAULTS spec (env-driven injection path, DESIGN §8)
-#   9. chaos-smoke: elastic chaos soak under TSan via EXACLIM_FAULTS
+#   9. chaos-smoke: elastic chaos soak (ring and hybrid) and the
+#      collective kill matrix under TSan via EXACLIM_FAULTS
 #   10. overlap-smoke (TSan): exchange-thread-vs-backward suites re-run
 #      under TSan, incl. the chaos kill on the exchange thread
 #      (stages 8-10 fail when their gtest filter selects no test)
@@ -214,14 +215,21 @@ run env TSAN_OPTIONS=halt_on_error=1 \
 
 # ---- 9. chaos-smoke ------------------------------------------------------
 # Elastic-training chaos soak under TSan through the EXACLIM_FAULTS env
-# path (DESIGN §13): rank 4 dies at its step-3 entry, rank 1 dies
+# path (DESIGN §13), once over the ring and once over the hybrid at 2
+# ranks per node: rank 4 dies at its step-3 entry, rank 1 dies
 # mid-exchange at step 4; the survivors must rebuild to generation 2,
-# resync weights, finish all steps with bit-identical replicas, and the
-# whole recovery machinery must be race-free.
-require_tests ./build-tsan/tests/test_elastic 'ChaosSmoke.*'
+# resync weights, finish all steps with bit-identical replicas (over the
+# hybrid on the ragged nodes {0}, {2, 3}, {5}), and the whole recovery
+# machinery must be race-free. The collective kill matrix rides along
+# (it arms no fault): bounded collectives under rank death, including
+# the hybrid over a shrunk view, whose liveness scan covers the view and
+# ignores dead ex-members.
+require_tests ./build-tsan/tests/test_elastic \
+  '*ChaosSmoke.*:CollectiveKillMatrix.*'
 run env TSAN_OPTIONS=halt_on_error=1 \
   EXACLIM_FAULTS="elastic.kill.4:1:7:1:0:3,elastic.exchange.kill.1:1:9:1:0:4" \
-  ./build-tsan/tests/test_elastic --gtest_filter='ChaosSmoke.*'
+  ./build-tsan/tests/test_elastic \
+  --gtest_filter='*ChaosSmoke.*:CollectiveKillMatrix.*'
 
 # ---- 10. overlap-smoke (TSan half) ---------------------------------------
 # The exchange engine runs gradient reduction on a dedicated exchange
