@@ -223,13 +223,6 @@ CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
   return {};
 }
 
-void GroupBroadcast(Communicator& comm, const RankGroup& group,
-                    int root_index, std::span<float> data, int tag) {
-  RequireCollective(comm, "GroupBroadcast",
-                    TryGroupBroadcast(comm, group, root_index, data,
-                                      Deadline(kNoTimeout), tag));
-}
-
 CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
                                 int root_index, std::span<float> data,
                                 const Deadline& deadline, int tag,
@@ -259,13 +252,6 @@ CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
     }
   }
   return {};
-}
-
-void GroupReduce(Communicator& comm, const RankGroup& group, int root_index,
-                 std::span<float> data, int tag) {
-  RequireCollective(comm, "GroupReduce",
-                    TryGroupReduce(comm, group, root_index, data,
-                                   Deadline(kNoTimeout), tag));
 }
 
 CollectiveResult TryGroupAllreduceRing(Communicator& comm,

@@ -147,8 +147,6 @@ void DecodeFloats(std::span<const std::byte> payload, std::span<float> out,
 /// bit-identical buffers. kFP32 (the default) sends raw floats.
 
 /// Binomial-tree broadcast from the member at `root_index`.
-void GroupBroadcast(Communicator& comm, const RankGroup& group,
-                    int root_index, std::span<float> data, int tag);
 CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
                                    int root_index, std::span<float> data,
                                    const Deadline& deadline, int tag,
@@ -156,8 +154,6 @@ CollectiveResult TryGroupBroadcast(Communicator& comm, const RankGroup& group,
 
 /// Binomial-tree sum-reduction to the member at `root_index` (other
 /// members' buffers hold partial sums afterwards).
-void GroupReduce(Communicator& comm, const RankGroup& group, int root_index,
-                 std::span<float> data, int tag);
 CollectiveResult TryGroupReduce(Communicator& comm, const RankGroup& group,
                                 int root_index, std::span<float> data,
                                 const Deadline& deadline, int tag,

@@ -1,10 +1,8 @@
 #include "comm/elastic.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 
@@ -14,6 +12,9 @@ namespace {
 // Consensus tags, salted into the current generation's namespace.
 constexpr int kTagSuspect = 9200;
 constexpr int kTagView = 9210;
+
+// Consensus attempts per Rebuild() before it gives up.
+constexpr int kMaxRebuildAttempts = 3;
 
 struct MsgHeader {
   std::int32_t generation;
@@ -35,21 +36,6 @@ MsgHeader GetHeader(const std::vector<std::byte>& buf) {
 
 }  // namespace
 
-ElasticOptions ElasticOptions::FromEnv(ElasticOptions base) {
-  if (const char* env = std::getenv("EXACLIM_ELASTIC")) {
-    base.enabled = ParseEnvSwitch("EXACLIM_ELASTIC", env);
-  }
-  if (const char* env = std::getenv("EXACLIM_ELASTIC_TIMEOUT")) {
-    base.collective_timeout_s =
-        ParseEnvPositiveReal("EXACLIM_ELASTIC_TIMEOUT", env);
-  }
-  if (const char* env = std::getenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT")) {
-    base.rebuild_timeout_s =
-        ParseEnvPositiveReal("EXACLIM_ELASTIC_REBUILD_TIMEOUT", env);
-  }
-  return base;
-}
-
 ElasticView MakeInitialView(int world_size, int my_rank) {
   ElasticView view;
   view.generation = 0;
@@ -64,7 +50,17 @@ ElasticView MakeInitialView(int world_size, int my_rank) {
 ElasticWorld::ElasticWorld(Communicator& comm, ElasticOptions options)
     : comm_(&comm),
       options_(options),
-      view_(MakeInitialView(comm.size(), comm.rank())) {}
+      view_(MakeInitialView(comm.size(), comm.rank())) {
+  // NaN fails both comparisons.
+  EXACLIM_CHECK(options_.collective_timeout_s > 0.0,
+                "ElasticOptions::collective_timeout_s = "
+                    << options_.collective_timeout_s
+                    << " must be > 0 (kNoTimeout for none)");
+  EXACLIM_CHECK(options_.rebuild_timeout_s > 0.0,
+                "ElasticOptions::rebuild_timeout_s = "
+                    << options_.rebuild_timeout_s
+                    << " must be > 0 (kNoTimeout for none)");
+}
 
 CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
   const std::vector<int>& members = view_.members;
@@ -98,9 +94,8 @@ CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
 
   const RankGroup group(members, comm_->rank());
   const Deadline deadline(options_.rebuild_timeout_s);
-  const int radix = options_.control_radix;
   const std::vector<int> child_positions =
-      TreeChildren(my_pos, radix, live_count);
+      TreeChildren(my_pos, kControlRadix, live_count);
 
   // Receives a consensus message from `src`, rejecting stale
   // (generation, attempt) stamps — a retried attempt's leftovers or a
@@ -145,7 +140,7 @@ CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
     report.insert(report.end(),
                   reinterpret_cast<const std::byte*>(suspect.data()),
                   reinterpret_cast<const std::byte*>(suspect.data() + n));
-    comm_->Send(world_rank_of_pos(TreeParent(my_pos, radix)),
+    comm_->Send(world_rank_of_pos(TreeParent(my_pos, kControlRadix)),
                 GenTag(kTagSuspect), report);
   }
 
@@ -160,9 +155,9 @@ CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
     }
   } else {
     std::vector<std::byte> payload;
-    CollectiveResult r = recv_checked(
-        world_rank_of_pos(TreeParent(my_pos, radix)), GenTag(kTagView),
-        &payload);
+    CollectiveResult r =
+        recv_checked(world_rank_of_pos(TreeParent(my_pos, kControlRadix)),
+                     GenTag(kTagView), &payload);
     if (!r.ok()) return r;
     const std::size_t count =
         (payload.size() - sizeof(MsgHeader)) / sizeof(std::int32_t);
@@ -193,7 +188,7 @@ CollectiveResult ElasticWorld::Attempt(int attempt, ElasticView* next) {
 
 CollectiveResult ElasticWorld::Rebuild() {
   CollectiveResult last;
-  for (int attempt = 0; attempt < options_.max_rebuild_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRebuildAttempts; ++attempt) {
     ElasticView next;
     last = Attempt(attempt, &next);
     if (last.ok()) {

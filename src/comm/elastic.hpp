@@ -20,6 +20,10 @@ namespace exaclim {
 ///     survivor's bounded exchange fails, so all survivors enter
 ///     Rebuild() for the same step.
 
+/// Radix of the control trees: the hvd exchanger's hierarchical control
+/// plane (Sec V-A3) and the survivor consensus both use it.
+inline constexpr int kControlRadix = 4;
+
 /// Heap-shaped radix tree over dense indices — the same topology the
 /// hierarchical hvd control plane uses (hvd/control_plane.*, which
 /// delegates here). Index 0 is the root.
@@ -46,20 +50,14 @@ struct RankKilledError : Error {
   using Error::Error;
 };
 
+/// Both timeouts must be > 0 (kNoTimeout for none); ElasticWorld's
+/// constructor rejects anything else, NaN included.
 struct ElasticOptions {
   bool enabled = false;
   /// Deadline for one bounded collective on the exchange path.
   double collective_timeout_s = 5.0;
   /// Deadline per survivor-consensus attempt.
   double rebuild_timeout_s = 10.0;
-  int max_rebuild_attempts = 3;
-  /// Radix of the consensus tree (mirrors the hvd control plane).
-  int control_radix = 4;
-
-  /// EXACLIM_ELASTIC=on|off, EXACLIM_ELASTIC_TIMEOUT=<s>,
-  /// EXACLIM_ELASTIC_REBUILD_TIMEOUT=<s> applied over `base`.
-  static ElasticOptions FromEnv(ElasticOptions base);
-  static ElasticOptions FromEnv() { return FromEnv(ElasticOptions{}); }
 };
 
 /// A generation's membership: the ascending world ranks still alive, and
@@ -89,17 +87,18 @@ ElasticView MakeInitialView(int world_size, int my_rank);
 /// Per-rank handle owning the current view and the rebuild protocol.
 /// Rebuild() runs the survivor consensus:
 ///   1. freeze the dead set (PeerDead scan over current members);
-///   2. gather per-rank suspect masks up a radix tree over the *live*
-///      members (root = lowest live rank) — structurally the
+///   2. gather per-rank suspect masks up a radix-kControlRadix tree over
+///      the *live* members (root = lowest live rank) — structurally the
 ///      hierarchical control plane's topology, routed around the dead;
 ///   3. the root broadcasts the generation-N+1 member list down the same
 ///      tree; everyone adopts it and re-ranks densely.
 /// Messages carry (generation, attempt) stamps; stale ones are rejected
 /// and counted ("fault.elastic.stale_rejected"). A member death *during*
 /// an attempt surfaces as kPeerDead/kTimeout and the attempt is retried
-/// with a fresh dead-set freeze, up to max_rebuild_attempts.
+/// with a fresh dead-set freeze, up to three attempts.
 class ElasticWorld {
  public:
+  /// Throws unless both timeouts in `options` are > 0.
   ElasticWorld(Communicator& comm, ElasticOptions options);
 
   const ElasticView& view() const { return view_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <limits>
 #include <string>
 #include <thread>
 
@@ -30,7 +29,8 @@ void Communicator::Send(int dst, int tag, std::span<const std::byte> data) {
 
 int Communicator::Recv(int src, int tag, std::span<std::byte> data) {
   SimWorld::Message message;
-  const RecvStatus status = world_->Take(rank_, src, tag, -1.0, &message);
+  const RecvStatus status =
+      world_->Take(rank_, src, tag, TimePointAfter(kNoTimeout), &message);
   EXACLIM_CHECK(status != RecvStatus::kPeerDead,
                 "rank " << rank_ << ": blocking Recv from dead rank " << src
                         << " (tag " << tag << ") can never complete");
@@ -46,7 +46,8 @@ int Communicator::Recv(int src, int tag, std::span<std::byte> data) {
 std::vector<std::byte> Communicator::RecvAny(int src, int tag,
                                              int* actual_src) {
   SimWorld::Message message;
-  const RecvStatus status = world_->Take(rank_, src, tag, -1.0, &message);
+  const RecvStatus status =
+      world_->Take(rank_, src, tag, TimePointAfter(kNoTimeout), &message);
   EXACLIM_CHECK(status != RecvStatus::kPeerDead,
                 "rank " << rank_ << ": blocking RecvAny from dead rank "
                         << src << " (tag " << tag
@@ -63,9 +64,8 @@ RecvResult Communicator::RecvTimeout(int src, int tag,
   // kNoTimeout means "wait forever, but still report kPeerDead" — the
   // blocking collectives delegate here with it so one implementation
   // serves both the bounded and unbounded paths.
-  const double take_timeout =
-      timeout_seconds == kNoTimeout ? -1.0 : std::max(timeout_seconds, 0.0);
-  result.status = world_->Take(rank_, src, tag, take_timeout, &message);
+  result.status = world_->Take(rank_, src, tag,
+                               TimePointAfter(timeout_seconds), &message);
   if (result.status == RecvStatus::kOk) {
     result.src = message.src;
     result.payload = std::move(message.payload);
@@ -132,9 +132,7 @@ void SimWorld::Deliver(int dst, Message message) {
     }
     if (injector.ShouldInject("comm.delay")) {
       message.deliver_after =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 injector.DelaySeconds("comm.delay")));
+          TimePointAfter(injector.DelaySeconds("comm.delay"));
       FaultCounterBump("fault.comm.delayed_messages");
     }
   }
@@ -145,15 +143,9 @@ void SimWorld::Deliver(int dst, Message message) {
   box.cv.NotifyAll();
 }
 
-RecvStatus SimWorld::Take(int dst, int src, int tag, double timeout_seconds,
-                          Message* out) {
+RecvStatus SimWorld::Take(int dst, int src, int tag,
+                          Clock::time_point deadline, Message* out) {
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
-  const bool bounded = timeout_seconds >= 0.0;
-  const Clock::time_point deadline =
-      bounded ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(
-                                       timeout_seconds))
-              : Clock::time_point::max();
   MutexLock lock(box.mutex);
   for (;;) {
     const Clock::time_point now = Clock::now();

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -28,34 +29,50 @@ inline constexpr int kAnySource = -1;
 /// implementation with their deadline-aware variants.
 inline constexpr double kNoTimeout = std::numeric_limits<double>::infinity();
 
+/// steady_clock::now() + `seconds` (negative counts as 0), saturating at
+/// time_point::max() — which means "no deadline" — for kNoTimeout and
+/// for any finite span past the clock's range (a plain duration_cast
+/// overflows there, e.g. 1e10 s at nanosecond ticks, and yields a time
+/// in the past). NaN fails an EXACLIM_CHECK.
+inline std::chrono::steady_clock::time_point TimePointAfter(double seconds) {
+  using Clock = std::chrono::steady_clock;
+  EXACLIM_CHECK(!std::isnan(seconds), "deadline or delay of NaN seconds");
+  const Clock::time_point now = Clock::now();
+  const Clock::duration headroom = Clock::time_point::max() - now;
+  const double ticks =
+      std::max(seconds, 0.0) * Clock::period::den / Clock::period::num;
+  if (ticks >= static_cast<double>(headroom.count())) {
+    return Clock::time_point::max();
+  }
+  // The double compare above can round up by a few ticks; this one is
+  // exact.
+  const Clock::duration span(static_cast<Clock::rep>(ticks));
+  return span >= headroom ? Clock::time_point::max() : now + span;
+}
+
 /// Absolute deadline carried through a multi-message operation (one
 /// collective, one consensus round): constructed once at entry, every
 /// receive inside uses Remaining() so the whole operation — not each
-/// message — is bounded. kNoTimeout never expires.
+/// message — is bounded. kNoTimeout (or any timeout past the clock's
+/// range, see TimePointAfter) never expires.
 class Deadline {
  public:
   explicit Deadline(double timeout_seconds)
-      : unbounded_(timeout_seconds == kNoTimeout),
-        end_(unbounded_
-                 ? std::chrono::steady_clock::time_point::max()
-                 : std::chrono::steady_clock::now() +
-                       std::chrono::duration_cast<
-                           std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(
-                               std::max(timeout_seconds, 0.0)))) {}
+      : end_(TimePointAfter(timeout_seconds)) {}
 
   /// Seconds left (>= 0), or kNoTimeout when unbounded.
   double Remaining() const {
-    if (unbounded_) return kNoTimeout;
+    if (end_ == std::chrono::steady_clock::time_point::max()) {
+      return kNoTimeout;
+    }
     const double left = std::chrono::duration<double>(
                             end_ - std::chrono::steady_clock::now())
                             .count();
     return left > 0.0 ? left : 0.0;
   }
-  bool Expired() const { return !unbounded_ && Remaining() <= 0.0; }
+  bool Expired() const { return Remaining() <= 0.0; }
 
  private:
-  bool unbounded_;
   std::chrono::steady_clock::time_point end_;
 };
 
@@ -228,10 +245,10 @@ class SimWorld {
   };
 
   void Deliver(int dst, Message message);
-  /// Core matching loop. timeout_seconds < 0 waits forever. On kOk the
-  /// message is moved into *out. Throws exaclim::Error when the world is
-  /// poisoned while waiting.
-  RecvStatus Take(int dst, int src, int tag, double timeout_seconds,
+  /// Core matching loop; waits until `deadline` (time_point::max()
+  /// waits forever). On kOk the message is moved into *out. Throws
+  /// exaclim::Error when the world is poisoned while waiting.
+  RecvStatus Take(int dst, int src, int tag, Clock::time_point deadline,
                   Message* out);
 
   int size_;

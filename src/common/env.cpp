@@ -1,7 +1,6 @@
 #include "common/env.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <system_error>
 
 #include "common/error.hpp"
@@ -21,17 +20,6 @@ std::int64_t ParseEnvPositiveInt(const char* name, std::string_view value) {
   const auto [end, ec] = std::from_chars(value.data(), last, v);
   EXACLIM_CHECK(ec == std::errc() && end == last && v > 0,
                 name << "='" << value << "': expected a positive integer");
-  return v;
-}
-
-double ParseEnvPositiveReal(const char* name, std::string_view value) {
-  double v = 0.0;
-  const char* last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, v);
-  EXACLIM_CHECK(ec == std::errc() && end == last && std::isfinite(v) &&
-                    v > 0.0,
-                name << "='" << value
-                     << "': expected a finite positive number");
   return v;
 }
 

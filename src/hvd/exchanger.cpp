@@ -1,13 +1,10 @@
 #include "hvd/exchanger.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "comm/collectives.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/workspace.hpp"
@@ -24,26 +21,12 @@ const char* ToString(ReduceTransport t) {
   return "?";
 }
 
-ExchangerOptions ExchangerOptions::FromEnv(ExchangerOptions base) {
-  if (const char* v = std::getenv("EXACLIM_FUSION_BYTES")) {
-    base.fusion_threshold_bytes =
-        ParseEnvPositiveInt("EXACLIM_FUSION_BYTES", v);
-  }
-  if (const char* v = std::getenv("EXACLIM_WIRE")) {
-    const std::string_view s(v);
-    EXACLIM_CHECK(s == "fp16" || s == "fp32",
-                  "EXACLIM_WIRE='" << s << "': expected fp16|fp32");
-    base.wire_precision = s == "fp16" ? Precision::kFP16 : Precision::kFP32;
-  }
-  return base;
-}
-
 GradientExchanger::GradientExchanger(const ExchangerOptions& opts,
                                      std::uint64_t seed)
-    : opts_(opts),
-      control_(MakeControlPlane(opts.hierarchical_control,
-                                opts.control_radix)),
-      rng_(seed) {
+    : opts_(opts), rng_(seed) {
+  EXACLIM_CHECK(opts_.fusion_threshold_bytes >= 1,
+                "ExchangerOptions::fusion_threshold_bytes = "
+                    << opts_.fusion_threshold_bytes << " must be >= 1");
   if (opts_.transport == ReduceTransport::kHybrid) {
     CheckHybridOptions(opts_.hybrid);
   }
@@ -58,24 +41,6 @@ GradientExchanger::~GradientExchanger() {
     cv_.NotifyAll();
     exchange_thread_.join();
   }
-}
-
-ElasticWorld& GradientExchanger::Identity(Communicator& comm) {
-  // Built once and reused — the previous implementation constructed a
-  // fresh ElasticWorld (liveness state, member vector) on every call.
-  if (identity_ == nullptr || identity_comm_ != &comm ||
-      identity_->view().size() != comm.size()) {
-    identity_ = std::make_unique<ElasticWorld>(  // lint:allow(hot-path-alloc)
-        comm, ElasticOptions{});
-    identity_comm_ = &comm;
-  }
-  EXACLIM_CHECK(identity_->view().size() == comm.size() &&
-                    identity_->view().my_index == comm.rank(),
-                "identity elastic view out of sync with communicator: view "
-                    << identity_->view().size() << "/"
-                    << identity_->view().my_index << " vs comm "
-                    << comm.size() << "/" << comm.rank());
-  return *identity_;
 }
 
 void GradientExchanger::MaybeChaosKill(Communicator& comm) {
@@ -106,9 +71,9 @@ void GradientExchanger::Exchange(Communicator& comm,
 }
 
 CollectiveResult GradientExchanger::ReduceFusedBucket(
-    Communicator& comm, const std::vector<Param*>& params,
-    ElasticWorld& elastic, const RankGroup& group, std::span<const int> ids,
-    int bucket_index, const Deadline& deadline) {
+    Communicator& comm, const std::vector<Param*>& params, int tag_salt,
+    const RankGroup& group, std::span<const int> ids, int bucket_index,
+    const Deadline& deadline) {
   std::int64_t elems = 0;
   for (const int id : ids) {
     elems += params[static_cast<std::size_t>(id)]->grad.NumElements();
@@ -132,7 +97,7 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   if (fp16) RoundTripHalf(fusion);
   const WireFormat wire = fp16 ? WireFormat::kFP16 : WireFormat::kFP32;
 
-  const int tag = elastic.GenTag(BucketTag(bucket_index));
+  const int tag = tag_salt + BucketTag(bucket_index);
   CollectiveResult reduce_result;
   switch (opts_.transport) {
     case ReduceTransport::kMpiRing:
@@ -150,8 +115,7 @@ CollectiveResult GradientExchanger::ReduceFusedBucket(
   }
   if (!reduce_result.ok()) return reduce_result;
 
-  const float inv_world =
-      opts_.average ? 1.0f / static_cast<float>(group.size()) : 1.0f;
+  const float inv_world = 1.0f / static_cast<float>(group.size());
   for (auto& v : fusion) v *= inv_world;
   if (fp16) RoundTripHalf(fusion);
 
@@ -174,8 +138,7 @@ void GradientExchanger::BeginStep(Communicator& comm,
                                   double timeout_s) {
   EXACLIM_REENTRANCY_SCOPE(reentrancy_);
   EXACLIM_CHECK(!step_open_, "BeginStep while a step is already open");
-  ElasticWorld& world = elastic != nullptr ? *elastic : Identity(comm);
-  EXACLIM_CHECK(world.view().my_index >= 0,
+  EXACLIM_CHECK(elastic == nullptr || elastic->view().my_index >= 0,
                 "rank " << comm.rank()
                         << " exchanging outside its elastic view");
   if (!exchange_thread_.joinable()) {
@@ -186,7 +149,7 @@ void GradientExchanger::BeginStep(Communicator& comm,
     EXACLIM_CHECK(!step_active_, "previous step still draining");
     comm_ = &comm;
     params_ = &params;
-    elastic_ = &world;
+    elastic_ = elastic;
     timeout_s_ = timeout_s;
     // TensorFlow's dynamic scheduler finishes backprop ops in a
     // timing-dependent order, different per rank — emulated by the
@@ -299,9 +262,10 @@ void GradientExchanger::ExchangeThreadMain() {
 void GradientExchanger::RunStep() {
   EXACLIM_TRACE_SPAN("exchange.allreduce", "hvd");
   Communicator& comm = *comm_;
-  ElasticWorld& elastic = *elastic_;
-  const ElasticView& view = elastic.view();
-  const RankGroup group(view.members, comm.rank());
+  const RankGroup group =
+      elastic_ != nullptr ? RankGroup(elastic_->view().members, comm.rank())
+                          : RankGroup::World(comm);
+  const int tag_salt = elastic_ != nullptr ? elastic_->GenTag(0) : 0;
   int next_bucket = 0;
   bool chaos_checked = false;
   for (;;) {
@@ -333,8 +297,8 @@ void GradientExchanger::RunStep() {
         // because buckets run strictly sequentially on one thread and
         // every peer orders its buckets identically (see
         // hvd/control_plane.hpp).
-        CollectiveResult r = control_->TryNegotiateOrder(
-            comm, group, ids, deadline, elastic.GenTag(0), &negotiated_);
+        CollectiveResult r = control_.TryNegotiateOrder(
+            comm, group, ids, deadline, tag_salt, &negotiated_);
         if (r.ok()) {
           EXACLIM_CHECK(negotiated_.size() == ids.size(),
                         "negotiated bucket order has wrong tensor count");
@@ -342,8 +306,8 @@ void GradientExchanger::RunStep() {
             chaos_checked = true;
             MaybeChaosKill(comm);
           }
-          r = ReduceFusedBucket(comm, *params_, elastic, group, negotiated_,
-                                next_bucket, deadline);
+          r = ReduceFusedBucket(comm, *params_, tag_salt, group,
+                                negotiated_, next_bucket, deadline);
         }
         if (!r.ok()) {
           result_ = r;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -68,35 +67,31 @@ inline int BucketTag(int bucket_index) {
 /// TensorFlow's nondeterministic per-rank scheduling by shuffling the
 /// local readiness order), fuse consecutive tensors into buffers up to a
 /// byte threshold (Horovod's tensor fusion, which gradient lag improves),
-/// and run one all-reduce per fused buffer, averaging across ranks.
+/// and run one all-reduce per fused buffer, averaging across ranks. The
+/// order is negotiated on the paper's radix-kControlRadix hierarchical
+/// control plane.
 struct ExchangerOptions {
-  bool hierarchical_control = true;
-  int control_radix = 4;
   ReduceTransport transport = ReduceTransport::kHybrid;
   HybridAllreduceOptions hybrid{};
-  /// Fuse consecutive tensors into buffers of up to this many bytes.
+  /// Fuse consecutive tensors into buffers of up to this many bytes
+  /// (>= 1).
   std::int64_t fusion_threshold_bytes = 4 << 20;
   /// FP16 wire format: gradients are rounded through binary16 and move
   /// across ranks as packed 2-byte words (WireFormat::kFP16), halving
   /// the bytes on the wire; the reduction itself accumulates in FP32
   /// (Tensor Core FMA / NCCL fp32-accumulation style).
   Precision wire_precision = Precision::kFP32;
-  bool average = true;
   /// Emulate TensorFlow's dynamic scheduler: shuffle each bucket's
   /// tensors per step before the bucket is negotiated (all ranks still
   /// converge on one global order). Bucket composition follows the
   /// emission order either way; only the order inside a bucket moves.
   bool shuffle_ready_order = true;
-
-  /// EXACLIM_FUSION_BYTES=<positive integer>, EXACLIM_WIRE=fp16|fp32
-  /// applied over `base`. Any other value fails with an EXACLIM_CHECK
-  /// naming the variable.
-  static ExchangerOptions FromEnv(ExchangerOptions base);
 };
 
 class GradientExchanger {
  public:
-  /// Throws when the hybrid transport's options fail CheckHybridOptions.
+  /// Throws when fusion_threshold_bytes < 1 or the hybrid transport's
+  /// options fail CheckHybridOptions.
   GradientExchanger(const ExchangerOptions& opts, std::uint64_t seed);
   ~GradientExchanger();
 
@@ -115,11 +110,12 @@ class GradientExchanger {
   /// negotiates and reduces each closed bucket in order while backward
   /// keeps computing. WaitAll closes the final bucket, returns once the
   /// step is drained, and returns the first failure (kOk when every
-  /// bucket reduced). `elastic == nullptr` uses the lazily built
-  /// identity view. `timeout_s` (kNoTimeout for none) bounds each
-  /// bucket's negotiation + reduction, counted from the moment the
-  /// exchange thread takes the bucket — waiting for backward to close a
-  /// bucket never eats into it. On failure the partial step must be
+  /// bucket reduced). `elastic == nullptr` reduces over the whole world
+  /// at generation 0 (RankGroup::World, tag salt 0). `timeout_s`
+  /// (kNoTimeout for none) bounds each bucket's negotiation +
+  /// reduction, counted from the moment the exchange thread takes the
+  /// bucket — waiting for backward to close a bucket never eats into
+  /// it. On failure the partial step must be
   /// discarded by the caller (gradients may hold partially averaged
   /// data) and the step counter is NOT advanced, so the retried step
   /// reproduces the same shuffle. Every transport reduces over the
@@ -149,17 +145,12 @@ class GradientExchanger {
     std::int64_t bytes = 0;
   };
 
-  /// Lazily built generation-0 view over `comm` for the non-elastic
-  /// path; rebuilt only if the communicator changes, asserted in sync
-  /// with comm.size() (previously re-derived every call).
-  ElasticWorld& Identity(Communicator& comm);
-
   /// Packs `ids` (param indices) into the fusion scratch, reduces the
-  /// buffer in bucket_index's tag window, averages and scatters back.
+  /// buffer in bucket_index's tag window (shifted by `tag_salt`, the
+  /// generation's namespace), averages and scatters back.
   CollectiveResult ReduceFusedBucket(Communicator& comm,
                                      const std::vector<Param*>& params,
-                                     ElasticWorld& elastic,
-                                     const RankGroup& group,
+                                     int tag_salt, const RankGroup& group,
                                      std::span<const int> ids,
                                      int bucket_index,
                                      const Deadline& deadline);
@@ -176,7 +167,7 @@ class GradientExchanger {
   void CloseBucketLocked();
 
   ExchangerOptions opts_;
-  std::unique_ptr<ControlPlane> control_;
+  HierarchicalControlPlane control_{kControlRadix};
   Rng rng_;
   std::int64_t last_fused_buffers_ = 0;
   int step_ = 0;
@@ -184,10 +175,6 @@ class GradientExchanger {
   // driving the same instance (which would corrupt the step state and
   // counter without any TSan-visible lock).
   ReentrancyGuard reentrancy_;
-
-  // Non-elastic identity view (see Identity()).
-  std::unique_ptr<ElasticWorld> identity_;
-  Communicator* identity_comm_ = nullptr;
 
   // ---- engine state ----
   // Hand-off discipline: the trainer thread writes sched_order_ /
@@ -206,7 +193,7 @@ class GradientExchanger {
   bool step_open_ = false;       // trainer thread only
   Communicator* comm_ = nullptr;
   const std::vector<Param*>* params_ = nullptr;
-  ElasticWorld* elastic_ = nullptr;
+  ElasticWorld* elastic_ = nullptr;  // nullptr: the whole world, gen 0
   double timeout_s_ = kNoTimeout;  // bounds each bucket (see BeginStep)
   Rng shuffle_rng_{0};            // this step's readiness-shuffle stream
   std::vector<int> sched_order_;  // emission order; writes guarded by mu_

@@ -68,11 +68,8 @@ CollectiveResult TryHybridAllreduce(Communicator& comm, const RankGroup& group,
       return local == k % members;
     });
     const std::span<float> shard(data.data() + s.offset, s.count);
-    r = opts.inter_node_tree
-            ? TryGroupAllreduceTree(comm, peers, shard, deadline,
-                                    tag + 100 + k, wire)
-            : TryGroupAllreduceRing(comm, peers, shard, deadline,
-                                    tag + 100 + k, wire);
+    r = TryGroupAllreduceTree(comm, peers, shard, deadline, tag + 100 + k,
+                              wire);
     if (!r.ok()) return r;
   }
 

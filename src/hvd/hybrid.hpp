@@ -16,8 +16,9 @@ namespace exaclim {
 ///  2. on a node of m members, member k mod m owns shard k of
 ///     min(mpi_ranks_per_node, ranks_per_node) (a "quarter" with the
 ///     paper's 4-of-6 split) and all-reduces it with shard k's owner on
-///     every other node (the MPI/InfiniBand phase, one shard per virtual
-///     IB device); every rank runs its shards in increasing k;
+///     every other node by a binomial tree, as MPI does at scale (the
+///     MPI/InfiniBand phase, one shard per virtual IB device); every
+///     rank runs its shards in increasing k;
 ///  3. each shard owner broadcasts its fully reduced shard within the
 ///     node (the NCCL broadcast phase), leaving every rank with the
 ///     complete result.
@@ -27,9 +28,6 @@ namespace exaclim {
 struct HybridAllreduceOptions {
   Topology topology{.ranks_per_node = 6};
   int mpi_ranks_per_node = 4;
-  /// Inter-node shard all-reduce algorithm (tree matches MPI's scale
-  /// behaviour; ring is bandwidth-optimal).
-  bool inter_node_tree = true;
 };
 
 /// Throws unless ranks_per_node and mpi_ranks_per_node are both >= 1.

@@ -369,7 +369,7 @@ int LoadResumeEpoch(const std::filesystem::path& path, int epochs,
 
 }  // namespace
 
-TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
+TrainRunResult RunDistributedTraining(const TrainerOptions& opts,
                                       const ClimateDataset& dataset,
                                       int ranks, int steps,
                                       std::int64_t images_per_rank,
@@ -384,15 +384,6 @@ TrainRunResult RunDistributedTraining(const TrainerOptions& raw_opts,
   EXACLIM_CHECK(!run.resume || !run.checkpoint_path.empty(),
                 "resume needs a checkpoint_path");
   const int epochs = steps / steps_per_epoch;
-  // EXACLIM_ELASTIC / EXACLIM_ELASTIC_TIMEOUT /
-  // EXACLIM_ELASTIC_REBUILD_TIMEOUT override the programmatic options,
-  // so elasticity can be armed on an existing binary alongside
-  // EXACLIM_FAULTS.
-  TrainerOptions opts = raw_opts;
-  opts.elastic = ElasticOptions::FromEnv(opts.elastic);
-  // EXACLIM_FUSION_BYTES / EXACLIM_WIRE likewise
-  // override the exchange knobs on an existing binary.
-  opts.exchanger = ExchangerOptions::FromEnv(opts.exchanger);
   const auto freq = dataset.MeasureFrequencies(16);
   const auto weights = MakeClassWeights(freq, opts.weighting);
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -62,76 +63,34 @@ TrainerOptions TinyElasticTrainer() {
   return o;
 }
 
-// ------------------------------------------------- ElasticOptions env --
+// ------------------------------------------ ElasticOptions validation --
 
-TEST(ElasticOptionsEnv, FromEnvOverridesProgrammaticOptions) {
-  ::setenv("EXACLIM_ELASTIC", "1", 1);
-  ::setenv("EXACLIM_ELASTIC_TIMEOUT", "2.5", 1);
-  ::setenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT", "7.25", 1);
-  const ElasticOptions on = ElasticOptions::FromEnv(ElasticOptions{});
-  EXPECT_TRUE(on.enabled);
-  EXPECT_DOUBLE_EQ(on.collective_timeout_s, 2.5);
-  EXPECT_DOUBLE_EQ(on.rebuild_timeout_s, 7.25);
-
-  ::setenv("EXACLIM_ELASTIC", "off", 1);
-  ElasticOptions base;
-  base.enabled = true;
-  EXPECT_FALSE(ElasticOptions::FromEnv(base).enabled);
-
-  ::unsetenv("EXACLIM_ELASTIC");
-  ::unsetenv("EXACLIM_ELASTIC_TIMEOUT");
-  ::unsetenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT");
-  EXPECT_FALSE(ElasticOptions::FromEnv(ElasticOptions{}).enabled);
-
-  // Every documented spelling is accepted with its meaning...
-  for (const auto& [value, on] : std::vector<std::pair<const char*, bool>>{
-           {"on", true}, {"1", true}, {"true", true},
-           {"off", false}, {"0", false}, {"false", false}}) {
-    ::setenv("EXACLIM_ELASTIC", value, 1);
-    ElasticOptions flipped;
-    flipped.enabled = !on;
-    EXPECT_EQ(ElasticOptions::FromEnv(flipped).enabled, on) << value;
-  }
-  ::unsetenv("EXACLIM_ELASTIC");
-  ::setenv("EXACLIM_ELASTIC_TIMEOUT", "1e-3", 1);
-  ::setenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT", "30", 1);
-  const ElasticOptions numbers = ElasticOptions::FromEnv(ElasticOptions{});
-  EXPECT_DOUBLE_EQ(numbers.collective_timeout_s, 1e-3);
-  EXPECT_DOUBLE_EQ(numbers.rebuild_timeout_s, 30.0);
-  ::unsetenv("EXACLIM_ELASTIC_TIMEOUT");
-  ::unsetenv("EXACLIM_ELASTIC_REBUILD_TIMEOUT");
-
-  // ...and anything else fails with an Error naming the variable, instead
-  // of silently meaning something else or escaping as a std::stod error.
-  for (const auto& [name, value] :
-       std::vector<std::pair<const char*, const char*>>{
-           {"EXACLIM_ELASTIC", "no"},
-           {"EXACLIM_ELASTIC", "yes"},
-           {"EXACLIM_ELASTIC", ""},
-           {"EXACLIM_ELASTIC_TIMEOUT", "abc"},
-           {"EXACLIM_ELASTIC_TIMEOUT", "5s"},
-           {"EXACLIM_ELASTIC_TIMEOUT", "-1"},
-           {"EXACLIM_ELASTIC_TIMEOUT", "0"},
-           {"EXACLIM_ELASTIC_TIMEOUT", "nan"},
-           {"EXACLIM_ELASTIC_TIMEOUT", "inf"},
-           {"EXACLIM_ELASTIC_TIMEOUT", ""},
-           {"EXACLIM_ELASTIC_REBUILD_TIMEOUT", "abc"},
-           {"EXACLIM_ELASTIC_REBUILD_TIMEOUT", "2.5 "},
-           {"EXACLIM_ELASTIC_REBUILD_TIMEOUT", "0"}}) {
-    ::setenv(name, value, 1);
-    std::string what;
-    try {
-      (void)ElasticOptions::FromEnv(ElasticOptions{});
-    } catch (const Error& e) {
-      what = e.what();
-    } catch (const std::exception& e) {
-      what = std::string("non-Error exception: ") + e.what();
+TEST(ElasticOptions, ConstructorRejectsNonPositiveTimeouts) {
+  SimWorld world(1);
+  world.Run([](Communicator& comm) {
+    for (const double ok : {1e-3, 1.0, 5.0, 30.0, kNoTimeout}) {
+      ElasticOptions o;
+      o.collective_timeout_s = ok;
+      o.rebuild_timeout_s = ok;
+      EXPECT_NO_THROW(ElasticWorld(comm, o)) << ok;
     }
-    ::unsetenv(name);
-    EXPECT_NE(what.find(name), std::string::npos)
-        << name << "='" << value << "' gave: '" << what << "'";
-    EXPECT_EQ(what.find("non-Error"), std::string::npos) << what;
-  }
+    for (const double bad : {0.0, -1.0, std::nan("")}) {
+      for (const bool rebuild : {false, true}) {
+        ElasticOptions o;
+        (rebuild ? o.rebuild_timeout_s : o.collective_timeout_s) = bad;
+        const char* field =
+            rebuild ? "rebuild_timeout_s" : "collective_timeout_s";
+        std::string what;
+        try {
+          ElasticWorld elastic(comm, o);
+        } catch (const Error& e) {
+          what = e.what();
+        }
+        EXPECT_NE(what.find(field), std::string::npos)
+            << field << " = " << bad << " gave: '" << what << "'";
+      }
+    }
+  });
 }
 
 // ------------------------------------------------------------ Deadline --
@@ -148,6 +107,45 @@ TEST(Deadline, BoundedCountsDownAndExpires) {
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   EXPECT_TRUE(d.Expired());
   EXPECT_EQ(d.Remaining(), 0.0);
+}
+
+// Seconds past steady_clock's range (about 292 years of nanosecond
+// ticks) used to overflow the tick conversion into a deadline in the
+// past, so a receive bounded by 1e10 s timed out at once.
+TEST(Deadline, TimeoutPastTheClockRangeNeverExpires) {
+  for (const double huge : {1e10, DBL_MAX}) {
+    const Deadline d(huge);
+    EXPECT_FALSE(d.Expired()) << huge;
+    EXPECT_EQ(d.Remaining(), kNoTimeout) << huge;
+  }
+  EXPECT_THROW((void)Deadline(std::nan("")), Error);
+}
+
+TEST(Deadline, ReceivePastTheClockRangeWaitsForALateSend) {
+  for (const double timeout : {1e10, DBL_MAX, std::nan("")}) {
+    SimWorld world(2);
+    RecvStatus status = RecvStatus::kTimeout;
+    int got = 0;
+    bool threw = false;
+    world.Run([&](Communicator& comm) {
+      if (comm.rank() == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        comm.SendValue(0, 7, 42);
+        return;
+      }
+      try {
+        status = comm.RecvValueTimeout(1, 7, timeout, &got);
+      } catch (const Error&) {
+        threw = true;
+      }
+    });
+    if (std::isnan(timeout)) {
+      EXPECT_TRUE(threw);
+    } else {
+      EXPECT_EQ(status, RecvStatus::kOk) << timeout;
+      EXPECT_EQ(got, 42) << timeout;
+    }
+  }
 }
 
 // --------------------------------------------- collective kill matrix --

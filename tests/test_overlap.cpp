@@ -2,7 +2,7 @@
 // counts of a hand-streamed step vs the blocking Exchange (FP32 and the
 // packed-FP16 wire), run-to-run determinism of the trainer whatever the
 // exchange thread's timing, bucket composition under the readiness
-// shuffle, strict env parsing,
+// shuffle, option validation,
 // the bounded bucket-tag layout (regression for the tag overflow past
 // the elastic generation stride), binary16 overflow-boundary agreement
 // between the RTNE converter, CountHalfNonFinite's bit threshold and the
@@ -14,8 +14,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <exception>
 #include <limits>
 #include <memory>
 #include <random>
@@ -304,52 +302,25 @@ TEST(BucketTagLayout, ExchangeSurvivesMoreBucketsThanTagSlots) {
   EXPECT_EQ(buffers, n);
 }
 
-// ------------------------------------------------------ env overrides --
+// ------------------------------------------------- options validation --
 
-/// FromEnv's error text with `name=value` set, or "" when it accepted it.
-std::string FromEnvError(const char* name, const char* value) {
-  ::setenv(name, value, 1);
-  std::string what;
-  try {
-    (void)ExchangerOptions::FromEnv(ExchangerOptions{});
-  } catch (const std::exception& e) {
-    what = e.what();
+TEST(ExchangerOptions, ConstructorRejectsFusionThresholdBelowOne) {
+  for (const std::int64_t ok : {std::int64_t{1}, std::int64_t{4} << 20}) {
+    ExchangerOptions opts;
+    opts.fusion_threshold_bytes = ok;
+    EXPECT_NO_THROW(GradientExchanger(opts, 3)) << ok;
   }
-  ::unsetenv(name);
-  return what;
-}
-
-TEST(ExchangerOptionsEnv, FromEnvOverridesProgrammaticOptions) {
-  ::setenv("EXACLIM_FUSION_BYTES", "123456", 1);
-  ::setenv("EXACLIM_WIRE", "fp16", 1);
-  const ExchangerOptions fp16 = ExchangerOptions::FromEnv(ExchangerOptions{});
-  EXPECT_EQ(fp16.fusion_threshold_bytes, 123456);
-  EXPECT_EQ(fp16.wire_precision, Precision::kFP16);
-
-  ::setenv("EXACLIM_WIRE", "fp32", 1);
-  ExchangerOptions base;
-  base.wire_precision = Precision::kFP16;
-  const ExchangerOptions fp32 = ExchangerOptions::FromEnv(base);
-  EXPECT_EQ(fp32.wire_precision, Precision::kFP32);
-
-  ::unsetenv("EXACLIM_FUSION_BYTES");
-  ::unsetenv("EXACLIM_WIRE");
-
-  // Malformed values fail with a message naming the variable, instead
-  // of silently meaning something else.
-  for (const auto& [name, value] :
-       std::vector<std::pair<const char*, const char*>>{
-           {"EXACLIM_FUSION_BYTES", "4MB"},
-           {"EXACLIM_FUSION_BYTES", "abc"},
-           {"EXACLIM_FUSION_BYTES", "0"},
-           {"EXACLIM_FUSION_BYTES", "-4096"},
-           {"EXACLIM_FUSION_BYTES", ""},
-           {"EXACLIM_FUSION_BYTES", "99999999999999999999"},
-           {"EXACLIM_WIRE", "bf16"},
-           {"EXACLIM_WIRE", ""}}) {
-    const std::string what = FromEnvError(name, value);
-    EXPECT_NE(what.find(name), std::string::npos)
-        << name << "='" << value << "' gave: '" << what << "'";
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-1}}) {
+    ExchangerOptions opts;
+    opts.fusion_threshold_bytes = bad;
+    std::string what;
+    try {
+      GradientExchanger exchanger(opts, 3);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("fusion_threshold_bytes"), std::string::npos)
+        << bad << " gave: '" << what << "'";
   }
 }
 

@@ -97,7 +97,6 @@ TEST(PropertyCollectives, FuzzedHybridMatchesBruteForce) {
       HybridAllreduceOptions opts;
       opts.topology.ranks_per_node = rpn;
       opts.mpi_ranks_per_node = mpi_ranks;
-      opts.inter_node_tree = trial % 2 == 0;
       HybridAllreduce(comm, data, opts, 9500, wire);
     });
     const std::string where = "trial " + std::to_string(trial) + " rpn " +

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "stats/stats.hpp"
@@ -165,6 +169,53 @@ TEST(RunDistributedTraining, HybridTrainsAtEveryWorldSize) {
       }
     }
   }
+}
+
+/// Sets `name` to `value` for its lifetime, then restores the previous
+/// value (or unsets it).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) previous_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (previous_) {
+      ::setenv(name_, previous_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> previous_;
+};
+
+TEST(RunDistributedTraining, TypedOptionsAreTheOnlyConfig) {
+  // Variables that once overrode the exchanger and elastic options must
+  // change nothing, not even fail on a malformed value.
+  ClimateDataset dataset(TinyData());
+  TrainerOptions o = TinyTrainer();
+  o.exchanger.shuffle_ready_order = false;
+  const TrainRunResult plain = RunDistributedTraining(o, dataset, 2, 2, 4);
+  TrainRunResult with_env;
+  {
+    const ScopedEnv wire("EXACLIM_WIRE", "fp16");
+    const ScopedEnv fusion("EXACLIM_FUSION_BYTES", "1");
+    const ScopedEnv elastic("EXACLIM_ELASTIC", "on");
+    const ScopedEnv timeout("EXACLIM_ELASTIC_TIMEOUT", "nan");
+    with_env = RunDistributedTraining(o, dataset, 2, 2, 4);
+  }
+  ASSERT_EQ(with_env.loss_history.size(), plain.loss_history.size());
+  for (std::size_t i = 0; i < plain.loss_history.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(with_env.loss_history[i]),
+              std::bit_cast<std::uint64_t>(plain.loss_history[i]))
+        << "step " << i;
+  }
+  EXPECT_EQ(with_env.survivor_param_crcs, plain.survivor_param_crcs);
 }
 
 TEST(RunDistributedTraining, LossTrendsDownAcrossRanks) {

@@ -509,10 +509,17 @@ class EnvPrefixRule(Rule):
                         "EXACLIM_-prefixed")
 
 
+# Ceiling on the distinct EXACLIM_* names src/ may read. Typed options
+# are the configuration; a new knob must raise this number, so it shows
+# in review the way an alloc_budget*.json change does.
+MAX_ENV_KNOBS = 6
+
+
 class EnvDocumentedRule(Rule):
     id = "env-documented"
     doc = ("every getenv(\"EXACLIM_...\") under src/ has a row in the "
-           "README knob table, and every row names a knob src/ reads.")
+           "README knob table, every row names a knob src/ reads, and "
+           f"src/ reads at most {MAX_ENV_KNOBS} distinct knobs.")
 
     RE = EnvPrefixRule.RE
     ROW_RE = re.compile(r"^\|\s*`(EXACLIM_[A-Z0-9_]+)`\s*\|")
@@ -548,6 +555,12 @@ class EnvDocumentedRule(Rule):
                 linter.report(Path("README.md"), lineno, self.id,
                               f"README knob table lists {name}, which "
                               "nothing under src/ reads")
+        if len(reads) > MAX_ENV_KNOBS:
+            rel, lineno = max(reads.values())
+            linter.report(rel, lineno, self.id,
+                          f"src/ reads {len(reads)} EXACLIM_* knobs, more "
+                          f"than MAX_ENV_KNOBS = {MAX_ENV_KNOBS} "
+                          "(tools/lint.py): make it a typed option instead")
 
 
 class ModuleDepsRule(Rule):

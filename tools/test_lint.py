@@ -394,6 +394,25 @@ class EnvDocumentedTest(unittest.TestCase):
                       '  // lint:allow(env-documented)\n'})
         self.assertNotIn("env-documented", rules_fired(f))
 
+    @staticmethod
+    def knobs(count: int) -> dict[str, str]:
+        names = [f"EXACLIM_K{i}" for i in range(count)]
+        return {
+            "README.md": "".join(f"| `{n}` | - | - |\n" for n in names),
+            "src/a.cpp": "".join(f'const char* e{i} = std::getenv("{n}");\n'
+                                 for i, n in enumerate(names)),
+        }
+
+    def test_knob_ceiling_clean(self):
+        f = run_lint(self.knobs(lint.MAX_ENV_KNOBS))
+        self.assertNotIn("env-documented", rules_fired(f))
+
+    def test_knob_over_ceiling_fires(self):
+        f = run_lint(self.knobs(lint.MAX_ENV_KNOBS + 1))
+        self.assertEqual(len(f), 1)
+        self.assertIn("[env-documented]", f[0])
+        self.assertIn(f"reads {lint.MAX_ENV_KNOBS + 1} EXACLIM_* knobs", f[0])
+
 
 class ModuleDepsTest(unittest.TestCase):
     CMAKE = ("exaclim_module(common)\n"
