@@ -324,7 +324,11 @@ void RunFusionComparison(obs::BenchReport& report) {
 //     second, so the ratio is ~1.0 for branchless kernels and 2.5-6x for
 //     branchy ones on any host (ci.sh gates it at 1.5);
 //   - the BatchNorm2d→ReLU pair as one fused sweep vs two layer passes
-//     (train forward);
+//     (train forward), in FP32 and under FP16 emulation;
+//   - the binary16 round trip (RoundTripHalf) on ReLU output, about half
+//     +0, vs all-normal input. A conversion that branches on the
+//     magnitude mispredicts on the first; the branch-free one reads ~1.0
+//     (ci.sh gates it at 1.5);
 //   - MaxPool2d 2x2/2 forward on random vs ascending input, where a
 //     branchy max-select shows the same gap as a branchy ReLU.
 void RunPointwiseComparison(obs::BenchReport& report) {
@@ -383,7 +387,33 @@ void RunPointwiseComparison(obs::BenchReport& report) {
   };
   time_pair("bn->relu fwd", "bn_relu_unfused_ms", unit_pass(false),
             "bn_relu_fused_ms", unit_pass(true));
+  Sequential unit16("unit16");
+  unit16.Emplace<BatchNorm2d>("bn", shape.c());
+  unit16.Emplace<ReLU>("r");
+  unit16.SetPrecision(Precision::kFP16);
+  const auto unit16_pass = [&](bool fuse) {
+    return [&unit16, &random, fuse] {
+      SetConvFusion(fuse);
+      return unit16.Forward(random, true);
+    };
+  };
+  time_pair("bn->relu fp16", "bn_relu_fp16_unfused_ms", unit16_pass(false),
+            "bn_relu_fp16_fused_ms", unit16_pass(true));
   SetConvFusion(saved_fuse);
+
+  // Quantising an already-quantised tensor changes no value, so each
+  // pass round-trips the same data again.
+  Tensor relu_output = relu.Forward(random, true);
+  Tensor normal = positive;
+  const auto round_trip_pass = [](Tensor& x) {
+    return [&x] {
+      RoundTripHalf(x);
+      return Tensor();
+    };
+  };
+  time_pair("fp16 round trip", "half_roundtrip_relu_output_ms",
+            round_trip_pass(relu_output), "half_roundtrip_normal_ms",
+            round_trip_pass(normal));
 
   MaxPool2d pool("p", 2, 2, 0);
   const auto pool_pass = [&](const Tensor& x) {

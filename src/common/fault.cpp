@@ -154,6 +154,14 @@ int FaultInjector::ArmFromString(std::string_view specs) {
       throw Error("EXACLIM_FAULTS entry '" + std::string(one) +
                   "' has a non-numeric field");
     }
+    // A NaN would reach the deadline and sleep arithmetic of the delay
+    // sites, and a negative delay would silently mean none.
+    EXACLIM_CHECK(std::isfinite(spec.delay_seconds) &&
+                      spec.delay_seconds >= 0.0,
+                  "EXACLIM_FAULTS entry '"
+                      << std::string(one) << "' has delay_s "
+                      << spec.delay_seconds
+                      << "; it must be a finite number of seconds >= 0");
     if (!IsKnownFaultSite(spec.site)) {
       std::string valid;
       for (const auto& s : KnownFaultSites()) {

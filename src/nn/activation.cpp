@@ -11,24 +11,27 @@ namespace {
 constexpr std::size_t kPointwiseGrain = 16384;
 
 // The ReLU kernels are branchless (a branch on the sign mispredicts about
-// half the time) and vectorized through PointwiseMap (epilogue.hpp). They
-// stay out of line: inlined into the ParallelFor closure, their block
-// loops can stop vectorizing.
+// half the time) and vectorized through PointwiseMap (epilogue.hpp).
+// Under FP16 emulation (kHalf) they store the quantised value in the
+// same pass (DESIGN §17). They stay out of line: inlined into the
+// ParallelFor closure, their block loops can stop vectorizing.
+template <bool kHalf>
 [[gnu::noinline]] void ReluForwardKernel(const float* in,
                                          float* __restrict out,
                                          unsigned char* __restrict mask,
                                          std::size_t n) {
   PointwiseMap(in, n, [=](std::size_t i, float v) {
     mask[i] = static_cast<unsigned char>(ReluActive(v));
-    out[i] = ReluValueBits(v);
+    out[i] = Quantised<kHalf>(ReluValueBits(v));
   });
 }
 
+template <bool kHalf>
 [[gnu::noinline]] void ReluBackwardKernel(
     const float* grad_output, const unsigned char* __restrict mask,
     float* __restrict grad_input, std::size_t n) {
   PointwiseMap(grad_output, n, [=](std::size_t i, float g) {
-    grad_input[i] = ReluMaskSelect(g, mask[i]);
+    grad_input[i] = Quantised<kHalf>(ReluMaskSelect(g, mask[i]));
   });
 }
 
@@ -41,16 +44,18 @@ Tensor ReLU::Forward(const Tensor& input, bool /*train*/) {
   Tensor output = Tensor::Uninitialized(input.shape());
   const std::size_t size = static_cast<std::size_t>(input.NumElements());
   mask_.resize(size);
+  const auto kernel = precision() == Precision::kFP16
+                          ? &ReluForwardKernel<true>
+                          : &ReluForwardKernel<false>;
   ParallelFor(
       0, size,
       [&](std::size_t lo, std::size_t hi) {
         // hot-path: begin
-        ReluForwardKernel(input.Raw() + lo, output.Raw() + lo,
-                          mask_.data() + lo, hi - lo);
+        kernel(input.Raw() + lo, output.Raw() + lo, mask_.data() + lo,
+               hi - lo);
         // hot-path: end
       },
       kPointwiseGrain);
-  MaybeQuantise(output);
   return output;
 }
 
@@ -64,16 +69,18 @@ Tensor ReLU::Backward(const Tensor& grad_output) {
   EXACLIM_CHECK(grad_output.shape() == input_shape_,
                 name() << ": grad shape mismatch");
   Tensor grad_input = Tensor::Uninitialized(input_shape_);
+  const auto kernel = precision() == Precision::kFP16
+                          ? &ReluBackwardKernel<true>
+                          : &ReluBackwardKernel<false>;
   ParallelFor(
       0, mask_.size(),
       [&](std::size_t lo, std::size_t hi) {
         // hot-path: begin
-        ReluBackwardKernel(grad_output.Raw() + lo, mask_.data() + lo,
-                           grad_input.Raw() + lo, hi - lo);
+        kernel(grad_output.Raw() + lo, mask_.data() + lo,
+               grad_input.Raw() + lo, hi - lo);
         // hot-path: end
       },
       kPointwiseGrain);
-  MaybeQuantise(grad_input);
   return grad_input;
 }
 

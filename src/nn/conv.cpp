@@ -198,18 +198,18 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
   Tensor output = Tensor::Uninitialized(out_shape);
   const Tensor& w = ComputeWeight();
   const bool pointwise = UsePointwiseFastPath();
-  const bool fp32 = precision() == Precision::kFP32;
-  EXACLIM_CHECK(ops.Empty() || fp32,
-                name() << ": epilogue ops on a non-FP32 conv");
-  // Fold the conv's own bias into the GEMM epilogue whenever fusion is
-  // on: the per-element add is the exact same FP op as the separate bias
-  // pass below, so SetConvFusion never changes bits — it only changes
-  // how often C is touched.
+  const bool fp16 = precision() == Precision::kFP16;
+  // Fold the conv's own bias, and under FP16 emulation the quantisation
+  // of its output, into the GEMM epilogue whenever fusion is on: the
+  // per-element add and rounding are the exact FP ops of the separate
+  // bias pass and RoundTripHalf sweep below, so SetConvFusion never
+  // changes bits — it only changes how often C is touched.
   const bool use_epilogue =
-      !ops.Empty() || (bias_.has_value() && ConvFusionEnabled() && fp32);
+      !ops.Empty() || ((bias_.has_value() || fp16) && ConvFusionEnabled());
   GemmEpilogue epi;
   if (use_epilogue) {
     if (bias_) epi.bias = bias_->value.Raw();
+    epi.half = fp16;
     epi.bn_mean = ops.bn_mean;
     epi.bn_inv_std = ops.bn_inv_std;
     epi.bn_gamma = ops.bn_gamma;
@@ -264,7 +264,7 @@ Tensor Conv2d::ForwardFused(const Tensor& input, bool /*train*/,
       }
     }
   });
-  MaybeQuantise(output);
+  if (!use_epilogue) MaybeQuantise(output);
   return output;
 }
 

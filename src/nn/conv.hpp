@@ -73,8 +73,9 @@ class Conv2d : public Layer {
 
   /// Forward with extra epilogue ops fused into the GEMM writeback —
   /// what Sequential's fusion pass calls for Conv2d→BN(→ReLU) chains.
-  /// Requires FP32 precision when `ops` is non-empty; Forward() is
-  /// exactly ForwardFused(input, train, {}).
+  /// Under FP16 the epilogue quantises the conv output, and BN's output
+  /// before the ReLU mask, exactly where the unfused chain does
+  /// (DESIGN §17). Forward() is exactly ForwardFused(input, train, {}).
   Tensor ForwardFused(const Tensor& input, bool train,
                       const ConvFusedOps& ops);
 

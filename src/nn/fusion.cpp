@@ -5,38 +5,32 @@
 #include "nn/norm.hpp"
 
 namespace exaclim {
-namespace {
-
-bool IsFp32(const Layer& layer) {
-  return layer.precision() == Precision::kFP32;
-}
-
-}  // namespace
 
 std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
                            std::size_t i) {
   Layer* next = i + 1 < layers.size() ? layers[i + 1].get() : nullptr;
-  if (next == nullptr) return 0;
-  if (auto* bn = dynamic_cast<BatchNorm2d*>(layers[i].get())) {
+  if (next == nullptr || next->precision() != layers[i]->precision()) {
+    return 0;
+  }
+  if (dynamic_cast<BatchNorm2d*>(layers[i].get()) != nullptr) {
     // BatchNorm2d→ReLU, the pre-activation half of every Tiramisu unit.
-    auto* relu = dynamic_cast<ReLU*>(next);
-    return IsFp32(*bn) && relu != nullptr && IsFp32(*relu) ? 2 : 0;
+    return dynamic_cast<ReLU*>(next) != nullptr ? 2 : 0;
   }
   auto* conv = dynamic_cast<Conv2d*>(layers[i].get());
-  if (conv == nullptr || !IsFp32(*conv)) return 0;
+  if (conv == nullptr) return 0;
 
   if (auto* bn = dynamic_cast<BatchNorm2d*>(next)) {
-    if (!IsFp32(*bn) || bn->channels() != conv->options().out_c) return 0;
+    if (bn->channels() != conv->options().out_c) return 0;
     Layer* third = i + 2 < layers.size() ? layers[i + 2].get() : nullptr;
-    if (auto* relu = dynamic_cast<ReLU*>(third); relu && IsFp32(*relu)) {
+    if (dynamic_cast<ReLU*>(third) != nullptr &&
+        third->precision() == bn->precision()) {
       return 3;
     }
     return 2;
   }
   // Conv2d→ReLU: with no BN sweep to piggyback on, the ReLU rides the
   // conv's GEMM epilogue.
-  auto* relu = dynamic_cast<ReLU*>(next);
-  return relu != nullptr && IsFp32(*relu) ? 2 : 0;
+  return dynamic_cast<ReLU*>(next) != nullptr ? 2 : 0;
 }
 
 Tensor ForwardFusedChain(const std::vector<LayerPtr>& layers, std::size_t i,

@@ -21,10 +21,12 @@ namespace exaclim {
 /// Length of the fusable chain starting at layers[i]: 3 for
 /// Conv2d→BatchNorm2d→ReLU, 2 for Conv2d→BatchNorm2d, Conv2d→ReLU or
 /// BatchNorm2d→ReLU, 0 when layers[i] starts no fusable chain. All member
-/// layers must be FP32 (FP16 emulation quantises between layers, which
-/// fusion would skip — a tiny positive BN output that rounds to 0 would
-/// flip the ReLU mask); every FP32 conv writes C through the GEMM engine,
-/// so its epilogue can always take the BN affine and the ReLU.
+/// layers must share one precision. Under FP16 emulation the fused
+/// kernels quantise where the unfused chain does: the conv output before
+/// BN's statistics, and BN's output before the ReLU takes its mask, so a
+/// tiny positive y that rounds to +0 gets mask 0 (DESIGN §17). Every conv
+/// writes C through the GEMM engine, so its epilogue can always take the
+/// BN affine and the ReLU.
 std::size_t FusableChainAt(const std::vector<LayerPtr>& layers,
                            std::size_t i);
 

@@ -125,7 +125,9 @@ class Layer {
   /// fixes the Params()/StateTensors() order.
   void AddChild(Layer& child) { children_.push_back(&child); }
 
-  /// Applies FP16 storage emulation to an activation if enabled.
+  /// Applies FP16 storage emulation to an activation if enabled, as a
+  /// separate sweep: for the layers whose kernels do not quantise as
+  /// they write (DESIGN §17).
   void MaybeQuantise(Tensor& t) const {
     if (precision_ == Precision::kFP16) RoundTripHalf(t);
   }

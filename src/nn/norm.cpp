@@ -10,11 +10,17 @@ namespace exaclim {
 namespace {
 
 // One plane of the forward write pass: x_hat to its cache, y (ReLU'd,
-// with its mask, when `mask` is set) to `out`. `out` may alias `in`
+// with its mask, when `mask` is set) to `out`. Under FP16 emulation
+// (kHalf) y is quantised as it is written, and before the fused ReLU
+// takes its mask: a tiny positive y that rounds to +0 must get mask 0,
+// as in the unfused chain, where ReLU sees BN's quantised output. ReLU
+// of a quantised value is already a binary16 value, so the ReLU's own
+// quantisation needs no step here (DESIGN §17). `out` may alias `in`
 // (ForwardFusedInPlace), so only the other outputs are __restrict;
 // PointwiseMap reads each block before writing it. The plane kernels stay
 // out of line: inlined into the channel closure, their block loops stop
 // vectorizing.
+template <bool kHalf>
 [[gnu::noinline]] void NormalisePlane(const float* in, float* out,
                                       float* __restrict norm,
                                       unsigned char* __restrict mask,
@@ -26,7 +32,7 @@ namespace {
     PointwiseMap(in, n, [=](std::size_t i, float v) {
       const float x_hat = BnNormalise(v, mean, inv_std);
       norm[i] = x_hat;
-      out[i] = BnAffine(x_hat, gamma, beta);
+      out[i] = Quantised<kHalf>(BnAffine(x_hat, gamma, beta));
     });
     return;
   }
@@ -34,14 +40,16 @@ namespace {
   PointwiseMap(in, n, [=](std::size_t i, float v) {
     const float x_hat = BnNormalise(v, mean, inv_std);
     norm[i] = x_hat;
-    const float y = BnAffine(x_hat, gamma, beta);
+    const float y = Quantised<kHalf>(BnAffine(x_hat, gamma, beta));
     mask[i] = static_cast<unsigned char>(ReluActive(y));
     out[i] = ReluValueBits(y);
   });
 }
 
 // One plane of the backward write pass,
-// dx = gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)).
+// dx = gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)),
+// quantised as it is written under FP16 emulation.
+template <bool kHalf>
 [[gnu::noinline]] void NormaliseGradPlane(const float* gout,
                                           const float* __restrict x_hat,
                                           float* __restrict gin,
@@ -50,7 +58,8 @@ namespace {
                                           float mean_gx) {
   const auto n = static_cast<std::size_t>(hw);
   PointwiseMap(gout, n, [=](std::size_t i, float dy) {
-    gin[i] = gamma * inv_std * (dy - mean_g - x_hat[i] * mean_gx);
+    gin[i] = Quantised<kHalf>(gamma * inv_std *
+                              (dy - mean_g - x_hat[i] * mean_gx));
   });
 }
 
@@ -106,6 +115,8 @@ void BatchNorm2d::RunForwardInto(const Tensor& input, Tensor& output,
   batch_inv_std_ = Tensor(TensorShape{channels_});
   unsigned char* mask =
       relu != nullptr ? relu->BeginFusedForward(input.shape()) : nullptr;
+  const auto plane = precision() == Precision::kFP16 ? &NormalisePlane<true>
+                                                     : &NormalisePlane<false>;
 
   ForEachChannel(channels_, [&](std::int64_t c) {
     float mean, var;
@@ -139,10 +150,9 @@ void BatchNorm2d::RunForwardInto(const Tensor& input, Tensor& output,
       // The stats pass above read the whole channel before any write, so
       // `output` may alias `input`; x_hat goes to the separate cache.
       const std::int64_t off = b * chw + c * hw;
-      NormalisePlane(input.Raw() + off, output.Raw() + off,
-                     cached_norm_.Raw() + off,
-                     mask != nullptr ? mask + off : nullptr, hw, mean,
-                     inv_std, g, bta);
+      plane(input.Raw() + off, output.Raw() + off, cached_norm_.Raw() + off,
+            mask != nullptr ? mask + off : nullptr, hw, mean, inv_std, g,
+            bta);
     }
   });
 }
@@ -150,22 +160,17 @@ void BatchNorm2d::RunForwardInto(const Tensor& input, Tensor& output,
 Tensor BatchNorm2d::Forward(const Tensor& input, bool train) {
   Tensor output = Tensor::Uninitialized(input.shape());
   RunForwardInto(input, output, train, /*relu=*/nullptr);
-  MaybeQuantise(output);
   return output;
 }
 
 Tensor BatchNorm2d::ForwardFused(const Tensor& input, bool train,
                                  ReLU& relu) {
-  // FP32-only like every fused chain: under FP16 emulation BN's output is
-  // quantised before the ReLU sees it, which can flip the mask.
   Tensor output = Tensor::Uninitialized(input.shape());
   RunForwardInto(input, output, train, &relu);
   return output;
 }
 
 void BatchNorm2d::ForwardFusedInPlace(Tensor& x, bool train, ReLU* relu) {
-  // Fused chains are FP32-only (Sequential never builds one under FP16
-  // emulation), so there is no MaybeQuantise step to replicate here.
   RunForwardInto(x, x, train, relu);
 }
 
@@ -197,6 +202,9 @@ Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
   const std::int64_t chw = channels_ * hw;
 
   Tensor grad_input = Tensor::Uninitialized(input_shape_);
+  const auto grad_plane = precision() == Precision::kFP16
+                              ? &NormaliseGradPlane<true>
+                              : &NormaliseGradPlane<false>;
   ForEachChannel(channels_, [&](std::int64_t c) {
     // Accumulate dL/dgamma, dL/dbeta and the two reduction terms of the
     // batch-norm backward formula.
@@ -223,12 +231,10 @@ Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
         last_was_train_ ? static_cast<float>(sum_gx / count) : 0.0f;
     for (std::int64_t b = 0; b < n; ++b) {
       const std::int64_t off = b * chw + c * hw;
-      NormaliseGradPlane(grad_output.Raw() + off, cached_norm_.Raw() + off,
-                         grad_input.Raw() + off, hw, g, inv_std, mean_g,
-                         mean_gx);
+      grad_plane(grad_output.Raw() + off, cached_norm_.Raw() + off,
+                 grad_input.Raw() + off, hw, g, inv_std, mean_g, mean_gx);
     }
   });
-  MaybeQuantise(grad_input);
   return grad_input;
 }
 

@@ -34,7 +34,7 @@ class BatchNorm2d : public Layer {
   /// Fused BatchNorm2d→ReLU chain forward (DESIGN §15): exactly Forward()
   /// then relu.Forward(), as one sweep that writes y, x_hat and relu's
   /// mask — no separate ReLU pass, no intermediate BN output tensor.
-  /// FP32 only (FusableChainAt never builds the chain under FP16).
+  /// Under FP16 the sweep quantises y before taking the mask (DESIGN §17).
   Tensor ForwardFused(const Tensor& input, bool train, ReLU& relu);
 
   /// Per-channel vectors for folding an INFERENCE BatchNorm into the conv

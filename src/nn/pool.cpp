@@ -22,6 +22,16 @@ void ForEachPlane(std::int64_t planes,
       /*grain=*/1);
 }
 
+/// Under FP16 emulation, quantises a finished output or gradient plane
+/// while it is still in cache (DESIGN §17): the pooling loops write
+/// each plane in one task, and a backward scatter-add's elements are
+/// final only once all of the plane's windows are done.
+void QuantisePlane(Precision p, float* plane, std::int64_t count) {
+  if (p == Precision::kFP16) {
+    RoundTripHalf(std::span<float>(plane, static_cast<std::size_t>(count)));
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- MaxPool2d ---
@@ -77,8 +87,8 @@ Tensor MaxPool2d::Forward(const Tensor& input, bool /*train*/) {
         arg[oy * ow + ox] = best_idx;
       }
     }
+    QuantisePlane(precision(), out, oh * ow);
   });
-  MaybeQuantise(output);
   return output;
 }
 
@@ -98,8 +108,8 @@ Tensor MaxPool2d::Backward(const Tensor& grad_output) {
     for (std::int64_t i = 0; i < ohw; ++i) {
       if (arg[i] >= 0) gin[arg[i]] += gout[i];
     }
+    QuantisePlane(precision(), gin, ihw);
   });
-  MaybeQuantise(grad_input);
   return grad_input;
 }
 
@@ -146,8 +156,8 @@ Tensor AvgPool2d::Forward(const Tensor& input, bool /*train*/) {
         out[oy * ow + ox] = static_cast<float>(acc / (k * kw));
       }
     }
+    QuantisePlane(precision(), out, oh * ow);
   });
-  MaybeQuantise(output);
   return output;
 }
 
@@ -179,8 +189,8 @@ Tensor AvgPool2d::Backward(const Tensor& grad_output) {
         }
       }
     }
+    QuantisePlane(precision(), gin, ih * iw);
   });
-  MaybeQuantise(grad_input);
   return grad_input;
 }
 

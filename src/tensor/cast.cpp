@@ -1,65 +1,42 @@
 #include "tensor/cast.hpp"
 
-#include <bit>
 #include <cstdint>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "tensor/epilogue.hpp"
 #include "tensor/tensor.hpp"
 
 namespace exaclim {
 namespace {
 
-// Branch-light float<->binary16 conversions for the wire path (the
-// exchanger compresses/decompresses every fused gradient buffer per step,
-// paper §4.4). Same round-to-nearest-even / overflow-to-inf / subnormal
-// semantics as Half — bit-exactness against Half::FromFloat/ToFloat is
-// fuzz-asserted in tests/test_tensor.cpp — but written as straight-line
-// bit arithmetic the autovectorizer can chew on, instead of the
-// branch-heavy scalar path in common/half.cpp.
+// The exchanger converts every fused gradient buffer per step (paper
+// §4.4) and FP16 layers round-trip what they do not quantise themselves,
+// so these loops run the branch-free conversion of common/half.hpp
+// through PointwiseMap, which vectorises them. The kernels stay out of
+// line: inlined into the ParallelFor closure, their block loops can stop
+// vectorising.
 
 // Threshold above which the elementwise loops fan out on the global pool.
 constexpr std::size_t kCastGrain = 1 << 15;
 
-inline std::uint16_t F32ToF16Bits(float value) {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
-  const std::uint32_t sign = (bits >> 16) & 0x8000u;
-  std::uint32_t abs = bits & 0x7fffffffu;
-  std::uint32_t out;
-  if (abs >= 0x47800000u) {
-    // Inf, NaN, or magnitude >= 2^16: quiet-NaN payload or infinity.
-    out = abs > 0x7f800000u ? 0x7e00u : 0x7c00u;
-  } else if (abs < 0x38800000u) {
-    // Result is binary16 subnormal or zero: let the FPU do the
-    // denormalizing shift + RTNE by adding 0.5f (whose exponent places
-    // the binary16 subnormal ulp just above the float mantissa), then
-    // strip the 0.5f bit pattern back off.
-    const float shifted = std::bit_cast<float>(abs) + 0.5f;
-    out = std::bit_cast<std::uint32_t>(shifted) - 0x3f000000u;
-  } else {
-    // Normal range: rebias the exponent and round to nearest even; a
-    // mantissa carry overflows into the exponent (and to inf) correctly.
-    const std::uint32_t mant_odd = (abs >> 13) & 1u;
-    abs += 0xc8000000u + 0xfffu + mant_odd;  // ((15-127)<<23) rebias + rtne
-    out = abs >> 13;
-  }
-  return static_cast<std::uint16_t>(out | sign);
+[[gnu::noinline]] void RoundTripKernel(float* data, std::size_t n) {
+  PointwiseMap(data, n,
+               [=](std::size_t i, float v) { data[i] = RoundTripBits(v); });
 }
 
-inline float F16ToF32(std::uint16_t h) {
-  const std::uint32_t sign = (static_cast<std::uint32_t>(h) & 0x8000u) << 16;
-  std::uint32_t bits = (static_cast<std::uint32_t>(h) & 0x7fffu) << 13;
-  const std::uint32_t exp = bits & 0x0f800000u;  // binary16 exponent field
-  bits += (127u - 15u) << 23;                    // rebias to binary32
-  if (exp == 0x0f800000u) {
-    bits += (128u - 16u) << 23;  // inf/NaN: push exponent to 255
-  } else if (exp == 0u) {
-    // Zero/subnormal: renormalize through float arithmetic (exact).
-    bits += 1u << 23;
-    bits = std::bit_cast<std::uint32_t>(std::bit_cast<float>(bits) -
-                                        std::bit_cast<float>(0x38800000u));
-  }
-  return std::bit_cast<float>(sign | bits);
+[[gnu::noinline]] void PackKernel(const float* src,
+                                  std::uint16_t* __restrict dst,
+                                  std::size_t n) {
+  PointwiseMap(src, n,
+               [=](std::size_t i, float v) { dst[i] = FloatToHalfBits(v); });
+}
+
+[[gnu::noinline]] void UnpackKernel(const std::uint16_t* __restrict src,
+                                    float* __restrict dst, std::size_t n) {
+  PointwiseMap(src, n, [=](std::size_t i, std::uint16_t h) {
+    dst[i] = HalfBitsToFloat(h);
+  });
 }
 
 }  // namespace
@@ -73,9 +50,7 @@ void RoundTripHalf(std::span<float> values) {
   ParallelFor(
       0, values.size(),
       [data](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          data[i] = F16ToF32(F32ToF16Bits(data[i]));
-        }
+        RoundTripKernel(data + lo, hi - lo);
       },
       kCastGrain);
 }
@@ -92,7 +67,7 @@ void PackHalf(std::span<const float> values,
   ParallelFor(
       0, values.size(),
       [src, dst](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) dst[i] = F32ToF16Bits(src[i]);
+        PackKernel(src + lo, dst + lo, hi - lo);
       },
       kCastGrain);
 }
@@ -113,21 +88,9 @@ void UnpackHalf(std::span<const std::uint16_t> packed,
   ParallelFor(
       0, packed.size(),
       [src, dst](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) dst[i] = F16ToF32(src[i]);
+        UnpackKernel(src + lo, dst + lo, hi - lo);
       },
       kCastGrain);
-}
-
-std::int64_t CountHalfNonFinite(std::span<const float> values) {
-  // An element is non-finite after binary16 conversion iff its magnitude
-  // reaches the overflow-to-inf threshold (which inf/NaN bit patterns
-  // exceed by construction) — a single compare, no conversion needed.
-  std::int64_t count = 0;
-  for (const float v : values) {
-    const std::uint32_t abs = std::bit_cast<std::uint32_t>(v) & 0x7fffffffu;
-    count += abs >= 0x477ff000u ? 1 : 0;
-  }
-  return count;
 }
 
 }  // namespace exaclim

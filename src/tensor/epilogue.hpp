@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/half.hpp"
+
 // Shared scalar epilogue math — the bit-exactness contract of DESIGN §15.
 //
 // The fused GEMM epilogue (tensor/gemm_kernel.cpp) and the standalone
@@ -66,24 +68,38 @@ inline float ReluMaskSelect(float g, unsigned char mask) {
   return std::bit_cast<float>(std::bit_cast<std::uint32_t>(g) & keep);
 }
 
+/// The value a kernel stores: v itself, or under FP16 storage emulation
+/// (kHalf) its binary16 rounding — exactly what a later RoundTripHalf
+/// sweep over the output would leave, so a producing kernel can quantise
+/// in the write pass it already makes (DESIGN §17). The FP32
+/// instantiation is the identity, leaving FP32 kernel loops unchanged.
+template <bool kHalf>
+inline float Quantised(float v) {
+  if constexpr (kHalf) {
+    return RoundTripBits(v);
+  } else {
+    return v;
+  }
+}
+
 /// Calls body(i, in[i]) for every i in [0, n) — the shape of every
 /// pointwise kernel (ReLU forward and backward, BatchNorm2d's write
-/// passes). GCC's -O2 vectorizer (cost model "very-cheap") only takes a
-/// loop whose trip count is a known multiple of the vector width and
-/// whose stores provably miss its loads, which a plain `for (i < n)`
-/// loop never is. So the walk copies each block of kBlock inputs into a
+/// passes, the binary16 conversions of tensor/cast). GCC's -O2
+/// vectorizer (cost model "very-cheap") only takes a loop whose trip
+/// count is a known multiple of the vector width and whose stores
+/// provably miss its loads, which a plain `for (i < n)` loop never is. So the walk copies each block of kBlock inputs into a
 /// local array first, runs body over the block with a fixed trip count,
 /// and finishes with a scalar tail. The block loop vectorizes when body
 /// is branch-free and writes only through __restrict pointers; `in` may
 /// alias those outputs (BatchNorm2d's in-place sweep), since each block
 /// is read before any of it is written. Vectorizing an elementwise body
 /// changes no bits, so this is a pure speed-up (3-4x for ReLU).
-template <typename Body>
-inline void PointwiseMap(const float* in, std::size_t n, Body body) {
+template <typename T, typename Body>
+inline void PointwiseMap(const T* in, std::size_t n, Body body) {
   constexpr std::size_t kBlock = 16;  // one SSE vector of mask bytes
   std::size_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
-    float v[kBlock];
+    T v[kBlock];
     for (std::size_t j = 0; j < kBlock; ++j) v[j] = in[i + j];
     for (std::size_t j = 0; j < kBlock; ++j) body(i + j, v[j]);
   }

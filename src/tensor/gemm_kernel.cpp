@@ -319,6 +319,9 @@ void MergeRowWithEpilogue(const float* arow, float* crow, float* nrow,
     const float b = epi.bias[row];
     for (std::int64_t j = 0; j < cols; ++j) v[j] += b;
   }
+  if (epi.half) {
+    for (std::int64_t j = 0; j < cols; ++j) v[j] = RoundTripBits(v[j]);
+  }
   if (epi.bn_mean != nullptr) {
     const float mean = epi.bn_mean[row];
     const float inv_std = epi.bn_inv_std[row];
@@ -330,6 +333,9 @@ void MergeRowWithEpilogue(const float* arow, float* crow, float* nrow,
     }
     if (nrow != nullptr) {
       for (std::int64_t j = 0; j < cols; ++j) nrow[j] = x_hat[j];
+    }
+    if (epi.half) {
+      for (std::int64_t j = 0; j < cols; ++j) v[j] = RoundTripBits(v[j]);
     }
   }
   if (mrow != nullptr) {
@@ -405,10 +411,15 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
       // block's final panel (every jc block walks all of [0, k)).
       const GemmEpilogue* tile_epi = pc + depth >= k ? epi : nullptr;
       // The SIMD merge covers only the bias/ReLU subset on full tiles;
-      // BN or mask epilogues use the scalar merge everywhere.
+      // BN, mask or FP16 epilogues use the scalar merge everywhere.
       const bool simd_epi = tile_epi != nullptr && simd_merge != nullptr &&
                             tile_epi->bn_mean == nullptr &&
-                            tile_epi->relu_mask == nullptr;
+                            tile_epi->relu_mask == nullptr &&
+                            !tile_epi->half;
+      // A BN or mask epilogue writes more than one output stream.
+      const bool multi_stream =
+          tile_epi != nullptr &&
+          (tile_epi->bn_mean != nullptr || tile_epi->relu_mask != nullptr);
       // The forking thread packs B once; strip tasks share it read-only
       // (ParallelFor joins before the next acquire can grow the slot).
       // Both pack slots are always acquired at their full KC×NC / MC×KC
@@ -448,7 +459,7 @@ void RunPackedGemm(const PackedGemmA* prepacked, bool trans_a,
                 apack = dst;
               }
               // hot-path: begin
-              if (tile_epi != nullptr && !simd_epi) {
+              if (multi_stream) {
                 // Tiles are independent, so the walk order changes no
                 // bits. The default walk below keeps one B strip hot
                 // across the MC block's A strips. A BN/mask epilogue

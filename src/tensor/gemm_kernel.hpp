@@ -84,20 +84,25 @@ GemmMicroKernelFn ActiveGemmMicroKernel();
 ///
 ///   v = beta*C + Acc            (beta restricted to {0, 1})
 ///   if bias:       v += bias[row]
+///   if half:       v = RoundTripBits(v)
 ///   if bn_mean:    x_hat = (v - bn_mean[row]) * bn_inv_std[row]
 ///                  if bn_norm: bn_norm[row*mask_ld + col] = x_hat
 ///                  v = bn_gamma[row] * x_hat + bn_beta[row]
+///                  if half: v = RoundTripBits(v)
 ///   if relu_mask:  relu_mask[row*mask_ld + col] = (v > 0)
 ///   if relu:       v = v > 0 ? v : 0
 ///   C = v
 ///
 /// via the shared helpers in tensor/epilogue.hpp, so the result is
 /// bit-identical to running the unfused GEMM followed by the standalone
-/// bias / BatchNorm2d / ReLU passes. All pointers are per-output-channel
-/// arrays of length m (bn_* are all set or all null); relu_mask and
-/// bn_norm (BatchNorm2d's x_hat backward cache, so a GEMM-folded eval
-/// forward still supports Backward), when non-null, have C's layout
-/// (row stride mask_ld == the GEMM's n).
+/// bias / BatchNorm2d / ReLU passes. `half` is FP16 storage emulation
+/// (DESIGN §17): it quantises at exactly the points the unfused FP16
+/// chain does — the conv output, and BN's output before the ReLU takes
+/// its mask (ReLU of a quantised value needs no further rounding). All
+/// pointers are per-output-channel arrays of length m (bn_* are all set
+/// or all null); relu_mask and bn_norm (BatchNorm2d's x_hat backward
+/// cache, so a GEMM-folded eval forward still supports Backward), when
+/// non-null, have C's layout (row stride mask_ld == the GEMM's n).
 struct GemmEpilogue {
   const float* bias = nullptr;
   const float* bn_mean = nullptr;
@@ -108,10 +113,11 @@ struct GemmEpilogue {
   bool relu = false;
   unsigned char* relu_mask = nullptr;
   std::int64_t mask_ld = 0;
+  bool half = false;
 
   bool Empty() const {
     return bias == nullptr && bn_mean == nullptr && !relu &&
-           relu_mask == nullptr;
+           relu_mask == nullptr && !half;
   }
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -457,11 +458,41 @@ TEST(ConvImplicitDeepTap, DataGradientWithinToleranceOfDoubleReference) {
   }
 }
 
+/// The binary16 round-to-zero threshold is 2^-25: a positive value below
+/// it becomes +0, and a ReLU that reads the quantised value must clear
+/// its mask there. Under FP16 this makes output channel 0 of a chain's
+/// pre-ReLU producer straddle that threshold: BN's gamma[0] = 2^-26
+/// scales x_hat to y in about +/-2^-25, and without a BN the conv's
+/// channel-0 weights are +/-2^-24 (a binary16 subnormal, so the weight
+/// quantisation keeps them) with no bias. The other channels get a
+/// nonzero conv bias, so the epilogue's bias add runs before its rounding.
+void PrepareFp16Chain(Sequential& seq, bool with_bn) {
+  seq.SetPrecision(Precision::kFP16);
+  auto& conv = static_cast<Conv2d&>(seq.at(0));
+  const std::vector<Param*> params = conv.Params();
+  Tensor& bias = params.at(1)->value;
+  Rng brng(99);
+  bias = Tensor::Uniform(bias.shape(), brng, -0.5f, 0.5f);
+  if (with_bn) {
+    auto& bn = static_cast<BatchNorm2d&>(seq.at(1));
+    bn.Params().at(0)->value[0] = std::ldexp(1.0f, -26);
+    return;
+  }
+  bias[0] = 0.0f;
+  Tensor& w = params.at(0)->value;
+  const std::int64_t row = w.shape()[1];
+  for (std::int64_t k = 0; k < row; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    w[i] = std::copysign(std::ldexp(1.0f, -24), w[i]);
+  }
+}
+
 /// Runs one forward+backward step through a Conv2d(→BN)(→ReLU) chain with
 /// fusion on or off, returning bitwise-comparable results. All RNG seeds
 /// are fixed, so two calls differ only in the knobs under test.
 GradSnapshot RunChainStep(bool fuse, bool with_bn, bool with_relu,
-                          const Conv2d::Options& copts, bool train) {
+                          const Conv2d::Options& copts, bool train,
+                          Precision precision = Precision::kFP32) {
   FusionGuard guard;
   SetConvFusion(fuse);
   Rng rng(91);
@@ -469,6 +500,7 @@ GradSnapshot RunChainStep(bool fuse, bool with_bn, bool with_relu,
   seq.Emplace<Conv2d>("c", copts, rng);
   if (with_bn) seq.Emplace<BatchNorm2d>("bn", copts.out_c);
   if (with_relu) seq.Emplace<ReLU>("r");
+  if (precision == Precision::kFP16) PrepareFp16Chain(seq, with_bn);
 
   // Warm the BN running stats (and every pooled buffer) with a training
   // step, then measure the step under test.
@@ -498,11 +530,13 @@ constexpr Conv2d::Options kChainPointwise{.in_c = 3, .out_c = 4,
                                           .kernel = 1, .pad = 0};
 
 void ExpectChainBitIdentical(bool with_bn, bool with_relu,
-                             const Conv2d::Options& copts, bool train) {
-  const GradSnapshot fused =
-      RunChainStep(/*fuse=*/true, with_bn, with_relu, copts, train);
-  const GradSnapshot unfused =
-      RunChainStep(/*fuse=*/false, with_bn, with_relu, copts, train);
+                             const Conv2d::Options& copts, bool train,
+                             Precision precision = Precision::kFP32) {
+  const GradSnapshot fused = RunChainStep(/*fuse=*/true, with_bn, with_relu,
+                                          copts, train, precision);
+  const GradSnapshot unfused = RunChainStep(/*fuse=*/false, with_bn,
+                                            with_relu, copts, train,
+                                            precision);
   ExpectBitIdentical(unfused, fused);
 }
 
@@ -545,8 +579,11 @@ TEST(ConvFusion, PointwiseFastPathFusesBitExact) {
 }
 
 /// One forward+backward step through BatchNorm2d→ReLU(→Conv2d), the
-/// pre-activation unit of Tiramisu, with fusion on or off.
-GradSnapshot RunBnReluStep(bool fuse, bool with_conv, bool train) {
+/// pre-activation unit of Tiramisu, with fusion on or off. Under FP16,
+/// gamma[0] = 2^-26 puts channel 0's y around the round-to-zero
+/// threshold (PrepareFp16Chain).
+GradSnapshot RunBnReluStep(bool fuse, bool with_conv, bool train,
+                           Precision precision = Precision::kFP32) {
   FusionGuard guard;
   SetConvFusion(fuse);
   constexpr std::int64_t kC = 3;
@@ -556,6 +593,10 @@ GradSnapshot RunBnReluStep(bool fuse, bool with_conv, bool train) {
   seq.Emplace<ReLU>("r");
   if (with_conv) {
     seq.Emplace<Conv2d>("c", Conv2d::Options{.in_c = kC, .out_c = 4}, rng);
+  }
+  if (precision == Precision::kFP16) {
+    seq.SetPrecision(Precision::kFP16);
+    seq.at(0).Params().at(0)->value[0] = std::ldexp(1.0f, -26);
   }
 
   Rng wrng(103);
@@ -619,10 +660,9 @@ TEST(ConvFusion, BnReluChainMatchesUnfusedBitwise) {
   }
 }
 
-// The matcher finds the pair in FP32 only: under FP16 emulation BN's
-// output is quantised before the ReLU sees it, and a tiny positive value
-// that rounds to 0 would flip the mask.
-TEST(ConvFusion, BnReluPairFusesOnlyInFp32) {
+// The matcher finds a chain whose members share one precision, FP32 or
+// FP16, and never one that mixes them.
+TEST(ConvFusion, BnReluPairFusesOnlyAtOnePrecision) {
   std::vector<LayerPtr> layers;
   layers.push_back(std::make_unique<BatchNorm2d>("bn", 4));
   layers.push_back(std::make_unique<ReLU>("r"));
@@ -630,9 +670,96 @@ TEST(ConvFusion, BnReluPairFusesOnlyInFp32) {
   EXPECT_EQ(FusableChainAt(layers, 1), 0u);  // a trailing ReLU alone
   layers[0]->SetPrecision(Precision::kFP16);
   EXPECT_EQ(FusableChainAt(layers, 0), 0u);
-  layers[0]->SetPrecision(Precision::kFP32);
   layers[1]->SetPrecision(Precision::kFP16);
+  EXPECT_EQ(FusableChainAt(layers, 0), 2u);
+  layers[0]->SetPrecision(Precision::kFP32);
   EXPECT_EQ(FusableChainAt(layers, 0), 0u);
+}
+
+// ------------- FP16 fused chains (DESIGN §17) ----------------------------
+//
+// Under FP16 emulation a fused chain quantises exactly where the unfused
+// walk does: the conv output (in the GEMM epilogue, after the bias add)
+// before BN's statistics, and BN's y before the ReLU takes its mask.
+// Every chain must match the walk bit for bit, in train and eval mode,
+// including channel 0, whose pre-ReLU values straddle the binary16
+// round-to-zero threshold.
+
+TEST(ConvFusionFp16, BnReluMatchesUnfusedBitwise) {
+  for (const bool train : {true, false}) {
+    for (const bool with_conv : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "train " << train << " conv "
+                                        << with_conv);
+      ExpectBitIdentical(
+          RunBnReluStep(/*fuse=*/false, with_conv, train, Precision::kFP16),
+          RunBnReluStep(/*fuse=*/true, with_conv, train, Precision::kFP16));
+    }
+  }
+}
+
+TEST(ConvFusionFp16, ConvChainsMatchUnfusedBitwise) {
+  struct Chain {
+    const char* name;
+    bool with_bn, with_relu;
+  };
+  for (const Chain chain : {Chain{"conv->relu", false, true},
+                            Chain{"conv->bn", true, false},
+                            Chain{"conv->bn->relu", true, true},
+                            Chain{"biased conv", false, false}}) {
+    for (const Conv2d::Options& copts : {kChain3x3, kChainPointwise}) {
+      for (const bool train : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << chain.name << " kernel " << copts.kernel
+                     << " train " << train);
+        ExpectChainBitIdentical(chain.with_bn, chain.with_relu, copts, train,
+                                Precision::kFP16);
+      }
+    }
+  }
+}
+
+// The underflow case itself: y that is positive in FP32 but rounds to +0
+// in binary16 gets mask 0 from the fused BN→ReLU sweep and from the
+// conv epilogue, so no gradient flows through it.
+TEST(ConvFusionFp16, UnderflowToZeroClearsTheReluMask) {
+  FusionGuard guard;
+  SetConvFusion(true);
+  const TensorShape shape = TensorShape::NCHW(2, 1, 8, 8);
+  Rng xrng(121);
+  const Tensor x = Tensor::Uniform(shape, xrng, -1.0f, 1.0f);
+  const Tensor ones = Tensor::Full(shape, 1.0f);
+  const auto expect_all_zero = [](const Tensor& t, const char* what) {
+    for (const float v : t.Data()) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(v), 0u) << what;
+    }
+  };
+
+  // BN→ReLU: gamma = 2^-28 puts every |y| well below 2^-25.
+  BatchNorm2d bn("bn", 1);
+  ReLU relu("r");
+  bn.Params().at(0)->value[0] = std::ldexp(1.0f, -28);
+  relu.SetPrecision(Precision::kFP16);
+  {
+    // In FP32 about half of y is positive, so the mask passes gradient.
+    (void)bn.ForwardFused(x, true, relu);
+    EXPECT_GT(relu.Backward(ones).Sum(), 0.0f);
+  }
+  bn.SetPrecision(Precision::kFP16);
+  expect_all_zero(bn.ForwardFused(x, true, relu), "bn->relu output");
+  expect_all_zero(relu.Backward(ones), "bn->relu mask");
+
+  // Conv→ReLU in the GEMM epilogue: a 1x1 conv with weight 2^-24 and no
+  // bias leaves |v| <= 2^-24 * 0.5 < 2^-25 where |x| < 0.5.
+  Rng rng(123);
+  Conv2d conv("c", {.in_c = 1, .out_c = 1, .kernel = 1, .pad = 0}, rng);
+  conv.weight().value[0] = std::ldexp(1.0f, -24);
+  conv.SetPrecision(Precision::kFP16);
+  const Tensor small = Tensor::Uniform(shape, xrng, -0.49f, 0.49f);
+  ConvFusedOps ops;
+  ops.relu = true;
+  ops.relu_mask = relu.BeginFusedForward(shape);
+  expect_all_zero(conv.ForwardFused(small, true, ops), "conv->relu output");
+  expect_all_zero(relu.Backward(ones), "conv->relu mask");
 }
 
 // ------------- TSan stress: the fused path's threaded writebacks --------

@@ -143,6 +143,29 @@ TEST(FaultInjector, ArmFromStringRejectsMalformedSpecs) {
   EXPECT_THROW(inj.ArmFromString("fs.read:2.0"), Error);  // probability > 1
 }
 
+TEST(FaultInjector, ArmFromStringRejectsNonFiniteOrNegativeDelays) {
+  FaultScope scope;
+  auto& inj = FaultInjector::Global();
+  for (const char* site : {"comm.delay", "step.backward.delay"}) {
+    for (const char* delay : {"nan", "inf", "-5"}) {
+      const std::string spec = std::string(site) + ":1:1:1:" + delay;
+      try {
+        inj.ArmFromString(spec);
+        FAIL() << spec << " armed";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("EXACLIM_FAULTS"), std::string::npos) << what;
+        EXPECT_NE(what.find("delay_s"), std::string::npos) << what;
+      }
+      EXPECT_FALSE(inj.IsArmed(site)) << spec;
+    }
+    // Zero and positive finite delays still arm.
+    EXPECT_EQ(inj.ArmFromString(std::string(site) + ":1:1:1:0"), 1);
+    EXPECT_EQ(inj.ArmFromString(std::string(site) + ":1:1:1:0.01"), 1);
+    EXPECT_DOUBLE_EQ(inj.DelaySeconds(site), 0.01);
+  }
+}
+
 TEST(FaultInjector, ArmFromStringRejectsUnknownSitesListingValidOnes) {
   FaultScope scope;
   auto& inj = FaultInjector::Global();

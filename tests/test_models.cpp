@@ -16,6 +16,7 @@
 #include "models/deeplab.hpp"
 #include "models/resnet.hpp"
 #include "models/tiramisu.hpp"
+#include "nn/conv_engine.hpp"
 #include "nn/loss.hpp"
 
 namespace exaclim {
@@ -755,6 +756,66 @@ TEST(LayerTree, ChildrenCoverEveryParamNodeAndLeafType) {
   DeepLabV3Plus quarter(quarter_cfg, rng);
   ExpectTreeCoversModel(
       quarter, {conv, deconv, bn, relu, pool, typeid(BilinearUpsample2d)});
+}
+
+// ------------------------------------------- FP16 fused chains, whole nets --
+
+/// Trains `model` in FP16 for three steps (train forward, a fixed random
+/// output gradient, backward, SGD on the FP32 master weights), then runs
+/// one eval forward, with conv fusion on or off. Returns the CRC-32 of
+/// every param, every state tensor and the eval output.
+std::uint32_t Fp16TrainCrc(Layer& model, const TensorShape& input_shape,
+                           bool fuse) {
+  const bool saved = ConvFusionEnabled();
+  SetConvFusion(fuse);
+  model.SetPrecision(Precision::kFP16);
+  for (int step = 0; step < 3; ++step) {
+    for (Param* p : model.Params()) p->grad.SetZero();
+    const Tensor out =
+        model.Forward(RandomInput(input_shape, 100 + step), /*train=*/true);
+    Rng grng(200 + static_cast<std::uint64_t>(step));
+    (void)model.Backward(Tensor::Uniform(out.shape(), grng, -1.0f, 1.0f));
+    for (Param* p : model.Params()) p->value.Axpy(-0.05f, p->grad);
+  }
+  const Tensor eval = model.Forward(RandomInput(input_shape, 300), false);
+  SetConvFusion(saved);
+
+  std::uint32_t crc = 0;
+  for (const Param* p : model.Params()) {
+    crc = Crc32(std::as_bytes(p->value.Data()), crc);
+  }
+  for (const Layer::StateTensor& s : model.StateTensors()) {
+    crc = Crc32(std::as_bytes(s.tensor->Data()), crc);
+  }
+  return Crc32(std::as_bytes(eval.Data()), crc);
+}
+
+// FP16 training of each network family gives bitwise the same weights,
+// running statistics and eval output with its Conv→BN→ReLU, Conv→ReLU,
+// BN→ReLU chains fused or run layer by layer (DESIGN §17).
+TEST(Fp16Fusion, WholeNetworksTrainBitIdenticalFusedAndUnfused) {
+  const TensorShape input = TensorShape::NCHW(2, 4, 32, 32);
+  const auto check = [&](const char* name, auto make) {
+    SCOPED_TRACE(name);
+    auto unfused = make();
+    auto fused = make();
+    EXPECT_EQ(Fp16TrainCrc(*unfused, input, false),
+              Fp16TrainCrc(*fused, input, true));
+  };
+  check("tiramisu", [] {
+    Rng rng(61);
+    return std::make_unique<Tiramisu>(Tiramisu::Config::Downscaled(4), rng);
+  });
+  check("deeplab", [] {
+    Rng rng(62);
+    return std::make_unique<DeepLabV3Plus>(DeepLabV3Plus::Config::Downscaled(4),
+                                           rng);
+  });
+  check("resnet", [] {
+    Rng rng(63);
+    return std::make_unique<ResNetEncoder>(ResNetEncoder::Config::Downscaled(4),
+                                           rng);
+  });
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -7,6 +9,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "half_oracle.hpp"
 #include "tensor/cast.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/shape.hpp"
@@ -260,12 +264,6 @@ TEST(Cast, PackUnpackRoundTrip) {
   }
 }
 
-TEST(Cast, CountHalfNonFinite) {
-  std::vector<float> v{1.0f, 70000.0f, -1e9f, 5.0f,
-                       std::numeric_limits<float>::quiet_NaN()};
-  EXPECT_EQ(CountHalfNonFinite(v), 3);
-}
-
 TEST(Cast, BytesPerElement) {
   EXPECT_EQ(BytesPerElement(Precision::kFP32), 4);
   EXPECT_EQ(BytesPerElement(Precision::kFP16), 2);
@@ -278,8 +276,8 @@ TEST(Cast, TensorRoundTrip) {
   EXPECT_TRUE(std::isinf(t[1]));
 }
 
-// The vectorized wire-path conversions in cast.cpp must be bit-identical
-// to element-by-element Half construction: every rounding boundary,
+// The vectorized conversions in cast.cpp must be bit-identical to
+// element-by-element Half construction: every rounding boundary,
 // subnormal, overflow and NaN case.
 
 TEST(Cast, PackHalfBitExactVsHalfFuzz) {
@@ -291,7 +289,7 @@ TEST(Cast, PackHalfBitExactVsHalfFuzz) {
     const auto bits = static_cast<std::uint32_t>(rng.engine()());
     values.push_back(std::bit_cast<float>(bits));
   }
-  // Boundary patterns of Half::FromFloat: underflow threshold, subnormal
+  // Boundary patterns of the conversion: underflow threshold, subnormal
   // range, normal/subnormal crossover, overflow-to-inf threshold.
   for (const std::uint32_t abs :
        {0x00000000u, 0x32ffffffu, 0x33000000u, 0x33000001u, 0x33800000u,
@@ -311,7 +309,8 @@ TEST(Cast, PackHalfBitExactVsHalfFuzz) {
 }
 
 TEST(Cast, UnpackHalfBitExactVsHalfExhaustive) {
-  // All 65536 binary16 values through the wire decode vs Half::ToFloat.
+  // All 65536 binary16 values through UnpackHalf and Half::ToFloat vs
+  // the branchy scalar oracle (tests/half_oracle.*).
   std::vector<std::uint16_t> packed(1 << 16);
   for (std::size_t i = 0; i < packed.size(); ++i) {
     packed[i] = static_cast<std::uint16_t>(i);
@@ -319,27 +318,113 @@ TEST(Cast, UnpackHalfBitExactVsHalfExhaustive) {
   std::vector<float> out(packed.size());
   UnpackHalf(packed, out);
   for (std::size_t i = 0; i < packed.size(); ++i) {
-    const float expected = Half::FromBits(packed[i]).ToFloat();
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
-              std::bit_cast<std::uint32_t>(expected))
+    const std::uint32_t expected =
+        std::bit_cast<std::uint32_t>(OracleHalfBitsToFloat(packed[i]));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]), expected)
+        << "half bits 0x" << std::hex << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(Half::FromBits(packed[i]).ToFloat()),
+              expected)
         << "half bits 0x" << std::hex << i;
   }
 }
 
-TEST(Cast, CountHalfNonFiniteMatchesHalfFuzz) {
-  Rng rng(12);
-  std::vector<float> values(20000);
-  for (auto& v : values) {
-    // Mix magnitudes straddling the binary16 overflow threshold.
-    v = rng.Uniform(-1.0f, 1.0f) * (rng.Bernoulli(0.5) ? 70000.0f : 60000.0f);
+TEST(Cast, RoundTripFixesEveryNonNanHalf) {
+  // A value that already is a half survives RoundTripBits unchanged, so
+  // a layer whose output is (a ReLU of) quantised input needs no second
+  // pass; NaN halves collapse to the quiet NaN with their sign.
+  for (std::uint32_t h = 0; h < (1u << 16); ++h) {
+    const float v = HalfBitsToFloat(static_cast<std::uint16_t>(h));
+    const std::uint32_t expected =
+        std::isnan(v) ? ((h & 0x8000u) << 16) | 0x7fc00000u
+                      : std::bit_cast<std::uint32_t>(v);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(RoundTripBits(v)), expected)
+        << "half bits 0x" << std::hex << h;
   }
-  values.push_back(std::numeric_limits<float>::infinity());
-  values.push_back(std::numeric_limits<float>::quiet_NaN());
-  values.push_back(65519.9f);   // rounds to 65504 (finite)
-  values.push_back(65520.0f);   // rounds to inf
-  std::int64_t expected = 0;
-  for (const float v : values) expected += Half(v).IsFinite() ? 0 : 1;
-  EXPECT_EQ(CountHalfNonFinite(values), expected);
+}
+
+TEST(Cast, NanMapsToQuietNanWithSign) {
+  for (const std::uint32_t bits :
+       {0x7f800001u, 0x7fc00000u, 0x7fffffffu, 0xff800001u, 0xffc00000u}) {
+    const float nan = std::bit_cast<float>(bits);
+    const std::uint32_t sign = bits & 0x80000000u;
+    EXPECT_EQ(FloatToHalfBits(nan), (sign >> 16) | 0x7e00u);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(RoundTripBits(nan)),
+              sign | 0x7fc00000u);
+  }
+}
+
+// Every one of the 2^32 float bit patterns through RoundTripHalf,
+// PackHalf and Half against the branchy scalar oracle, bit for bit; and
+// the overflow boundary: a value is non-finite after conversion if and
+// only if |x| >= 65520 (bits >= 0x477ff000, which every inf and NaN
+// pattern exceeds). Chunks run on the global pool; a few seconds.
+TEST(Cast, ExhaustiveFloatPatternsMatchOracle) {
+  constexpr std::uint64_t kChunk = 1 << 14;
+  constexpr std::uint64_t kChunks = (std::uint64_t{1} << 32) / kChunk;
+  std::vector<std::uint32_t> oracle_float(1 << 16);
+  for (std::uint32_t h = 0; h < oracle_float.size(); ++h) {
+    oracle_float[h] = std::bit_cast<std::uint32_t>(
+        OracleHalfBitsToFloat(static_cast<std::uint16_t>(h)));
+  }
+  // Per chunk: the oracle into one array, the library into others, then
+  // branch-free compare loops; only a chunk with a mismatch is rescanned
+  // for its first bad pattern.
+  std::atomic<std::uint64_t> bad_chunks{0};
+  std::atomic<std::uint64_t> first_bad{
+      std::numeric_limits<std::uint64_t>::max()};
+  ParallelFor(
+      0, kChunks,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<std::uint32_t> bits(kChunk), rt(kChunk), half(kChunk),
+            expected_rt(kChunk);
+        std::vector<std::uint16_t> packed(kChunk), expected(kChunk);
+        for (std::size_t c = lo; c < hi; ++c) {
+          const auto base = static_cast<std::uint32_t>(c * kChunk);
+          for (std::uint32_t i = 0; i < kChunk; ++i) bits[i] = base + i;
+          const std::span<const float> in(
+              reinterpret_cast<const float*>(bits.data()), kChunk);
+          std::copy(bits.begin(), bits.end(), rt.begin());
+          RoundTripHalf(std::span<float>(reinterpret_cast<float*>(rt.data()),
+                                         kChunk));
+          PackHalf(in, packed);
+          for (std::uint32_t i = 0; i < kChunk; ++i) {
+            expected[i] = OracleFloatToHalfBits(in[i]);
+            expected_rt[i] = oracle_float[expected[i]];
+            half[i] = Half(in[i]).bits();
+          }
+          const auto bad = [&](std::uint32_t i) {
+            // Non-finite after conversion iff |x| >= 65520.
+            const bool overflow = (bits[i] & 0x7fffffffu) >= 0x477ff000u;
+            const bool nonfinite =
+                (expected_rt[i] & 0x7f800000u) == 0x7f800000u;
+            return static_cast<std::uint32_t>(packed[i] != expected[i]) |
+                   static_cast<std::uint32_t>(rt[i] != expected_rt[i]) |
+                   static_cast<std::uint32_t>(half[i] != expected[i]) |
+                   static_cast<std::uint32_t>(overflow != nonfinite);
+          };
+          std::uint32_t mismatch = 0;
+          for (std::uint32_t i = 0; i < kChunk; ++i) mismatch |= bad(i);
+          if (mismatch == 0) continue;
+          ++bad_chunks;
+          for (std::uint32_t i = 0; i < kChunk; ++i) {
+            if (bad(i) != 0) {
+              std::uint64_t seen = first_bad.load();
+              while (bits[i] < seen &&
+                     !first_bad.compare_exchange_weak(seen, bits[i])) {
+              }
+              break;
+            }
+          }
+        }
+      },
+      /*grain=*/64);
+  EXPECT_EQ(bad_chunks.load(), 0u)
+      << "first mismatching float bits 0x" << std::hex << first_bad.load();
+  // The boundary in float terms, for the finite side.
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(65520.0f), 0x477ff000u);
+  EXPECT_TRUE(std::isfinite(RoundTripBits(std::nextafterf(65520.0f, 0.0f))));
+  EXPECT_TRUE(std::isinf(RoundTripBits(65520.0f)));
+  EXPECT_TRUE(std::isinf(RoundTripBits(-65520.0f)));
 }
 
 }  // namespace

@@ -16,8 +16,10 @@
 #      materialized im2col lowering (tests/im2col_oracle.*) on every
 #      bench shape, the fused conv→BN→ReLU epilogue must beat the
 #      unfused chain, the ReLU kernels must be branchless (random-sign
-#      input no slower than 1.5x all-positive) and the fused BN→ReLU
-#      sweep no slower than the two-layer walk (DESIGN §15);
+#      input no slower than 1.5x all-positive), the fused BN→ReLU
+#      sweep no slower than the two-layer walk in FP32 and FP16
+#      (DESIGN §15) and the binary16 round trip branchless (ReLU output
+#      no slower than 1.5x all-normal input, DESIGN §17);
 #      bench_micro_gemm's GFLOP/s report is schema-checked
 #   5. alloc-smoke: bench_alloc_census per-phase allocation ratchet,
 #      pooled (tools/alloc_budget.json, all budgets 0) and with
@@ -138,7 +140,14 @@ run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
 # never lose to the two-layer walk.
 run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
   --assert-le relu_random_sign_ms relu_all_positive_ms 1.5 \
-  --assert-le bn_relu_fused_ms bn_relu_unfused_ms 1.0
+  --assert-le bn_relu_fused_ms bn_relu_unfused_ms 1.0 \
+  --assert-le bn_relu_fp16_fused_ms bn_relu_fp16_unfused_ms 1.0
+# The binary16 conversion (DESIGN §17), same form as the ReLU gate: a
+# conversion that branches on the magnitude mispredicts on ReLU output
+# (about half +0) and never on all-normal input of the same size, so
+# the ratio is ~1.0 for the branch-free one and ~3 for a branchy one.
+run python3 tools/check_bench_json.py "$BENCH_DIR"/BENCH_micro_conv.json \
+  --assert-le half_roundtrip_relu_output_ms half_roundtrip_normal_ms 1.5
 # bench_micro_gemm's per-shape GFLOP/s table (the GEMM peak the
 # per-layer breakdown is measured against) must produce a valid report.
 run env EXACLIM_BENCH_DIR="$BENCH_DIR" \
