@@ -341,9 +341,10 @@ int Main() {
   const std::vector<double>& overlapped = ovl_times.step_s;
 
   // Steady-state exchange allocation census (exchange thread + packed
-  // FP16 wire + per-bucket negotiation). Two rep counts, subtracted:
-  // world/exchanger setup and first-step buffer growth cancel, leaving
-  // only the per-exchange steady-state heap traffic.
+  // FP16 wire; the bucket plan is negotiated in the first step only).
+  // Two rep counts, subtracted: world/exchanger setup, the negotiation
+  // and first-step buffer growth cancel, leaving only the per-exchange
+  // steady-state heap traffic.
   constexpr int kCensusBase = 3;
   constexpr int kCensusExtra = 8;
   const ExchangeAllocs base = CensusRun(kCensusBase);

@@ -25,13 +25,17 @@ namespace exaclim {
 /// CollectiveResult instead of a hang. The blocking NegotiateOrder
 /// delegates over the full world with no deadline — identical messages.
 ///
-/// Sequential reuse: the exchange engine (DESIGN §14) negotiates once
-/// per fused bucket with the *same* tag salt. That is safe without extra
-/// tag space because negotiations are strictly serialized — a rank only
-/// starts bucket k+1's negotiation after receiving bucket k's order,
-/// which the coordinator sent only after collecting every rank's bucket-k
+/// Sequential reuse: the exchange engine (DESIGN §14) negotiates a fused
+/// bucket only while its bucket plan is stale (first step, new elastic
+/// generation or view, failed step, changed emission slice), each time
+/// with the *same* tag salt. That is safe without extra tag space
+/// because negotiations are strictly serialized — a rank only starts
+/// bucket k+1's negotiation after receiving bucket k's order, which the
+/// coordinator sent only after collecting every rank's bucket-k
 /// readiness — so at most one negotiation is ever in flight, and the
-/// mailbox's per-(src, tag) FIFO matching keeps the reused tags unambiguous.
+/// mailbox's per-(src, tag) FIFO matching keeps the reused tags
+/// unambiguous. Every rank skips or runs the same negotiations, because
+/// every rank emits the same bucket slices.
 class ControlPlane {
  public:
   virtual ~ControlPlane() = default;

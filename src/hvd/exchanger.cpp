@@ -47,8 +47,9 @@ void GradientExchanger::MaybeChaosKill(Communicator& comm) {
   // Chaos site "elastic.exchange.kill.<rank>": this rank dies right
   // after an order was agreed, so its peers starve *inside* the
   // allreduce rounds — the mid-collective failure mode of DESIGN §13.
-  // Checked exactly once per step, after the first bucket's
-  // negotiation, on the exchange thread.
+  // Checked exactly once per step, on the exchange thread, before the
+  // first bucket reduces, whether its order came from the plan or from
+  // a negotiation.
   FaultInjector& injector = FaultInjector::Global();
   if (injector.ArmedSiteCount() > 0 &&
       injector.ShouldInject("elastic.exchange.kill." +
@@ -259,6 +260,39 @@ void GradientExchanger::ExchangeThreadMain() {
   }
 }
 
+bool GradientExchanger::PlanCovers(int bucket_index, const Bucket& b) const {
+  const Bucket& p = plan_buckets_[static_cast<std::size_t>(bucket_index)];
+  return p.begin == b.begin && p.end == b.end &&
+         std::equal(sched_order_.begin() + b.begin,
+                    sched_order_.begin() + b.end,
+                    plan_order_.begin() + b.begin);
+}
+
+CollectiveResult GradientExchanger::NegotiateBucket(
+    Communicator& comm, const RankGroup& group, int tag_salt,
+    std::span<const int> ids, int bucket_index, const Bucket& b,
+    const Deadline& deadline) {
+  // The shuffle only reorders what this rank submits to the control
+  // plane: TensorFlow's timing-dependent readiness, emulated.
+  submit_.assign(ids.begin(), ids.end());
+  if (opts_.shuffle_ready_order) {
+    std::shuffle(submit_.begin(), submit_.end(), shuffle_rng_.engine());
+  }
+  // Per-bucket negotiation reuses the control tag window: safe because
+  // buckets run strictly sequentially on one thread and every peer
+  // orders its buckets identically (see hvd/control_plane.hpp).
+  const CollectiveResult r = control_.TryNegotiateOrder(
+      comm, group, submit_, deadline, tag_salt, &negotiated_);
+  if (!r.ok()) return r;
+  EXACLIM_CHECK(std::is_permutation(negotiated_.begin(), negotiated_.end(),
+                                    ids.begin(), ids.end()),
+                "negotiated bucket " << bucket_index
+                                     << " is not this rank's emission slice");
+  plan_buckets_[static_cast<std::size_t>(bucket_index)] = b;
+  std::copy(ids.begin(), ids.end(), plan_order_.begin() + b.begin);
+  return {};
+}
+
 void GradientExchanger::RunStep() {
   EXACLIM_TRACE_SPAN("exchange.allreduce", "hvd");
   Communicator& comm = *comm_;
@@ -266,8 +300,26 @@ void GradientExchanger::RunStep() {
       elastic_ != nullptr ? RankGroup(elastic_->view().members, comm.rank())
                           : RankGroup::World(comm);
   const int tag_salt = elastic_ != nullptr ? elastic_->GenTag(0) : 0;
+  // A plan holds only for the members, generation and param list it was
+  // negotiated under, and not past a failed step.
+  bool stale = !plan_valid_ || plan_salt_ != tag_salt ||
+               plan_order_.size() != params_->size() ||
+               plan_members_.size() != static_cast<std::size_t>(group.size());
+  for (int i = 0; !stale && i < group.size(); ++i) {
+    stale = plan_members_[static_cast<std::size_t>(i)] != group.WorldRank(i);
+  }
+  if (stale) {
+    // An empty Bucket never matches: every closed bucket holds a tensor.
+    plan_buckets_.assign(params_->size(), Bucket{});
+    plan_order_.assign(params_->size(), -1);
+    plan_members_.assign(static_cast<std::size_t>(group.size()), -1);
+    for (int i = 0; i < group.size(); ++i) {
+      plan_members_[static_cast<std::size_t>(i)] = group.WorldRank(i);
+    }
+    plan_salt_ = tag_salt;
+    plan_valid_ = true;
+  }
   int next_bucket = 0;
-  bool chaos_checked = false;
   for (;;) {
     Bucket b;
     {
@@ -287,27 +339,19 @@ void GradientExchanger::RunStep() {
         EXACLIM_TRACE_SPAN("exchange.bucket", "hvd");
         // Entries [b.begin, b.end) were written under mu_ before the
         // bucket close we just observed under mu_, and NotifyGradReady
-        // never writes them again — safe to read and shuffle in place.
-        const std::span<int> ids(sched_order_.data() + b.begin,
-                                 static_cast<std::size_t>(b.end - b.begin));
-        if (opts_.shuffle_ready_order) {
-          std::shuffle(ids.begin(), ids.end(), shuffle_rng_.engine());
+        // never writes them again — safe to read.
+        const std::span<const int> ids(
+            sched_order_.data() + b.begin,
+            static_cast<std::size_t>(b.end - b.begin));
+        CollectiveResult r;
+        if (!PlanCovers(next_bucket, b)) {
+          r = NegotiateBucket(comm, group, tag_salt, ids, next_bucket, b,
+                              deadline);
         }
-        // Per-bucket negotiation reuses the control tag window: safe
-        // because buckets run strictly sequentially on one thread and
-        // every peer orders its buckets identically (see
-        // hvd/control_plane.hpp).
-        CollectiveResult r = control_.TryNegotiateOrder(
-            comm, group, ids, deadline, tag_salt, &negotiated_);
         if (r.ok()) {
-          EXACLIM_CHECK(negotiated_.size() == ids.size(),
-                        "negotiated bucket order has wrong tensor count");
-          if (!chaos_checked) {
-            chaos_checked = true;
-            MaybeChaosKill(comm);
-          }
-          r = ReduceFusedBucket(comm, *params_, tag_salt, group,
-                                negotiated_, next_bucket, deadline);
+          if (next_bucket == 0) MaybeChaosKill(comm);
+          r = ReduceFusedBucket(comm, *params_, tag_salt, group, ids,
+                                next_bucket, deadline);
         }
         if (!r.ok()) {
           result_ = r;
@@ -323,6 +367,8 @@ void GradientExchanger::RunStep() {
     }
     ++next_bucket;
   }
+  // A failed step renegotiates every bucket of its retry.
+  if (failed_) plan_valid_ = false;
 }
 
 // ---- GradReadyRecorder -----------------------------------------------------

@@ -63,13 +63,14 @@ inline int BucketTag(int bucket_index) {
 }
 
 /// Data-parallel gradient aggregation in the style of Horovod (Sec V-A3):
-/// negotiate a global tensor order through the control plane (emulating
-/// TensorFlow's nondeterministic per-rank scheduling by shuffling the
-/// local readiness order), fuse consecutive tensors into buffers up to a
-/// byte threshold (Horovod's tensor fusion, which gradient lag improves),
-/// and run one all-reduce per fused buffer, averaging across ranks. The
-/// order is negotiated on the paper's radix-kControlRadix hierarchical
-/// control plane.
+/// fuse consecutive tensors into buffers up to a byte threshold
+/// (Horovod's tensor fusion, which gradient lag improves), agree on each
+/// buffer once through the paper's radix-kControlRadix hierarchical
+/// control plane (emulating TensorFlow's nondeterministic per-rank
+/// scheduling by shuffling the order each rank submits), and run one
+/// all-reduce per fused buffer, averaging across ranks. The agreed
+/// buckets form a plan that later steps reuse without control messages
+/// (see BeginStep).
 struct ExchangerOptions {
   ReduceTransport transport = ReduceTransport::kHybrid;
   HybridAllreduceOptions hybrid{};
@@ -81,10 +82,11 @@ struct ExchangerOptions {
   /// the bytes on the wire; the reduction itself accumulates in FP32
   /// (Tensor Core FMA / NCCL fp32-accumulation style).
   Precision wire_precision = Precision::kFP32;
-  /// Emulate TensorFlow's dynamic scheduler: shuffle each bucket's
-  /// tensors per step before the bucket is negotiated (all ranks still
-  /// converge on one global order). Bucket composition follows the
-  /// emission order either way; only the order inside a bucket moves.
+  /// Emulate TensorFlow's dynamic scheduler: shuffle the order in which
+  /// each rank submits a bucket's tensors to the control plane when the
+  /// bucket is negotiated. Only the control messages move: the fused
+  /// layout is the emission order either way, so results do not depend
+  /// on this flag or on message arrival, at any world size.
   bool shuffle_ready_order = true;
 };
 
@@ -106,14 +108,13 @@ class GradientExchanger {
   /// BeginStep arms a step: NotifyGradReady calls (from the backward
   /// pass, via GradReadyRecorder) append tensors to the emission order
   /// and greedily close fusion buckets. A dedicated exchange thread,
-  /// started at the first BeginStep, shuffles (shuffle_ready_order),
-  /// negotiates and reduces each closed bucket in order while backward
-  /// keeps computing. WaitAll closes the final bucket, returns once the
-  /// step is drained, and returns the first failure (kOk when every
-  /// bucket reduced). `elastic == nullptr` reduces over the whole world
-  /// at generation 0 (RankGroup::World, tag salt 0). `timeout_s`
-  /// (kNoTimeout for none) bounds each bucket's negotiation +
-  /// reduction, counted from the moment the exchange thread takes the
+  /// started at the first BeginStep, reduces each closed bucket in order
+  /// while backward keeps computing. WaitAll closes the final bucket,
+  /// returns once the step is drained, and returns the first failure
+  /// (kOk when every bucket reduced). `elastic == nullptr` reduces over
+  /// the whole world at generation 0 (RankGroup::World, tag salt 0).
+  /// `timeout_s` (kNoTimeout for none) bounds each bucket's negotiation
+  /// + reduction, counted from the moment the exchange thread takes the
   /// bucket — waiting for backward to close a bucket never eats into
   /// it. On failure the partial step must be
   /// discarded by the caller (gradients may hold partially averaged
@@ -121,6 +122,18 @@ class GradientExchanger {
   /// reproduces the same shuffle. Every transport reduces over the
   /// view's members, whatever their number; the hybrid places them on
   /// nodes by world rank, so a shrunk view leaves ragged nodes.
+  ///
+  /// Bucket plan: a bucket negotiates through the control plane only
+  /// when the plan is stale — the first step, a new elastic generation
+  /// or view, the step after a failed one, or an emission slice (the
+  /// bucket's tensors, in emission order) that differs from the one the
+  /// plan agreed. Otherwise it reduces at once, with no control
+  /// messages. The fused layout is the emission slice in both cases; a
+  /// negotiation only checks that every rank holds the same tensors.
+  /// Invariant: every rank emits the same order (the grad-ready order
+  /// is structural, pinned by the LayerOrder goldens, and bucket
+  /// boundaries already depend on it), so every rank makes the same
+  /// negotiate-or-reuse choice.
   void BeginStep(Communicator& comm, const std::vector<Param*>& params,
                  ElasticWorld* elastic, double timeout_s);
   /// Announces that `param_index`'s gradient is final for this step.
@@ -156,13 +169,23 @@ class GradientExchanger {
                                      const Deadline& deadline);
 
   /// Fires the "elastic.exchange.kill.<rank>" chaos site (at most once
-  /// per step, right after an order was agreed).
+  /// per step, right before the first bucket reduces).
   void MaybeChaosKill(Communicator& comm);
 
+  /// True when the plan's bucket `bucket_index` is `b`'s emission slice.
+  bool PlanCovers(int bucket_index, const Bucket& b) const;
+  /// Negotiates bucket `b` (emission slice `ids`), submitting the ids in
+  /// shuffled order under shuffle_ready_order, checks that the agreed
+  /// order holds the same tensors, and records `b` in the plan.
+  CollectiveResult NegotiateBucket(Communicator& comm, const RankGroup& group,
+                                   int tag_salt, std::span<const int> ids,
+                                   int bucket_index, const Bucket& b,
+                                   const Deadline& deadline);
+
   void ExchangeThreadMain();
-  /// Runs one armed step on the exchange thread: shuffle, negotiate +
-  /// reduce each closed bucket in order, latch the first failure, drain
-  /// the rest.
+  /// Runs one armed step on the exchange thread: negotiate (when the
+  /// plan is stale) + reduce each closed bucket in order, latch the
+  /// first failure, drain the rest.
   void RunStep();
   void CloseBucketLocked();
 
@@ -203,7 +226,14 @@ class GradientExchanger {
   int pend_begin_ = 0;            // open bucket start; guarded by mu_
   std::int64_t pend_bytes_ = 0;   // guarded by mu_
   std::int64_t pend_elems_ = 0;   // guarded by mu_
-  std::vector<int> negotiated_;   // a bucket's agreed order
+  // Bucket plan (see BeginStep); exchange thread only.
+  bool plan_valid_ = false;           // cleared by a failed step
+  std::vector<Bucket> plan_buckets_;  // agreed buckets, by bucket index
+  std::vector<int> plan_order_;       // their emission slices, by position
+  std::vector<int> plan_members_;     // world ranks it was agreed over
+  int plan_salt_ = 0;                 // and their generation's tag salt
+  std::vector<int> submit_;           // a bucket's ids as submitted
+  std::vector<int> negotiated_;       // a bucket's agreed order
   CollectiveResult result_;       // first failure of the armed step
   bool failed_ = false;
   std::exception_ptr exception_;

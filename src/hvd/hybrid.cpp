@@ -74,13 +74,18 @@ CollectiveResult TryHybridAllreduce(Communicator& comm, const RankGroup& group,
   }
 
   // Phase 3 (NCCL): each shard owner broadcasts its shard node-locally.
-  for (int k = 0; k < shard_count; ++k) {
-    const auto& s = shards[static_cast<std::size_t>(k)];
-    if (s.count == 0) continue;
-    r = TryGroupBroadcast(comm, node, k % m,
-                          std::span<float>(data.data() + s.offset, s.count),
-                          deadline, tag + 500 + k, wire);
-    if (!r.ok()) return r;
+  // A member first sends the shards it owns (a root only sends), then
+  // receives or forwards the others in increasing k, so every member's
+  // broadcasts leave at once instead of waiting behind lower shards.
+  for (const bool owned : {true, false}) {
+    for (int k = 0; k < shard_count; ++k) {
+      const auto& s = shards[static_cast<std::size_t>(k)];
+      if ((k % m == node.my_index()) != owned || s.count == 0) continue;
+      r = TryGroupBroadcast(comm, node, k % m,
+                            std::span<float>(data.data() + s.offset, s.count),
+                            deadline, tag + 500 + k, wire);
+      if (!r.ok()) return r;
+    }
   }
   return {};
 }

@@ -21,7 +21,12 @@ namespace exaclim {
 ///     rank runs its shards in increasing k;
 ///  3. each shard owner broadcasts its fully reduced shard within the
 ///     node (the NCCL broadcast phase), leaving every rank with the
-///     complete result.
+///     complete result. Every member first broadcasts the shards it
+///     owns, then receives (or forwards) the others in increasing k:
+///     roots never wait, so all of a node's broadcasts overlap in one
+///     hop, and a forwarder's wait on shard k depends only on shards
+///     below k — deadlock-free on ragged nodes and for members owning
+///     several shards. Only the message timing moves, never the data.
 ///
 /// Members on a single node degenerate to phase 1 only (Piz Daint's 1
 /// GPU/node instead skips phase 1 and 3).

@@ -209,10 +209,9 @@ struct TrainRunResult {
 /// statistics (which no validation reads). So losses, validation metrics
 /// and every rank's final parameters match the uninterrupted run bit for
 /// bit only with a stateless optimizer (plain SGD, momentum 0, no LARC,
-/// no lag) in FP32. On more than 2 ranks that also takes
-/// `exchanger.shuffle_ready_order = false`: with the shuffle on, the
-/// negotiated tensor order follows message arrival, and any two runs —
-/// resumed or not — agree only to reduction rounding.
+/// no lag) in FP32, at any world size and with the exchanger's readiness
+/// shuffle on or off: the shuffle moves only control messages, and the
+/// fused reduction layout follows the emission order.
 TrainRunResult RunDistributedTraining(const TrainerOptions& opts,
                                       const ClimateDataset& dataset,
                                       int ranks, int steps,

@@ -477,11 +477,9 @@ TEST(ElasticBitIdentity, ElasticOnWithNoFaultsMatchesElasticOff) {
   // produce bit-identical results: generation 0 runs the exact same
   // algorithms over the exact same rank sets as the non-elastic path.
   //
-  // The readiness shuffle stays off here: it emulates TensorFlow's
-  // timing-dependent scheduler, which makes the *negotiated reduce
-  // order* (and with it floating-point grouping) vary run to run on
-  // both paths. With deterministic readiness the comparison isolates
-  // exactly the elastic machinery.
+  // The readiness shuffle stays off here, so even the control messages
+  // match message for message and the comparison isolates exactly the
+  // elastic machinery.
   ClimateDataset dataset(TinyData());
   TrainerOptions off = TinyElasticTrainer();
   off.exchanger.shuffle_ready_order = false;

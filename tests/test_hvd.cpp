@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "comm/collectives.hpp"
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "hvd/control_plane.hpp"
 #include "hvd/exchanger.hpp"
 #include "hvd/hybrid.hpp"
@@ -242,6 +244,45 @@ TEST(HybridAllreduce, MatchesFlatAllreduce) {
       EXPECT_NEAR(data[i], expected[i], 1e-3f) << "i=" << i;
     }
   });
+}
+
+TEST(HybridAllreduce, NodeBroadcastTakesOneHop) {
+  // Under a 100 ms per-message latency a 2x2 hybrid all-reduce is five
+  // hops deep on its slower node: two for the node ring, two for the
+  // inter-node tree and one for the node broadcast, whose members each
+  // send the shard they own before waiting for the other (walking the
+  // shards in increasing order instead serializes the two broadcasts:
+  // six hops). The tree roots' node finishes a hop earlier.
+  constexpr double kDelay = 0.1;
+  const std::size_t len = 64;
+  const auto expected = ExpectedSum(4, len);
+  FaultInjector::Global().Reset();
+  FaultSpec delay;
+  delay.site = "comm.delay";
+  delay.delay_seconds = kDelay;
+  FaultInjector::Global().Arm(delay);
+  std::vector<double> seconds(4, 0.0);
+  SimWorld world(4);
+  world.Run([&](Communicator& comm) {
+    auto data = RankPayload(comm.rank(), len);
+    HybridAllreduceOptions opts;
+    opts.topology.ranks_per_node = 2;
+    opts.mpi_ranks_per_node = 2;
+    const auto start = std::chrono::steady_clock::now();
+    HybridAllreduce(comm, data, opts);
+    seconds[static_cast<std::size_t>(comm.rank())] =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    EXPECT_EQ(data, expected) << "rank " << comm.rank();
+  });
+  FaultInjector::Global().Reset();
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_LT(seconds[static_cast<std::size_t>(r)], 5.5 * kDelay)
+        << "rank " << r;
+  }
+  // The delay held every hop of the critical path.
+  EXPECT_GT(*std::max_element(seconds.begin(), seconds.end()), 4.5 * kDelay);
 }
 
 TEST(HybridAllreduce, SingleNodeDegeneratesToNccl) {

@@ -2,15 +2,17 @@
 // counts of a hand-streamed step vs the blocking Exchange (FP32 and the
 // packed-FP16 wire), run-to-run determinism of the trainer whatever the
 // exchange thread's timing, bucket composition under the readiness
-// shuffle, option validation,
-// the bounded bucket-tag layout (regression for the tag overflow past
-// the elastic generation stride), binary16 overflow-boundary agreement
-// between the RTNE converter and the packed wire, wire-byte halving
-// under FP16, and the chaos soak with the exchange running on its
-// dedicated thread.
+// shuffle, the bucket plan (steady steps send only data messages and
+// match steps that negotiate; what makes the plan stale), option
+// validation, the bounded bucket-tag layout (regression for the tag
+// overflow past the elastic generation stride), binary16
+// overflow-boundary agreement between the RTNE converter and the packed
+// wire, wire-byte halving under FP16, and the chaos soak with the
+// exchange running on its dedicated thread.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -22,10 +24,13 @@
 #include <utility>
 #include <vector>
 
+#include "comm/collectives.hpp"
 #include "comm/elastic.hpp"
 #include "comm/world.hpp"
+#include "common/checksum.hpp"
 #include "common/fault.hpp"
 #include "common/half.hpp"
+#include "common/rng.hpp"
 #include "hvd/exchanger.hpp"
 #include "tensor/cast.hpp"
 #include "train/trainer.hpp"
@@ -69,9 +74,8 @@ TrainerOptions TinyTrainer() {
   o.learning_rate = 2e-3f;
   o.exchanger.transport = ReduceTransport::kMpiRing;
   // Runs must be bit-identical however the exchange thread's timing
-  // falls: the readiness shuffle stays off because with it the
-  // negotiated order inside a bucket follows message arrival, which
-  // moves the reduction's rounding (DESIGN §13).
+  // falls. The readiness shuffle is off here (every control message in
+  // emission order); ShuffledReadinessRunsAreBitIdentical turns it on.
   o.exchanger.shuffle_ready_order = false;
   return o;
 }
@@ -154,9 +158,9 @@ TEST_P(OverlapTransports, StreamedStepMatchesBlockingExchange) {
 }
 
 TEST_P(OverlapTransports, ShuffledReadinessKeepsBucketsAndRankAgreement) {
-  // The readiness shuffle reorders tensors inside each bucket before the
-  // bucket is negotiated; buckets themselves follow the emission order,
-  // so the bucket count matches the unshuffled run.
+  // The readiness shuffle reorders only what each rank submits to the
+  // control plane; buckets and their fused layout follow the emission
+  // order, so the shuffled run reduces exactly as the unshuffled one.
   const auto [transport, wire] = GetParam();
   const ExchangeOutcome plain =
       RunExchange(transport, wire, /*streamed=*/false);
@@ -165,6 +169,8 @@ TEST_P(OverlapTransports, ShuffledReadinessKeepsBucketsAndRankAgreement) {
         RunExchange(transport, wire, streamed, /*shuffle=*/true);
     EXPECT_TRUE(shuffled.ranks_identical) << "streamed " << streamed;
     EXPECT_EQ(shuffled.fused_buffers, plain.fused_buffers)
+        << "streamed " << streamed;
+    EXPECT_EQ(shuffled.rank0_grads, plain.rank0_grads)
         << "streamed " << streamed;
   }
 }
@@ -210,6 +216,232 @@ TEST(OverlapExchange, AllRanksFinishBitIdenticalAcrossRanks) {
   }
 }
 
+// ---------------------------------------------------------- bucket plan --
+//
+// A bucket negotiates only while the plan is stale (first step, new
+// elastic generation or view, failed step, changed emission slice);
+// every other step reduces at once and sends the transport's data
+// messages only.
+
+/// One exchange step with every tensor announced, in index order or
+/// reversed; returns the messages this rank sent during it.
+std::int64_t StepMessages(GradientExchanger& exchanger, Communicator& comm,
+                          const std::vector<Param*>& params,
+                          ElasticWorld* elastic, bool reversed = false) {
+  const std::int64_t before = comm.messages_sent();
+  exchanger.BeginStep(comm, params, elastic, kNoTimeout);
+  const int n = static_cast<int>(params.size());
+  for (int i = 0; i < n; ++i) {
+    exchanger.NotifyGradReady(reversed ? n - 1 - i : i);
+  }
+  EXPECT_TRUE(exchanger.WaitAll().ok());
+  return comm.messages_sent() - before;
+}
+
+class ExchangePlan : public ::testing::TestWithParam<ReduceTransport> {};
+
+TEST_P(ExchangePlan, SteadyStepSendsOnlyTheTransportsDataMessages) {
+  const ReduceTransport transport = GetParam();
+  // Threshold 1 puts every tensor in its own bucket; the large one fuses
+  // them all into one.
+  for (const std::int64_t threshold :
+       {std::int64_t{1}, std::int64_t{1} << 20}) {
+    SCOPED_TRACE("fusion_threshold_bytes " + std::to_string(threshold));
+    SimWorld world(4);
+    world.Run([&](Communicator& comm) {
+      auto owned = MakeParams(comm.rank(), 5, 7);
+      std::vector<Param*> params;
+      for (auto& q : owned) params.push_back(q.get());
+      ExchangerOptions opts;
+      opts.transport = transport;
+      opts.fusion_threshold_bytes = threshold;
+      opts.hybrid.topology.ranks_per_node = 2;
+      opts.hybrid.mpi_ranks_per_node = 2;
+      GradientExchanger exchanger(opts, 5);
+      const auto step = [&] {
+        return StepMessages(exchanger, comm, params, nullptr);
+      };
+      const std::int64_t first = step();
+      const std::int64_t second = step();
+      const std::int64_t third = step();
+
+      // The same buckets reduced by the bare transport.
+      std::vector<std::int64_t> bucket_elems;
+      for (const Param* q : params) {
+        if (threshold == 1 || bucket_elems.empty()) bucket_elems.push_back(0);
+        bucket_elems.back() += q->grad.NumElements();
+      }
+      const RankGroup group = RankGroup::World(comm);
+      const std::int64_t before = comm.messages_sent();
+      for (std::size_t b = 0; b < bucket_elems.size(); ++b) {
+        std::vector<float> buf(static_cast<std::size_t>(bucket_elems[b]), 1.0f);
+        const int tag = BucketTag(static_cast<int>(b));
+        const Deadline deadline(kNoTimeout);
+        const CollectiveResult r =
+            transport == ReduceTransport::kMpiRing
+                ? TryGroupAllreduceRing(comm, group, buf, deadline, tag)
+            : transport == ReduceTransport::kMpiTree
+                ? TryGroupAllreduceTree(comm, group, buf, deadline, tag)
+                : TryHybridAllreduce(comm, group, buf, opts.hybrid, deadline,
+                                     tag);
+        ASSERT_TRUE(r.ok());
+      }
+      const std::int64_t data = comm.messages_sent() - before;
+      EXPECT_EQ(second, data) << "rank " << comm.rank();
+      EXPECT_EQ(third, data) << "rank " << comm.rank();
+      EXPECT_GT(first, data) << "rank " << comm.rank();
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, ExchangePlan,
+    ::testing::Values(ReduceTransport::kMpiRing, ReduceTransport::kMpiTree,
+                      ReduceTransport::kHybrid),
+    [](const ::testing::TestParamInfo<ReduceTransport>& info) {
+      std::string name = ToString(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+/// Param CRCs per rank after `steps` SGD-like steps whose gradients
+/// depend on the params, with one exchanger for the run (`reuse`, the
+/// plan serves every step after the first) or a fresh one per step
+/// (every step negotiates).
+std::vector<std::uint32_t> PlanRunCrcs(int ranks, ReduceTransport transport,
+                                       bool reuse, int steps = 4) {
+  std::vector<std::uint32_t> crcs(static_cast<std::size_t>(ranks));
+  SimWorld world(ranks);
+  world.Run([&](Communicator& comm) {
+    auto owned = MakeParams(comm.rank(), 9, 13);
+    std::vector<Param*> params;
+    for (auto& q : owned) params.push_back(q.get());
+    ExchangerOptions opts;
+    opts.transport = transport;
+    opts.shuffle_ready_order = false;
+    opts.fusion_threshold_bytes = 128;  // several buckets
+    opts.hybrid.topology.ranks_per_node = 2;
+    opts.hybrid.mpi_ranks_per_node = 2;
+    auto exchanger = std::make_unique<GradientExchanger>(opts, 9);
+    Rng rng = Rng(31).Fork(static_cast<std::uint64_t>(comm.rank()));
+    for (int s = 0; s < steps; ++s) {
+      for (Param* q : params) {
+        for (std::int64_t j = 0; j < q->grad.NumElements(); ++j) {
+          const auto i = static_cast<std::size_t>(j);
+          q->grad[i] = q->value[i] * 0.3f + rng.Uniform(-1.0f, 1.0f) *
+                                                 static_cast<float>(1 + j % 7);
+        }
+      }
+      if (!reuse) exchanger = std::make_unique<GradientExchanger>(opts, 9);
+      exchanger->Exchange(comm, params);
+      for (Param* q : params) {
+        for (std::int64_t j = 0; j < q->grad.NumElements(); ++j) {
+          const auto i = static_cast<std::size_t>(j);
+          q->value[i] -= 0.1f * q->grad[i];
+        }
+      }
+    }
+    std::uint32_t crc = 0;
+    for (const Param* q : params) {
+      const auto v = q->value.Data();
+      crc = Crc32(std::as_bytes(std::span<const float>(v.data(), v.size())),
+                  crc);
+    }
+    crcs[static_cast<std::size_t>(comm.rank())] = crc;
+  });
+  return crcs;
+}
+
+TEST(ExchangePlan, ReusedPlanMatchesNegotiatingEveryStep) {
+  // With the shuffle off the control plane agrees on each bucket's
+  // emission order, so a step that skips it reduces the same layout.
+  for (const int ranks : {3, 4}) {
+    for (const auto transport :
+         {ReduceTransport::kMpiRing, ReduceTransport::kHybrid}) {
+      SCOPED_TRACE(std::to_string(ranks) + " ranks, " + ToString(transport));
+      const auto reused = PlanRunCrcs(ranks, transport, /*reuse=*/true);
+      EXPECT_EQ(reused, PlanRunCrcs(ranks, transport, /*reuse=*/false));
+      for (const std::uint32_t crc : reused) EXPECT_EQ(crc, reused[0]);
+    }
+  }
+}
+
+TEST(ExchangePlan, EmissionOrderChangeOrNewGenerationRenegotiates) {
+  SimWorld world(4);
+  world.Run([&](Communicator& comm) {
+    auto owned = MakeParams(comm.rank(), 5, 7);
+    std::vector<Param*> params;
+    for (auto& q : owned) params.push_back(q.get());
+    ExchangerOptions opts;
+    opts.transport = ReduceTransport::kMpiRing;
+    opts.fusion_threshold_bytes = std::int64_t{1} << 20;  // one bucket
+    GradientExchanger exchanger(opts, 5);
+    ElasticOptions eo;
+    eo.enabled = true;
+    ElasticWorld elastic(comm, eo);
+
+    const auto step = [&](bool reversed) {
+      return StepMessages(exchanger, comm, params, &elastic, reversed);
+    };
+    const std::int64_t first = step(false);
+    const std::int64_t steady = step(false);
+    EXPECT_GT(first, steady);
+    // A new emission slice for the bucket negotiates once, then holds.
+    EXPECT_GT(step(true), steady);
+    EXPECT_EQ(step(true), steady);
+    // So does a new generation over the same members.
+    ASSERT_TRUE(elastic.Rebuild().ok());
+    ASSERT_EQ(elastic.generation(), 1);
+    EXPECT_GT(step(true), steady);
+    EXPECT_EQ(step(true), steady);
+  });
+}
+
+TEST(ExchangePlan, SteadyStepFailureNamesTheDeadRank) {
+  // Without a negotiation in the step, the dead rank surfaces inside the
+  // all-reduce; every survivor must still name it, then recover over the
+  // next generation.
+  constexpr int kVictim = 2;
+  for (const auto transport :
+       {ReduceTransport::kMpiRing, ReduceTransport::kHybrid}) {
+    SCOPED_TRACE(ToString(transport));
+    SimWorld world(4);
+    world.Run([&](Communicator& comm) {
+      auto owned = MakeParams(comm.rank(), 5, 7);
+      std::vector<Param*> params;
+      for (auto& q : owned) params.push_back(q.get());
+      ExchangerOptions opts;
+      opts.transport = transport;
+      opts.hybrid.topology.ranks_per_node = 2;
+      opts.hybrid.mpi_ranks_per_node = 2;
+      GradientExchanger exchanger(opts, 5);
+      ElasticOptions eo;
+      eo.enabled = true;
+      ElasticWorld elastic(comm, eo);
+      const auto step = [&] {
+        return StepMessages(exchanger, comm, params, &elastic);
+      };
+      const std::int64_t first = step();
+      EXPECT_GT(first, step());
+      if (comm.rank() == kVictim) {
+        comm.KillSelf();
+        return;
+      }
+      exchanger.BeginStep(comm, params, &elastic, /*timeout_s=*/30.0);
+      for (int i = 0; i < static_cast<int>(params.size()); ++i) {
+        exchanger.NotifyGradReady(i);
+      }
+      const CollectiveResult r = exchanger.WaitAll();
+      EXPECT_EQ(r.status, CollectiveStatus::kPeerDead)
+          << "rank " << comm.rank() << " got " << ToString(r.status);
+      EXPECT_EQ(r.suspect_rank, kVictim) << "rank " << comm.rank();
+      ASSERT_TRUE(elastic.Rebuild().ok());
+      EXPECT_EQ(elastic.view().size(), 3);
+      EXPECT_GT(step(), 0);
+    });
+  }
+}
+
 // ------------------------------------------------- trainer bit identity --
 //
 // The exchange thread reduces buckets while backward still computes, so
@@ -242,6 +474,14 @@ TEST(OverlapBitIdentity, TrainerRunsAreBitIdentical) {
 TEST(OverlapBitIdentity, TrainerRunsAreBitIdenticalFP16Wire) {
   TrainerOptions opts = TinyTrainer();
   opts.exchanger.wire_precision = Precision::kFP16;
+  ExpectRunsBitIdentical(opts);
+}
+
+TEST(OverlapBitIdentity, ShuffledReadinessRunsAreBitIdentical) {
+  // The shuffle moves only the control messages, so even with it on the
+  // fused layout, and every bit, is the same from run to run.
+  TrainerOptions opts = TinyTrainer();
+  opts.exchanger.shuffle_ready_order = true;
   ExpectRunsBitIdentical(opts);
 }
 

@@ -247,12 +247,13 @@ run env TSAN_OPTIONS=halt_on_error=1 \
 # streamed-vs-blocking, run-to-run bit-identity and chaos overlap suites
 # under TSan, including the chaos schedule where rank 1's kill fires on
 # the exchange thread and the RankKilledError must propagate through
-# WaitAll to the trainer thread.
+# WaitAll to the trainer thread. The bucket-plan suites ride along: a
+# step that reuses the plan reduces at once on the exchange thread.
 require_tests ./build-tsan/tests/test_overlap \
-  'Overlap*:AllTransports/*:BucketTagLayout.*'
+  'Overlap*:AllTransports/*:BucketTagLayout.*:*ExchangePlan.*'
 run env TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_overlap \
-  --gtest_filter='Overlap*:AllTransports/*:BucketTagLayout.*'
+  --gtest_filter='Overlap*:AllTransports/*:BucketTagLayout.*:*ExchangePlan.*'
 
 # ---- 11. perfbench-selftest ----------------------------------------------
 # perfbench/ compiles its own Release build of the library and drives the
